@@ -12,7 +12,6 @@ from .presets import PRESETS, SCENARIOS, TABLE2, Preset, Scenario
 from .solvers import (
     DivergenceError,
     FractionalOrder,
-    QuadratureWeights,
     SolverConfig,
     Trajectory,
     corrector_weights,
@@ -20,7 +19,6 @@ from .solvers import (
     integrate_cf,
     linear_cf_exact,
     predictor_weights,
-    quadrature_weights,
     reference_rk4,
 )
 from .spectral import (
@@ -55,7 +53,6 @@ __all__ = [
     "ModelParams",
     "PRESETS",
     "Preset",
-    "QuadratureWeights",
     "SCENARIOS",
     "Scenario",
     "SolverConfig",
@@ -80,7 +77,6 @@ __all__ = [
     "jacobian",
     "linear_cf_exact",
     "predictor_weights",
-    "quadrature_weights",
     "reference_rk4",
     "rhs",
     "routh_hurwitz_cubic",

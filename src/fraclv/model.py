@@ -88,10 +88,18 @@ def rhs(params: ModelParams, state: Sequence[float]) -> np.ndarray:
 
 
 def vector_field(params: ModelParams) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Autonomous (t, state) -> derivative adapter for the integrators."""
+    """Autonomous (t, state) -> derivative adapter for the integrators.
+
+    ``state`` is a 1-d float array.  The result is bit-identical to ``rhs``:
+    the same float operations in the same order, on Python floats unpacked
+    once per call (numpy scalar arithmetic costs several times more).
+    """
+    a1, a2, a3, a4, a5, a6, a7 = params.as_tuple()
+    b3, b5 = 1.0 - a3, 1.0 - a5
 
     def field(_t: float, state: np.ndarray) -> np.ndarray:
-        return rhs(params, state)
+        x, y, z = state.tolist()
+        return np.array([x * (a1 - a2 * x - y - z), y * (b3 + a4 * x), z * (b5 + a6 * x + a7 * y)])
 
     return field
 

@@ -91,10 +91,16 @@ def _order_value(order: Union[float, FractionalOrder], allow_one: bool) -> float
     return alpha
 
 
+def _finite(eigs: tuple[complex, ...]) -> tuple[complex, ...]:
+    if not all(map(cmath.isfinite, eigs)):
+        raise ValueError(f"eigenvalues must be finite, got {eigs}")
+    return eigs
+
+
 def _eigs(spectrum: SpectrumLike) -> tuple[complex, ...]:
     if isinstance(spectrum, Spectrum):
-        return spectrum.eigenvalues
-    return tuple(complex(w) for w in spectrum)
+        return _finite(spectrum.eigenvalues)
+    return _finite(tuple(complex(w) for w in spectrum))
 
 
 def _caputo_pass(w: complex, alpha: float) -> bool:
@@ -152,9 +158,13 @@ def cf_disk_verdict(spectrum: SpectrumLike, order: Union[float, FractionalOrder]
 
 
 def classify_region(lam: complex, order: Union[float, FractionalOrder]) -> str:
-    """Four-way partition of the plane by the two single-eigenvalue tests."""
+    """Four-way partition of the plane by the two single-eigenvalue tests.
+
+    Raises ValueError on a non-finite eigenvalue, which has no region.
+    """
     alpha = _order_value(order, allow_one=False)
-    cap = _caputo_pass(complex(lam), alpha)
+    (lam,) = _finite((complex(lam),))
+    cap = _caputo_pass(lam, alpha)
     cf = cf_stable_disk(lam, alpha)
     if cap and cf:
         return "A"
@@ -227,22 +237,28 @@ def table1_conditions(
         ]
 
     if kind == "E4":
-        w = a4 * (1.0 + a1 * a7 - a5) + (a6 - a2 * a7) * (a3 - 1.0)
-        denom = w * (a2 + a4) + a2 * a4 * (a3 - 1.0)
-        if denom != 0.0:
-            rh = a6 > a2 * a4 * (a3 - 1.0) * (w + a2 * (a3 - 1.0)) / denom
-        else:
-            rh = False
         point = {eq.kind: eq.point for eq in equilibria(params)}["E4"]
-        spec = cubic_roots(characteristic_cubic(jacobian(params, point)))
-        all_above = all(v.real > thr for v in spec.eigenvalues)
-        return [
-            ("caputo (routh-hurwitz): a6 > a2*a4*(a3-1)*(w + a2*(a3-1)) / "
-             "(w*(a2+a4) + a2*a4*(a3-1))", rh),
-            ("cf: all characteristic roots > 1/(1-alpha)", all_above),
-        ]
+        return _e4_conditions(params, alpha, cubic_roots(characteristic_cubic(jacobian(params, point))))
 
     raise ValueError(f"unknown equilibrium kind {kind!r}")
+
+
+def _e4_conditions(params: ModelParams, alpha: float, spectrum: Spectrum) -> list[tuple[str, bool]]:
+    """Table 1 conditions for E4, given E4's spectrum."""
+    a1, a2, a3, a4, a5, a6, a7 = params.as_tuple()
+    thr = 1.0 / (1.0 - alpha)
+    w = a4 * (1.0 + a1 * a7 - a5) + (a6 - a2 * a7) * (a3 - 1.0)
+    denom = w * (a2 + a4) + a2 * a4 * (a3 - 1.0)
+    if denom != 0.0:
+        rh = a6 > a2 * a4 * (a3 - 1.0) * (w + a2 * (a3 - 1.0)) / denom
+    else:
+        rh = False
+    all_above = all(v.real > thr for v in spectrum.eigenvalues)
+    return [
+        ("caputo (routh-hurwitz): a6 > a2*a4*(a3-1)*(w + a2*(a3-1)) / "
+         "(w*(a2+a4) + a2*a4*(a3-1))", rh),
+        ("cf: all characteristic roots > 1/(1-alpha)", all_above),
+    ]
 
 
 def equilibrium_report(
@@ -264,7 +280,10 @@ def equilibrium_report(
         if cf_defined:
             cf_thm = cf_stable_theorem(spectrum, alpha)
             cf_dsk = cf_disk_verdict(spectrum, alpha)
-            table1 = tuple(table1_conditions(params, alpha, eq.kind))
+            if eq.kind == "E4":  # reuse the spectrum rather than re-solving it
+                table1 = tuple(_e4_conditions(params, alpha, spectrum))
+            else:
+                table1 = tuple(table1_conditions(params, alpha, eq.kind))
             regions = tuple(classify_region(w, alpha) for w in spectrum.eigenvalues)
         else:
             cf_thm = None

@@ -6,11 +6,21 @@ precision.  Plain companion eigenvalues carry ~sqrt(eps) ~ 1e-8 error at
 repeated roots, which would drown the 1e-9 comparison budget, so clustered
 eigenvalues are refined at 50 decimal digits with mpmath; well-separated ones
 are refined in 80-bit long double, which is plenty for simple roots.
+
+``pece_direct`` is a direct full-history PECE engine for both operators, the
+reference for ``integrate_caputo`` and ``integrate_cf``: every step sums the
+whole field history with one dot product against the weight formulas, at
+O(N^2) cost for either operator (the CF integrator keeps a running sum).
 """
 
 from __future__ import annotations
 
+import math
+from typing import Sequence
+
 import numpy as np
+
+from fraclv.solvers import DIVERGENCE_LIMIT, DivergenceError, SolverConfig, Trajectory, VectorField
 
 _CLUSTER_SEP = 1e-4
 _NEWTON_STEPS = 40
@@ -107,3 +117,76 @@ def random_cubic(rng: np.random.Generator, mode: int) -> tuple[float, float, flo
         s = int(rng.integers(-16, 17)) / 4.0
         if abs(r - s) >= 0.25:
             return (-(2.0 * r + s), r * r + 2.0 * r * s, -(r * r * s))
+
+
+def pece_direct(
+    field: VectorField,
+    initial: Sequence[float],
+    n: float,
+    scale: float,
+    cf_coeff: float,
+    config: SolverConfig,
+    operator: str,
+    alpha: float,
+) -> Trajectory:
+    """Full-history PECE engine: every step re-applies the weight formulas.
+
+    n         weight exponent (1 for CF, alpha for Caputo)
+    scale     alpha/M for CF, 1/Gamma(alpha) for Caputo
+    cf_coeff  (1-alpha)/M in corrected CF mode, 0 otherwise
+    """
+    x0 = np.asarray(initial, dtype=float)
+    if x0.ndim != 1 or x0.size == 0:
+        raise ValueError("initial state must be a non-empty 1-d vector")
+    g0 = np.asarray(field(0.0, x0), dtype=float)
+    if g0.shape != x0.shape:
+        raise ValueError(
+            f"field dimension {g0.shape} does not match initial state {x0.shape}"
+        )
+
+    h = config.step
+    num = config.num_steps
+    times = h * np.arange(num + 1)
+    states = np.empty((num + 1, x0.size))
+    gvals = np.empty((num + 1, x0.size))
+    states[0] = x0
+    gvals[0] = g0
+
+    # weight tables indexed by j = k - i; per step the reversed slices line up
+    # with history order i = 0..k (matches corrector_weights/predictor_weights)
+    j = np.arange(0, num + 1, dtype=float)
+    pdiff = (h ** n / n) * ((j + 1.0) ** n - j ** n)
+    wmid = (j + 2.0) ** (n + 1.0) - 2.0 * (j + 1.0) ** (n + 1.0) + j ** (n + 1.0)
+    kk = np.arange(0, num, dtype=float)
+    b0 = kk ** (n + 1.0) - (kk - n) * (kk + 1.0) ** n
+    cb = scale * h ** n / (n * (n + 1.0))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(num):
+            xp = x0 + scale * (pdiff[k::-1] @ gvals[: k + 1])
+            if cf_coeff:
+                xp = xp + cf_coeff * (gvals[k] - g0)
+            gp = np.asarray(field(times[k + 1], xp), dtype=float)
+            hist = b0[k] * g0
+            if k >= 1:
+                hist = hist + wmid[k - 1 :: -1] @ gvals[1 : k + 1]
+            xc = x0 + cb * (hist + gp)
+            if cf_coeff:
+                xc = xc + cf_coeff * (gp - g0)
+            if not np.all(np.isfinite(xc)) or np.max(np.abs(xc)) > DIVERGENCE_LIMIT:
+                partial = Trajectory(times[: k + 1], states[: k + 1].copy(), operator, alpha)
+                raise DivergenceError(k + 1, times[k + 1], partial)
+            states[k + 1] = xc
+            gvals[k + 1] = field(times[k + 1], xc)
+
+    return Trajectory(times, states, operator, alpha)
+
+
+def caputo_direct(field: VectorField, initial, alpha: float, config: SolverConfig) -> Trajectory:
+    return pece_direct(field, initial, alpha, 1.0 / math.gamma(alpha), 0.0, config, "caputo", alpha)
+
+
+def cf_direct(field: VectorField, initial, alpha: float, config: SolverConfig) -> Trajectory:
+    scale = alpha / config.normalization
+    cf_coeff = (1.0 - alpha) / config.normalization if config.cf_mode == "corrected" else 0.0
+    return pece_direct(field, initial, 1.0, scale, cf_coeff, config, "cf", alpha)

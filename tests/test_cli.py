@@ -7,8 +7,9 @@ import re
 import numpy as np
 import pytest
 
-from fraclv.cli import ConfigError, load_config, main, parse_config
+from fraclv.cli import ConfigError, _trajectory_csv, load_config, main, parse_config
 from fraclv.presets import PRESETS, SCENARIOS, scenario_config
+from fraclv.solvers import Trajectory
 
 
 def _base_config(**overrides):
@@ -176,6 +177,26 @@ def test_simulate_scenario_terminal_state(tmp_path):
     assert np.max(np.abs(terminal[1:] - np.array(scenario.target))) < scenario.tolerance
 
 
+def test_trajectory_csv_matches_row_by_row_formatting():
+    # reference: .16e on the numpy scalars of each row, one f-string per row;
+    # 2,500 rows span several formatting blocks
+    special = np.array([
+        [0.5, -0.9, 0.0],
+        [-0.0, 5e-324, -2.2250738585072014e-308],
+        [1e300, -1.7976931348623157e308, 1.0 / 3.0],
+        [2.0 ** -1074 * 3, -123.456, 7e-310],
+    ])
+    states = np.random.default_rng(3).normal(size=(2500, 3))
+    states[::500] = special[0]
+    states[1::700] = special[1]
+    states[1023:1026] = special[1:]
+    traj = Trajectory(0.01 * np.arange(2500), states, "caputo", 0.6)
+    lines = ["t,x,y,z"]
+    for t, row in zip(traj.times, traj.states):
+        lines.append(f"{t:.16e},{row[0]:.16e},{row[1]:.16e},{row[2]:.16e}")
+    assert _trajectory_csv(traj) == "\n".join(lines) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # equilibria
 
@@ -251,6 +272,17 @@ def test_stability_writes_report_file(tmp_path, capsys):
     assert file_payload == stdout_payload
 
 
+def test_stability_rejects_non_finite_spectrum(tmp_path, capsys):
+    # a4 = 1e-320 puts E4 at infinity, so its Jacobian and spectrum are NaN
+    params = dict(PRESETS["example1"].params.as_dict(), a4=1e-320)
+    path = _write_config(tmp_path, _base_config(params=params, alpha=0.6))
+    with np.errstate(all="ignore"):
+        assert main(["stability", "--config", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # classify
 
@@ -273,6 +305,11 @@ def test_classify_regions(capsys, argv, region):
 def test_classify_rejects_bad_alpha(capsys):
     assert main(["classify", "1", "1", "1.0"]) == 1
     assert main(["classify", "1", "1", "0"]) == 1
+
+
+def test_classify_rejects_non_finite_eigenvalue(capsys):
+    assert main(["classify", "nan", "0", "0.5"]) == 1
+    assert "finite" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

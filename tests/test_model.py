@@ -11,6 +11,7 @@ from fraclv.model import (
     existence_report,
     jacobian,
     rhs,
+    vector_field,
 )
 from fraclv.presets import PRESETS
 from fraclv.spectral import eigenvalues
@@ -32,6 +33,18 @@ def test_params_reject_nonpositive():
         ModelParams(3, 0.5, 4, 3, 4, 9, 0.0)
     with pytest.raises(ValueError):
         ModelParams(-1, 0.5, 4, 3, 4, 9, 4)
+
+
+state_component = st.floats(min_value=-1e50, max_value=1e50)
+
+
+@given(params=params_strategy, x=state_component, y=state_component, z=state_component)
+def test_vector_field_is_bit_identical_to_rhs(params, x, y, z):
+    state = np.array([x, y, z])
+    out = vector_field(params)(0.0, state)
+    ref = rhs(params, state)
+    assert np.array_equal(out, ref)
+    assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()  # signed zeros too
 
 
 def test_rhs_vanishes_at_interior_equilibrium():

@@ -6,6 +6,7 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import fraclv.stability
 from fraclv.presets import PRESETS
 from fraclv.stability import (
     caputo_stable,
@@ -151,6 +152,18 @@ def test_region_examples():
     assert classify_region(complex(0.5, 0.8), 0.6) == "B"
 
 
+@pytest.mark.parametrize("lam", [complex(math.nan, 0.0), complex(0.0, math.nan),
+                                 complex(math.inf, 1.0), complex(-1.0, -math.inf)])
+def test_non_finite_eigenvalue_rejected(lam):
+    # a non-finite eigenvalue has no region and no verdict; it must not read as "C"
+    with pytest.raises(ValueError):
+        classify_region(lam, 0.5)
+    with pytest.raises(ValueError):
+        caputo_stable([lam], 0.5)
+    with pytest.raises(ValueError):
+        cf_stable_theorem([-1.0, lam], 0.5)
+
+
 @given(
     re=st.floats(-20.0, 20.0),
     im=st.floats(-20.0, 20.0),
@@ -252,6 +265,25 @@ def test_report_at_order_one_marks_cf_not_applicable():
         assert rep.regions is None
         assert rep.table1 == ()
     assert _stable_kinds(reports, "caputo") == ["E2"]
+
+
+def test_report_solves_each_spectrum_once(monkeypatch):
+    calls = {"equilibria": 0, "cubic_roots": 0}
+
+    def counted(name):
+        original = getattr(fraclv.stability, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(fraclv.stability, name, counted(name))
+    reports = equilibrium_report(EX2, 0.6)
+    assert calls == {"equilibria": 1, "cubic_roots": 5}
+    # the E4 audit rows match the standalone table, which solves E4 itself
+    assert list(reports[4].table1) == table1_conditions(EX2, 0.6, "E4")
 
 
 def test_spectrum_like_inputs_accepted():

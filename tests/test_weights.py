@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fraclv.solvers import corrector_weights, predictor_weights, quadrature_weights
+from fraclv.solvers import corrector_weights, predictor_weights
 
 
 def test_corrector_collapses_to_trapezoid():
@@ -46,13 +46,6 @@ def test_predictor_sum_telescopes_at_order_one(k):
     w = predictor_weights(k, 1.0, h)
     assert w.shape == (k + 1,)
     np.testing.assert_allclose(w.sum(), (k + 1) * h, rtol=1e-13)
-
-
-def test_quadrature_weights_bundle():
-    qw = quadrature_weights(4, 0.7, 0.1)
-    assert qw.step_index == 4
-    np.testing.assert_array_equal(qw.corrector, corrector_weights(4, 0.7, 0.1))
-    np.testing.assert_array_equal(qw.predictor, predictor_weights(4, 0.7, 0.1))
 
 
 @given(
