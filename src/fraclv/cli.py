@@ -7,8 +7,10 @@ Subcommands
     classify          region class A-D for one complex number and order
     reproduce-table2  re-derive the bundled reference matrix, PASS/FAIL per cell
 
-Exit codes: 0 success, 1 usage or configuration error, 2 numerical
-divergence (the partial trajectory is still written).
+Exit codes: 0 success, 1 usage, configuration or input error (including an
+output value that is not finite, which JSON cannot carry), 2 numerical
+divergence (the partial trajectory is still written).  Every error is
+reported on stderr as one ``error: <message>`` line.
 
 The run config is a single JSON object; unknown keys are rejected so a typo
 cannot silently change a run.  Schema (cf_mode and normalization optional):
@@ -40,7 +42,14 @@ import numpy as np
 from . import __version__
 from .model import ModelParams, equilibria, jacobian, vector_field
 from .presets import KNOWN_DISCREPANCIES, PRESETS, TABLE2
-from .solvers import DivergenceError, SolverConfig, Trajectory, integrate_caputo, integrate_cf
+from .solvers import (
+    DivergenceError,
+    SolverConfig,
+    Trajectory,
+    check_order,
+    integrate_caputo,
+    integrate_cf,
+)
 from .spectral import characteristic_cubic, cubic_roots
 from .stability import (
     caputo_stable,
@@ -74,18 +83,7 @@ class RunConfig:
     alpha: float
     params: ModelParams
     initial: tuple[float, float, float]
-    horizon: float
-    step: float
-    cf_mode: str = "paper"
-    normalization: float = 1.0
-
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(
-            step=self.step,
-            horizon=self.horizon,
-            normalization=self.normalization,
-            cf_mode=self.cf_mode,
-        )
+    solver: SolverConfig
 
     def as_dict(self) -> dict:
         return {
@@ -93,10 +91,10 @@ class RunConfig:
             "alpha": self.alpha,
             "params": self.params.as_dict(),
             "initial": list(self.initial),
-            "horizon": self.horizon,
-            "step": self.step,
-            "cf_mode": self.cf_mode,
-            "normalization": self.normalization,
+            "horizon": self.solver.horizon,
+            "step": self.solver.step,
+            "cf_mode": self.solver.cf_mode,
+            "normalization": self.solver.normalization,
         }
 
 
@@ -110,7 +108,13 @@ def _finite_number(raw, where: str) -> float:
 
 
 def parse_config(data: dict, where: str = "config") -> RunConfig:
-    """Validate a decoded config object; rejects unknown or missing fields."""
+    """Validate a decoded config object; rejects unknown or missing fields.
+
+    Checks here cover what only raw JSON can get wrong (shape, keys, number
+    types, finiteness); the value ranges are checked once, by ``ModelParams``,
+    ``SolverConfig`` and ``check_order``, whose errors come back as
+    ConfigError.
+    """
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: expected a JSON object at top level")
     unknown = set(data) - _REQUIRED_KEYS - _OPTIONAL_KEYS
@@ -125,8 +129,6 @@ def parse_config(data: dict, where: str = "config") -> RunConfig:
         raise ConfigError(f"{where}.operator: must be 'caputo' or 'cf', got {operator!r}")
 
     alpha = _finite_number(data["alpha"], f"{where}.alpha")
-    if not (0.0 < alpha <= 1.0):
-        raise ConfigError(f"{where}.alpha: must be in (0, 1], got {alpha}")
 
     raw_params = data["params"]
     if not isinstance(raw_params, dict):
@@ -135,10 +137,6 @@ def parse_config(data: dict, where: str = "config") -> RunConfig:
     if bad:
         raise ConfigError(f"{where}.params: keys must be exactly a1..a7 (mismatch: {sorted(bad)})")
     values = {k: _finite_number(v, f"{where}.params.{k}") for k, v in raw_params.items()}
-    for key, value in values.items():
-        if not value > 0.0:
-            raise ConfigError(f"{where}.params.{key}: must be positive, got {value}")
-    params = ModelParams(**values)
 
     initial = data["initial"]
     if not isinstance(initial, (list, tuple)) or len(initial) != 3:
@@ -147,28 +145,16 @@ def parse_config(data: dict, where: str = "config") -> RunConfig:
 
     horizon = _finite_number(data["horizon"], f"{where}.horizon")
     step = _finite_number(data["step"], f"{where}.step")
-    if not step > 0.0:
-        raise ConfigError(f"{where}.step: must be positive, got {step}")
-    if not horizon >= step:
-        raise ConfigError(f"{where}.horizon: must be >= step, got {horizon}")
-
-    cf_mode = data.get("cf_mode", "paper")
-    if cf_mode not in ("paper", "corrected"):
-        raise ConfigError(f"{where}.cf_mode: must be 'paper' or 'corrected', got {cf_mode!r}")
     normalization = _finite_number(data.get("normalization", 1.0), f"{where}.normalization")
-    if not normalization > 0.0:
-        raise ConfigError(f"{where}.normalization: must be positive, got {normalization}")
+    cf_mode = data.get("cf_mode", "paper")
 
-    return RunConfig(
-        operator=operator,
-        alpha=alpha,
-        params=params,
-        initial=initial,
-        horizon=horizon,
-        step=step,
-        cf_mode=cf_mode,
-        normalization=normalization,
-    )
+    try:
+        check_order(alpha)
+        params = ModelParams(**values)
+        solver = SolverConfig(step, horizon, normalization, cf_mode)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    return RunConfig(operator=operator, alpha=alpha, params=params, initial=initial, solver=solver)
 
 
 def load_config(path: str) -> RunConfig:
@@ -184,6 +170,12 @@ def load_config(path: str) -> RunConfig:
 
 # ---------------------------------------------------------------------------
 # output helpers
+
+
+def _json(payload) -> str:
+    # allow_nan=False: a non-finite value raises ValueError (exit 1) instead of
+    # printing bare NaN/Infinity, which is not JSON
+    return json.dumps(payload, indent=2, allow_nan=False)
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -235,19 +227,13 @@ def _equilibrium_dict(eq) -> dict:
 
 def _integrate(config: RunConfig) -> Trajectory:
     field = vector_field(config.params)
-    solver = config.solver_config()
     if config.operator == "caputo":
-        return integrate_caputo(field, config.initial, config.alpha, solver)
-    return integrate_cf(field, config.initial, config.alpha, solver)
+        return integrate_caputo(field, config.initial, config.alpha, config.solver)
+    return integrate_cf(field, config.initial, config.alpha, config.solver)
 
 
 def cmd_simulate(config_path: str, out_dir: str, alpha=None, cf_mode=None) -> int:
-    try:
-        config = load_config(config_path)
-        config = _apply_overrides(config, alpha, cf_mode)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    config = _apply_overrides(load_config(config_path), alpha, cf_mode)
     os.makedirs(out_dir, exist_ok=True)
 
     started = time.perf_counter()
@@ -270,34 +256,19 @@ def cmd_simulate(config_path: str, out_dir: str, alpha=None, cf_mode=None) -> in
         "diverged": diverged_at is not None,
         "divergence_step": diverged_at,
     }
-    _write_atomic(os.path.join(out_dir, "manifest.json"),
-                  json.dumps(manifest, indent=2) + "\n")
+    _write_atomic(os.path.join(out_dir, "manifest.json"), _json(manifest) + "\n")
     return 2 if diverged_at is not None else 0
 
 
 def cmd_equilibria(config_path: str) -> int:
-    try:
-        config = load_config(config_path)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    records = [_equilibrium_dict(eq) for eq in equilibria(config.params)]
-    print(json.dumps(records, indent=2))
+    config = load_config(config_path)
+    print(_json([_equilibrium_dict(eq) for eq in equilibria(config.params)]))
     return 0
 
 
 def cmd_stability(config_path: str, out_dir=None, alpha=None) -> int:
-    try:
-        config = load_config(config_path)
-        config = _apply_overrides(config, alpha, None)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        reports = equilibrium_report(config.params, config.alpha)
-    except ValueError as exc:  # a non-finite spectrum has no verdict
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    config = _apply_overrides(load_config(config_path), alpha, None)
+    reports = equilibrium_report(config.params, config.alpha)
     payload = {
         "alpha": config.alpha,
         "params": config.params.as_dict(),
@@ -321,7 +292,7 @@ def cmd_stability(config_path: str, out_dir=None, alpha=None) -> int:
         entry["table1_conditions"] = [[name, ok] for name, ok in rep.table1]
         entry["regions"] = list(rep.regions) if rep.regions is not None else "not applicable"
         payload["equilibria"].append(entry)
-    text = json.dumps(payload, indent=2)
+    text = _json(payload)
     print(text)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
@@ -330,25 +301,18 @@ def cmd_stability(config_path: str, out_dir=None, alpha=None) -> int:
 
 
 def cmd_classify(lam_real: float, lam_imag: float, alpha: float) -> int:
-    if not (0.0 < alpha < 1.0):
-        print(f"error: alpha must be in (0, 1), got {alpha}", file=sys.stderr)
-        return 1
     lam = complex(lam_real, lam_imag)
-    try:
-        region = classify_region(lam, alpha)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    region = classify_region(lam, alpha)
     verdict = caputo_stable([lam], alpha)
     theorem = cf_stable_theorem([lam], alpha)
-    print(json.dumps({
+    print(_json({
         "lambda": _complex_pair(lam),
         "alpha": alpha,
         "region": region,
         "caputo_stable": verdict.stable,
         "cf_disk_stable": cf_stable_disk(lam, alpha),
         "cf_theorem_pass": theorem.stable,
-    }, indent=2))
+    }))
     return 0
 
 
@@ -469,16 +433,20 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; remap to the documented code 1
         code = exc.code if isinstance(exc.code, int) else 0
         return 0 if code == 0 else 1
-    if args.command == "simulate":
-        return cmd_simulate(args.config, args.out, alpha=args.alpha, cf_mode=args.mode)
-    if args.command == "equilibria":
-        return cmd_equilibria(args.config)
-    if args.command == "stability":
-        return cmd_stability(args.config, out_dir=args.out, alpha=args.alpha)
-    if args.command == "classify":
-        return cmd_classify(args.real, args.imag, args.alpha)
-    if args.command == "reproduce-table2":
-        return cmd_reproduce_table2()
+    try:
+        if args.command == "simulate":
+            return cmd_simulate(args.config, args.out, alpha=args.alpha, cf_mode=args.mode)
+        if args.command == "equilibria":
+            return cmd_equilibria(args.config)
+        if args.command == "stability":
+            return cmd_stability(args.config, out_dir=args.out, alpha=args.alpha)
+        if args.command == "classify":
+            return cmd_classify(args.real, args.imag, args.alpha)
+        if args.command == "reproduce-table2":
+            return cmd_reproduce_table2()
+    except ValueError as exc:  # ConfigError included
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

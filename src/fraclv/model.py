@@ -28,7 +28,6 @@ __all__ = [
     "Equilibrium",
     "ModelParams",
     "equilibria",
-    "existence_report",
     "jacobian",
     "rhs",
     "vector_field",
@@ -189,11 +188,3 @@ def equilibria(params: ModelParams) -> list[Equilibrium]:
         )
     return out
 
-
-def existence_report(params: ModelParams) -> list[tuple[str, str, bool]]:
-    """Flat (kind, condition-name, satisfied) audit of all existence conditions."""
-    report = []
-    for eq in equilibria(params):
-        for name, ok in eq.conditions:
-            report.append((eq.kind, name, ok))
-    return report

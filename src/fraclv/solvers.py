@@ -18,6 +18,11 @@ Two operator families are covered:
 At ``alpha = 1`` (and normalization 1) every variant collapses to the
 classical trapezoidal PECE method.
 
+Orders are plain floats.  ``check_order`` is the one range check for them,
+shared by the integrators, ``linear_cf_exact``, the stability criteria and
+the CLI config parser: alpha must lie in (0, 1], or in (0, 1) where a
+criterion is undefined at alpha = 1.
+
 Cost.  The CF kernel is exponential, so the operator is Markovian: its
 order-1 weights are all ``h`` (predictor) and ``h/2, h, ..., h, h/2``
 (corrector), and the history sum is a running sum.  A CF step costs O(1) and
@@ -42,16 +47,16 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
 __all__ = [
     "DIVERGENCE_LIMIT",
     "DivergenceError",
-    "FractionalOrder",
     "SolverConfig",
     "Trajectory",
+    "check_order",
     "corrector_weights",
     "predictor_weights",
     "integrate_caputo",
@@ -66,22 +71,14 @@ DIVERGENCE_LIMIT = 1e12
 VectorField = Callable[[float, np.ndarray], np.ndarray]
 
 
-@dataclass(frozen=True)
-class FractionalOrder:
-    """Differentiation order, restricted to the working range (0, 1]."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha <= 1.0):
-            raise ValueError(f"fractional order must be in (0, 1], got {self.alpha}")
-
-
-def _order_value(order: Union[float, FractionalOrder]) -> float:
-    alpha = order.alpha if isinstance(order, FractionalOrder) else float(order)
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"fractional order must be in (0, 1], got {alpha}")
-    return alpha
+def check_order(alpha: float, allow_one: bool = True) -> float:
+    """``alpha`` as a float if it lies in (0, 1], or in (0, 1) when
+    ``allow_one`` is false; otherwise ValueError.  NaN is rejected."""
+    alpha = float(alpha)
+    if 0.0 < alpha < 1.0 or (allow_one and alpha == 1.0):
+        return alpha
+    interval = "(0, 1]" if allow_one else "(0, 1) for the CF criteria"
+    raise ValueError(f"order alpha must be in {interval}, got {alpha}")
 
 
 @dataclass(frozen=True)
@@ -223,7 +220,7 @@ def _grid(x0: np.ndarray, config: SolverConfig) -> tuple[np.ndarray, np.ndarray]
 def integrate_cf(
     field: VectorField,
     initial: Sequence[float],
-    order: Union[float, FractionalOrder],
+    order: float,
     config: SolverConfig,
 ) -> Trajectory:
     """Integrate ``D^alpha x = g(t, x)`` under the exponential-kernel operator.
@@ -239,7 +236,7 @@ def integrate_cf(
     treatment requires ``(1-a) * L / M < 1`` for a local Lipschitz constant L,
     otherwise the run is aborted by the divergence guard.
     """
-    alpha = _order_value(order)
+    alpha = check_order(order)
     x0, g0 = _start(field, initial)
     times, states = _grid(x0, config)
     ch = alpha / config.normalization * config.step
@@ -267,7 +264,7 @@ def integrate_cf(
 def integrate_caputo(
     field: VectorField,
     initial: Sequence[float],
-    order: Union[float, FractionalOrder],
+    order: float,
     config: SolverConfig,
 ) -> Trajectory:
     """Integrate ``D^alpha x = g(t, x)`` under the power-kernel operator.
@@ -281,7 +278,7 @@ def integrate_caputo(
     last step's weight tables: ``pred[last-k:]`` pairs with g_0..g_k and
     ``mid[last-k:]`` with g_1..g_k (last = N-1).
     """
-    alpha = _order_value(order)
+    alpha = check_order(order)
     x0, g0 = _start(field, initial)
     times, states = _grid(x0, config)
     num = len(times) - 1
@@ -308,7 +305,7 @@ def integrate_caputo(
 
 def linear_cf_exact(
     lam: complex,
-    order: Union[float, FractionalOrder],
+    order: float,
     x0: complex,
     t: float,
 ) -> complex:
@@ -318,7 +315,7 @@ def linear_cf_exact(
     oracle for ``integrate_cf`` in corrected mode; the modulus is constant in
     time exactly on the circle ``|lam - c| = c`` with ``c = 1/(2(1-alpha))``.
     """
-    alpha = _order_value(order)
+    alpha = check_order(order)
     denom = 1.0 - (1.0 - alpha) * lam
     if denom == 0:
         raise ValueError(f"singular parameter combination: (1 - alpha) * lam = 1 (lam={lam})")

@@ -20,6 +20,10 @@ Boundary policy: cone boundary and circle membership count as unstable
 (asymptotic stability is an open condition), and a zero eigenvalue is always
 unstable.  Neither CF criterion is defined at alpha = 1.
 
+Orders are plain floats, checked by ``solvers.check_order``: the Caputo
+functions accept alpha in (0, 1], the CF criteria, ``classify_region`` and
+``table1_conditions`` only alpha in (0, 1).
+
 The plane splits into four classes by the two single-eigenvalue tests:
 A = stable for both, B = Caputo only, C = neither, D = CF only.
 """
@@ -33,7 +37,7 @@ from typing import Optional, Sequence, Union
 
 from .model import Equilibrium, ModelParams, equilibria, jacobian
 from .spectral import Spectrum, characteristic_cubic, cubic_roots
-from .solvers import FractionalOrder
+from .solvers import check_order
 
 __all__ = [
     "EquilibriumReport",
@@ -80,17 +84,6 @@ class EquilibriumReport:
     regions: Optional[tuple[str, ...]]
 
 
-def _order_value(order: Union[float, FractionalOrder], allow_one: bool) -> float:
-    alpha = order.alpha if isinstance(order, FractionalOrder) else float(order)
-    if allow_one:
-        if not (0.0 < alpha <= 1.0):
-            raise ValueError(f"order must be in (0, 1], got {alpha}")
-    else:
-        if not (0.0 < alpha < 1.0):
-            raise ValueError(f"order must be in (0, 1) for the CF criteria, got {alpha}")
-    return alpha
-
-
 def _finite(eigs: tuple[complex, ...]) -> tuple[complex, ...]:
     if not all(map(cmath.isfinite, eigs)):
         raise ValueError(f"eigenvalues must be finite, got {eigs}")
@@ -110,12 +103,12 @@ def _caputo_pass(w: complex, alpha: float) -> bool:
     return abs(math.atan2(w.imag, w.real)) > alpha * math.pi / 2.0
 
 
-def caputo_stable(spectrum: SpectrumLike, order: Union[float, FractionalOrder]) -> StabilityVerdict:
+def caputo_stable(spectrum: SpectrumLike, order: float) -> StabilityVerdict:
     """Cone criterion |arg(w)| > alpha*pi/2 for every eigenvalue.
 
     Accepts alpha = 1, where the test is exactly the classical Re(w) < 0.
     """
-    alpha = _order_value(order, allow_one=True)
+    alpha = check_order(order)
     per = tuple((w, "cone" if _caputo_pass(w, alpha) else None) for w in _eigs(spectrum))
     return StabilityVerdict("caputo", all(tag is not None for _, tag in per), per)
 
@@ -134,35 +127,33 @@ def _cf_theorem_pass(w: complex, alpha: float) -> Optional[str]:
     return None
 
 
-def cf_stable_theorem(
-    spectrum: SpectrumLike, order: Union[float, FractionalOrder]
-) -> StabilityVerdict:
+def cf_stable_theorem(spectrum: SpectrumLike, order: float) -> StabilityVerdict:
     """Any-of-four condition test, applied per eigenvalue."""
-    alpha = _order_value(order, allow_one=False)
+    alpha = check_order(order, allow_one=False)
     per = tuple((w, _cf_theorem_pass(w, alpha)) for w in _eigs(spectrum))
     return StabilityVerdict("cf-theorem", all(tag is not None for _, tag in per), per)
 
 
-def cf_stable_disk(lam: complex, order: Union[float, FractionalOrder]) -> bool:
+def cf_stable_disk(lam: complex, order: float) -> bool:
     """True iff lam lies strictly outside the closed instability disk."""
-    alpha = _order_value(order, allow_one=False)
+    alpha = check_order(order, allow_one=False)
     c = 1.0 / (2.0 * (1.0 - alpha))
     return abs(complex(lam) - c) > c
 
 
-def cf_disk_verdict(spectrum: SpectrumLike, order: Union[float, FractionalOrder]) -> StabilityVerdict:
+def cf_disk_verdict(spectrum: SpectrumLike, order: float) -> StabilityVerdict:
     per = tuple(
         (w, "disk" if cf_stable_disk(w, order) else None) for w in _eigs(spectrum)
     )
     return StabilityVerdict("cf-disk", all(tag is not None for _, tag in per), per)
 
 
-def classify_region(lam: complex, order: Union[float, FractionalOrder]) -> str:
+def classify_region(lam: complex, order: float) -> str:
     """Four-way partition of the plane by the two single-eigenvalue tests.
 
     Raises ValueError on a non-finite eigenvalue, which has no region.
     """
-    alpha = _order_value(order, allow_one=False)
+    alpha = check_order(order, allow_one=False)
     (lam,) = _finite((complex(lam),))
     cap = _caputo_pass(lam, alpha)
     cf = cf_stable_disk(lam, alpha)
@@ -179,9 +170,7 @@ def _csqrt(x: float) -> complex:
     return cmath.sqrt(complex(x, 0.0))
 
 
-def table1_conditions(
-    params: ModelParams, order: Union[float, FractionalOrder], kind: str
-) -> list[tuple[str, bool]]:
+def table1_conditions(params: ModelParams, order: float, kind: str) -> list[tuple[str, bool]]:
     """Closed-form stability conditions per equilibrium, raw booleans for audit.
 
     These are the printed sufficient conditions, not the operative verdicts;
@@ -189,7 +178,7 @@ def table1_conditions(
     Threshold comparisons against closed-form eigenvalue expressions use the
     real part when the expression is complex.
     """
-    alpha = _order_value(order, allow_one=False)
+    alpha = check_order(order, allow_one=False)
     a1, a2, a3, a4, a5, a6, a7 = params.as_tuple()
     thr = 1.0 / (1.0 - alpha)
     ratio = alpha / (1.0 - alpha)
@@ -261,9 +250,7 @@ def _e4_conditions(params: ModelParams, alpha: float, spectrum: Spectrum) -> lis
     ]
 
 
-def equilibrium_report(
-    params: ModelParams, order: Union[float, FractionalOrder]
-) -> list[EquilibriumReport]:
+def equilibrium_report(params: ModelParams, order: float) -> list[EquilibriumReport]:
     """Spectrum, all three verdicts, audit conditions and region classes per
     equilibrium, in fixed order E0..E4.
 
@@ -271,7 +258,7 @@ def equilibrium_report(
     None (the CF criteria are undefined there); the Caputo verdict degrades
     to the classical test.
     """
-    alpha = _order_value(order, allow_one=True)
+    alpha = check_order(order)
     cf_defined = alpha < 1.0
     reports = []
     for eq in equilibria(params):

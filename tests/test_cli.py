@@ -81,6 +81,15 @@ def test_invalid_values_rejected(overrides):
         parse_config(_base_config(**overrides))
 
 
+def test_dataclass_error_names_file_and_field(tmp_path):
+    # the range check lives in SolverConfig; load_config reports it as ConfigError
+    path = _write_config(tmp_path, _base_config(normalization=0))
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert path in str(info.value)
+    assert "normalization" in str(info.value)
+
+
 def test_config_error_exits_1(tmp_path, capsys):
     path = _write_config(tmp_path, _base_config(horizon=0.0))
     rc = main(["simulate", "--config", path, "--out", str(tmp_path / "out")])
@@ -229,6 +238,17 @@ def test_equilibria_degenerate_boundary(tmp_path, capsys):
     records = json.loads(capsys.readouterr().out)
     e3 = {r["kind"]: r for r in records}["E3"]
     assert e3["point"] == [0.0, 3.0, 0.0]  # (a3-1) terms vanish exactly
+
+
+def test_equilibria_rejects_non_finite_output(tmp_path, capsys):
+    # a4 = 1e-320 puts E4 at infinity; bare Infinity would not be valid JSON
+    params = dict(PRESETS["example1"].params.as_dict(), a4=1e-320)
+    path = _write_config(tmp_path, _base_config(params=params))
+    with np.errstate(all="ignore"):
+        assert main(["equilibria", "--config", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from fraclv.model import (
     EQUILIBRIUM_KINDS,
     ModelParams,
     equilibria,
-    existence_report,
     jacobian,
     rhs,
     vector_field,
@@ -169,14 +168,15 @@ def test_e1_spectrum_literal_form():
 
 
 def test_existence_report_example1():
-    report = existence_report(EX1)
-    e4_rows = {name: ok for kind, name, ok in report if kind == "E4"}
+    eqs = equilibria(EX1)
+    e4_rows = dict(eqs[4].conditions)
+    assert eqs[4].kind == "E4"
     assert e4_rows["y >= 0: a4*(a5 - 1) >= a6*(a3 - 1)"] is False  # y4 = -1.5
-    assert all(ok for kind, name, ok in report if kind in ("E0", "E1"))
+    assert all(ok for eq in eqs[:2] for _, ok in eq.conditions)  # E0, E1
 
 
 def test_existence_report_example2_all_admissible():
-    assert all(ok for _, _, ok in existence_report(EX2))
+    assert all(ok for eq in equilibria(EX2) for _, ok in eq.conditions)
     assert all(eq.admissible for eq in equilibria(EX2))
 
 

@@ -9,7 +9,6 @@ from fraclv.model import vector_field
 from fraclv.presets import PRESETS, SCENARIOS
 from fraclv.solvers import (
     DivergenceError,
-    FractionalOrder,
     SolverConfig,
     corrector_weights,
     integrate_caputo,
@@ -285,17 +284,10 @@ def test_dimension_mismatch_rejected():
 
 
 def test_fractional_order_validation():
-    with pytest.raises(ValueError):
-        FractionalOrder(0.0)
-    with pytest.raises(ValueError):
-        FractionalOrder(1.2)
     field = vector_field(EX1)
     config = SolverConfig(step=0.1, horizon=1.0)
     with pytest.raises(ValueError):
         integrate_caputo(field, [0.3, 0.1, 2.9], 0.0, config)
-    # FractionalOrder objects are accepted anywhere a float order is
-    traj = integrate_caputo(field, [0.3, 0.1, 2.9], FractionalOrder(0.5), config)
-    assert traj.alpha == 0.5
 
 
 def test_solver_config_validation():
