@@ -172,10 +172,34 @@ def load_config(path: str) -> RunConfig:
 # output helpers
 
 
+def _non_finite(value, path: str):
+    """(path, value) of the first non-finite float in a payload, or None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else (path, value)
+    if isinstance(value, dict):
+        items = ((f"{path}.{k}" if path else str(k), v) for k, v in value.items())
+    elif isinstance(value, list):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(value))
+    else:
+        return None
+    for where, item in items:
+        found = _non_finite(item, where)
+        if found:
+            return found
+    return None
+
+
 def _json(payload) -> str:
-    # allow_nan=False: a non-finite value raises ValueError (exit 1) instead of
-    # printing bare NaN/Infinity, which is not JSON
-    return json.dumps(payload, indent=2, allow_nan=False)
+    # allow_nan=False: a non-finite value raises ValueError (exit 1) naming
+    # where it is, instead of printing bare NaN/Infinity, which is not JSON
+    try:
+        return json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError:
+        found = _non_finite(payload, "")
+        if found is None:
+            raise
+        path, value = found
+        raise ValueError(f"{path} is {value}; JSON cannot carry a non-finite number") from None
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -417,7 +441,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="also write stability_report.json here")
     p.add_argument("--alpha", type=float, default=None, help="override config alpha")
 
-    p = sub.add_parser("classify", help="region class of one eigenvalue")
+    p = sub.add_parser("classify", help="region class of one eigenvalue",
+                       description="Region class of one eigenvalue.  Put -- before the numbers "
+                                   "if one reads like an option: fraclv classify -- 1 -1e-3 0.5")
     p.add_argument("real", type=float)
     p.add_argument("imag", type=float)
     p.add_argument("alpha", type=float)

@@ -24,8 +24,10 @@ Orders are plain floats, checked by ``solvers.check_order``: the Caputo
 functions accept alpha in (0, 1], the CF criteria, ``classify_region`` and
 ``table1_conditions`` only alpha in (0, 1).
 
-The plane splits into four classes by the two single-eigenvalue tests:
-A = stable for both, B = Caputo only, C = neither, D = CF only.
+Each criterion is one per-eigenvalue test, evaluated once per eigenvalue;
+each function checks the order and the spectrum's finiteness once.  The
+region classes come from the cone and disk results: A = stable for both,
+B = Caputo only, C = neither, D = CF only.
 """
 
 from __future__ import annotations
@@ -84,23 +86,48 @@ class EquilibriumReport:
     regions: Optional[tuple[str, ...]]
 
 
-def _finite(eigs: tuple[complex, ...]) -> tuple[complex, ...]:
+def _eigs(spectrum: SpectrumLike) -> tuple[complex, ...]:
+    """The eigenvalues as complex numbers; ValueError if any is not finite."""
+    eigs = spectrum.eigenvalues if isinstance(spectrum, Spectrum) else tuple(map(complex, spectrum))
     if not all(map(cmath.isfinite, eigs)):
         raise ValueError(f"eigenvalues must be finite, got {eigs}")
     return eigs
 
 
-def _eigs(spectrum: SpectrumLike) -> tuple[complex, ...]:
-    if isinstance(spectrum, Spectrum):
-        return _finite(spectrum.eigenvalues)
-    return _finite(tuple(complex(w) for w in spectrum))
+# The per-eigenvalue tests take a checked order and a finite eigenvalue and
+# return the tag of the condition it satisfied, or None.
 
 
-def _caputo_pass(w: complex, alpha: float) -> bool:
-    if w == 0:
-        return False
+def _cone(w: complex, alpha: float) -> Optional[str]:
     # math.atan2, not cmath.phase: phase raises OverflowError when atan2 underflows (2+5e-324j).
-    return abs(math.atan2(w.imag, w.real)) > alpha * math.pi / 2.0
+    return "cone" if w != 0 and abs(math.atan2(w.imag, w.real)) > alpha * math.pi / 2.0 else None
+
+
+def _theorem(w: complex, alpha: float) -> Optional[str]:
+    thr = 1.0 / (1.0 - alpha)
+    if abs(w) >= thr and w != complex(thr, 0.0):
+        return "1"
+    if w.real > thr:
+        return "2"
+    if w.real < 0.0:
+        return "3"
+    if abs(w.imag) > thr / 2.0:
+        return "4"
+    return None
+
+
+def _disk(w: complex, alpha: float) -> Optional[str]:
+    c = 1.0 / (2.0 * (1.0 - alpha))
+    return "disk" if abs(w - c) > c else None
+
+
+#: Region class by the (cone, disk) tags of one eigenvalue.
+_REGIONS = {("cone", "disk"): "A", ("cone", None): "B", (None, None): "C", (None, "disk"): "D"}
+
+
+def _verdict(operator: str, test, eigs: tuple[complex, ...], alpha: float) -> StabilityVerdict:
+    per = tuple((w, test(w, alpha)) for w in eigs)
+    return StabilityVerdict(operator, all(tag is not None for _, tag in per), per)
 
 
 def caputo_stable(spectrum: SpectrumLike, order: float) -> StabilityVerdict:
@@ -109,43 +136,25 @@ def caputo_stable(spectrum: SpectrumLike, order: float) -> StabilityVerdict:
     Accepts alpha = 1, where the test is exactly the classical Re(w) < 0.
     """
     alpha = check_order(order)
-    per = tuple((w, "cone" if _caputo_pass(w, alpha) else None) for w in _eigs(spectrum))
-    return StabilityVerdict("caputo", all(tag is not None for _, tag in per), per)
-
-
-def _cf_theorem_pass(w: complex, alpha: float) -> Optional[str]:
-    thr = 1.0 / (1.0 - alpha)
-    half = thr / 2.0
-    if abs(w) >= thr and w != complex(thr, 0.0):
-        return "1"
-    if w.real > thr:
-        return "2"
-    if w.real < 0.0:
-        return "3"
-    if abs(w.imag) > half:
-        return "4"
-    return None
+    return _verdict("caputo", _cone, _eigs(spectrum), alpha)
 
 
 def cf_stable_theorem(spectrum: SpectrumLike, order: float) -> StabilityVerdict:
     """Any-of-four condition test, applied per eigenvalue."""
     alpha = check_order(order, allow_one=False)
-    per = tuple((w, _cf_theorem_pass(w, alpha)) for w in _eigs(spectrum))
-    return StabilityVerdict("cf-theorem", all(tag is not None for _, tag in per), per)
+    return _verdict("cf-theorem", _theorem, _eigs(spectrum), alpha)
 
 
 def cf_stable_disk(lam: complex, order: float) -> bool:
     """True iff lam lies strictly outside the closed instability disk."""
     alpha = check_order(order, allow_one=False)
-    c = 1.0 / (2.0 * (1.0 - alpha))
-    return abs(complex(lam) - c) > c
+    (w,) = _eigs((lam,))
+    return _disk(w, alpha) is not None
 
 
 def cf_disk_verdict(spectrum: SpectrumLike, order: float) -> StabilityVerdict:
-    per = tuple(
-        (w, "disk" if cf_stable_disk(w, order) else None) for w in _eigs(spectrum)
-    )
-    return StabilityVerdict("cf-disk", all(tag is not None for _, tag in per), per)
+    alpha = check_order(order, allow_one=False)
+    return _verdict("cf-disk", _disk, _eigs(spectrum), alpha)
 
 
 def classify_region(lam: complex, order: float) -> str:
@@ -154,16 +163,8 @@ def classify_region(lam: complex, order: float) -> str:
     Raises ValueError on a non-finite eigenvalue, which has no region.
     """
     alpha = check_order(order, allow_one=False)
-    (lam,) = _finite((complex(lam),))
-    cap = _caputo_pass(lam, alpha)
-    cf = cf_stable_disk(lam, alpha)
-    if cap and cf:
-        return "A"
-    if cap:
-        return "B"
-    if cf:
-        return "D"
-    return "C"
+    (w,) = _eigs((lam,))
+    return _REGIONS[_cone(w, alpha), _disk(w, alpha)]
 
 
 def _csqrt(x: float) -> complex:
@@ -259,24 +260,22 @@ def equilibrium_report(params: ModelParams, order: float) -> list[EquilibriumRep
     to the classical test.
     """
     alpha = check_order(order)
-    cf_defined = alpha < 1.0
     reports = []
     for eq in equilibria(params):
         spectrum = cubic_roots(characteristic_cubic(jacobian(params, eq.point)))
-        caputo = caputo_stable(spectrum, alpha)
-        if cf_defined:
-            cf_thm = cf_stable_theorem(spectrum, alpha)
-            cf_dsk = cf_disk_verdict(spectrum, alpha)
+        eigs = _eigs(spectrum)
+        caputo = _verdict("caputo", _cone, eigs, alpha)
+        cf_thm = cf_dsk = regions = None
+        table1 = ()
+        if alpha < 1.0:
+            cf_thm = _verdict("cf-theorem", _theorem, eigs, alpha)
+            cf_dsk = _verdict("cf-disk", _disk, eigs, alpha)
             if eq.kind == "E4":  # reuse the spectrum rather than re-solving it
                 table1 = tuple(_e4_conditions(params, alpha, spectrum))
             else:
                 table1 = tuple(table1_conditions(params, alpha, eq.kind))
-            regions = tuple(classify_region(w, alpha) for w in spectrum.eigenvalues)
-        else:
-            cf_thm = None
-            cf_dsk = None
-            table1 = ()
-            regions = None
+            regions = tuple(_REGIONS[cone, disk] for (_, cone), (_, disk)
+                            in zip(caputo.per_eigenvalue, cf_dsk.per_eigenvalue))
         reports.append(
             EquilibriumReport(
                 equilibrium=eq,

@@ -241,14 +241,15 @@ def test_equilibria_degenerate_boundary(tmp_path, capsys):
 
 
 def test_equilibria_rejects_non_finite_output(tmp_path, capsys):
-    # a4 = 1e-320 puts E4 at infinity; bare Infinity would not be valid JSON
+    # a4 = 1e-320 puts E3 and E4 at infinity; bare Infinity would not be valid JSON
     params = dict(PRESETS["example1"].params.as_dict(), a4=1e-320)
     path = _write_config(tmp_path, _base_config(params=params))
     with np.errstate(all="ignore"):
         assert main(["equilibria", "--config", path]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error:")
+    # the error names the first non-finite value: E3 = (inf, -inf, 0) comes before E4
+    assert captured.err == "error: [3].point[0] is inf; JSON cannot carry a non-finite number\n"
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +314,8 @@ def test_stability_rejects_non_finite_spectrum(tmp_path, capsys):
         (["-1", "5", "0.5"], "A"),
         (["1.333", "0", "0.6"], "C"),
         (["6", "0", "0.6"], "D"),
+        # argparse reads -1e-3 as an option unless -- ends the options
+        (["--", "1", "-1e-3", "0.5"], "C"),
     ],
 )
 def test_classify_regions(capsys, argv, region):

@@ -31,6 +31,10 @@ ENTRY_POINTS = [
     ("cf_stable_disk", lambda a: cf_stable_disk(SPECTRUM[0], a), False),
     ("cf_disk_verdict", lambda a: cf_disk_verdict(SPECTRUM, a), False),
     ("classify_region", lambda a: classify_region(SPECTRUM[0], a), False),
+    # an empty spectrum has nothing per eigenvalue, so the order must be checked up front
+    ("caputo_stable-empty", lambda a: caputo_stable([], a), True),
+    ("cf_stable_theorem-empty", lambda a: cf_stable_theorem([], a), False),
+    ("cf_disk_verdict-empty", lambda a: cf_disk_verdict([], a), False),
     ("table1_conditions", lambda a: table1_conditions(EX1, a, "E0"), False),
 ]
 IDS = [name for name, _, _ in ENTRY_POINTS]

@@ -162,6 +162,10 @@ def test_non_finite_eigenvalue_rejected(lam):
         caputo_stable([lam], 0.5)
     with pytest.raises(ValueError):
         cf_stable_theorem([-1.0, lam], 0.5)
+    with pytest.raises(ValueError):
+        cf_stable_disk(lam, 0.5)
+    with pytest.raises(ValueError):
+        cf_disk_verdict([lam], 0.5)
 
 
 @given(
@@ -244,17 +248,24 @@ def test_report_example3_repaired():
 
 
 def test_report_structure_and_regions():
-    reports = equilibrium_report(EX1, 0.66)
-    assert [rep.equilibrium.kind for rep in reports] == ["E0", "E1", "E2", "E3", "E4"]
-    for rep in reports:
-        assert len(rep.spectrum.eigenvalues) == 3
-        assert rep.regions is not None and len(rep.regions) == 3
-        assert set(rep.regions) <= {"A", "B", "C", "D"}
-        assert rep.table1
-        # disk stability is implied by any theorem pass, per eigenvalue
-        for (w, tag), region in zip(rep.cf_theorem.per_eigenvalue, rep.regions):
-            if tag is not None:
-                assert region in ("A", "D")
+    # every preset at its own orders and at 0.5
+    for params, alpha in [(p.params, a) for p in PRESETS.values() for a in (*p.alphas, 0.5)]:
+        reports = equilibrium_report(params, alpha)
+        assert [rep.equilibrium.kind for rep in reports] == ["E0", "E1", "E2", "E3", "E4"]
+        for rep in reports:
+            # the report runs the criteria itself; it must agree with the public functions
+            assert rep.caputo == caputo_stable(rep.spectrum, alpha)
+            assert rep.cf_theorem == cf_stable_theorem(rep.spectrum, alpha)
+            assert rep.cf_disk == cf_disk_verdict(rep.spectrum, alpha)
+            assert rep.regions == tuple(classify_region(w, alpha) for w in rep.spectrum.eigenvalues)
+            assert len(rep.spectrum.eigenvalues) == 3
+            assert rep.regions is not None and len(rep.regions) == 3
+            assert set(rep.regions) <= {"A", "B", "C", "D"}
+            assert rep.table1
+            # disk stability is implied by any theorem pass, per eigenvalue
+            for (w, tag), region in zip(rep.cf_theorem.per_eigenvalue, rep.regions):
+                if tag is not None:
+                    assert region in ("A", "D")
 
 
 def test_report_at_order_one_marks_cf_not_applicable():
@@ -268,20 +279,27 @@ def test_report_at_order_one_marks_cf_not_applicable():
 
 
 def test_report_solves_each_spectrum_once(monkeypatch):
-    calls = {"equilibria": 0, "cubic_roots": 0}
+    public = ("caputo_stable", "cf_stable_theorem", "cf_disk_verdict", "cf_stable_disk",
+              "classify_region")
+    calls = dict.fromkeys(("equilibria", "cubic_roots", "check_order", "_eigs",
+                           "table1_conditions", *public), 0)
 
     def counted(name):
         original = getattr(fraclv.stability, name)
 
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name] += 1
-            return original(*args)
+            return original(*args, **kwargs)
         return wrapper
 
     for name in calls:
         monkeypatch.setattr(fraclv.stability, name, counted(name))
     reports = equilibrium_report(EX2, 0.6)
-    assert calls == {"equilibria": 1, "cubic_roots": 5}
+    # one order check for the report, plus one in each of the four public
+    # table1_conditions calls (E0..E3); one finiteness check per spectrum; the
+    # verdicts and regions come from the private tests, not the public functions
+    assert calls == dict(equilibria=1, cubic_roots=5, check_order=5, _eigs=5,
+                         table1_conditions=4, **dict.fromkeys(public, 0))
     # the E4 audit rows match the standalone table, which solves E4 itself
     assert list(reports[4].table1) == table1_conditions(EX2, 0.6, "E4")
 
