@@ -86,19 +86,21 @@ def rhs(params: ModelParams, state: Sequence[float]) -> np.ndarray:
     )
 
 
-def vector_field(params: ModelParams) -> Callable[[float, np.ndarray], np.ndarray]:
+def vector_field(params: ModelParams) -> Callable[[float, np.ndarray], tuple[float, float, float]]:
     """Autonomous (t, state) -> derivative adapter for the integrators.
 
-    ``state`` is a 1-d float array.  The result is bit-identical to ``rhs``:
-    the same float operations in the same order, on Python floats unpacked
-    once per call (numpy scalar arithmetic costs several times more).
+    ``state`` is a 1-d float array; the derivative comes back as a tuple of
+    three Python floats, which the integrators' float-level steps use as is
+    (building an array per call would cost as much as the arithmetic).  The
+    values are bit-identical to ``rhs``: the same float operations in the
+    same order, on Python floats unpacked once per call.
     """
     a1, a2, a3, a4, a5, a6, a7 = params.as_tuple()
     b3, b5 = 1.0 - a3, 1.0 - a5
 
-    def field(_t: float, state: np.ndarray) -> np.ndarray:
+    def field(_t: float, state: np.ndarray) -> tuple[float, float, float]:
         x, y, z = state.tolist()
-        return np.array([x * (a1 - a2 * x - y - z), y * (b3 + a4 * x), z * (b5 + a6 * x + a7 * y)])
+        return (x * (a1 - a2 * x - y - z), y * (b3 + a4 * x), z * (b5 + a6 * x + a7 * y))
 
     return field
 

@@ -86,11 +86,23 @@ class EquilibriumReport:
     regions: Optional[tuple[str, ...]]
 
 
+def _eig(lam: complex, spectrum: tuple[complex, ...] = ()) -> complex:
+    """``lam`` as a complex number; ValueError if it is not finite.
+
+    The error names ``spectrum``, the eigenvalues ``lam`` came with, or
+    ``(lam,)`` when it came alone.
+    """
+    w = complex(lam)
+    if not cmath.isfinite(w):
+        raise ValueError(f"eigenvalues must be finite, got {spectrum or (w,)}")
+    return w
+
+
 def _eigs(spectrum: SpectrumLike) -> tuple[complex, ...]:
     """The eigenvalues as complex numbers; ValueError if any is not finite."""
     eigs = spectrum.eigenvalues if isinstance(spectrum, Spectrum) else tuple(map(complex, spectrum))
-    if not all(map(cmath.isfinite, eigs)):
-        raise ValueError(f"eigenvalues must be finite, got {eigs}")
+    for w in eigs:
+        _eig(w, eigs)
     return eigs
 
 
@@ -148,8 +160,7 @@ def cf_stable_theorem(spectrum: SpectrumLike, order: float) -> StabilityVerdict:
 def cf_stable_disk(lam: complex, order: float) -> bool:
     """True iff lam lies strictly outside the closed instability disk."""
     alpha = check_order(order, allow_one=False)
-    (w,) = _eigs((lam,))
-    return _disk(w, alpha) is not None
+    return _disk(_eig(lam), alpha) is not None
 
 
 def cf_disk_verdict(spectrum: SpectrumLike, order: float) -> StabilityVerdict:
@@ -163,7 +174,7 @@ def classify_region(lam: complex, order: float) -> str:
     Raises ValueError on a non-finite eigenvalue, which has no region.
     """
     alpha = check_order(order, allow_one=False)
-    (w,) = _eigs((lam,))
+    w = _eig(lam)
     return _REGIONS[_cone(w, alpha), _disk(w, alpha)]
 
 

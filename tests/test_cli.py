@@ -1,5 +1,6 @@
 """CLI contract: config validation, exit codes, file schemas, round trips."""
 
+import hashlib
 import json
 import math
 import re
@@ -184,6 +185,24 @@ def test_simulate_scenario_terminal_state(tmp_path):
     terminal = np.array([float(v) for v in rows[-1].split(",")])
     assert abs(terminal[0] - 50.0) < 1e-9
     assert np.max(np.abs(terminal[1:] - np.array(scenario.target))) < scenario.tolerance
+
+
+@pytest.mark.parametrize("name,extra,digest", [
+    ("example1-cf", [],
+     "7ce4dacd8f7d988047ac3435b7a6b49199ccfa21d96a2c6d5d4a8ddb0547dbd1"),
+    ("example1-cf-planar", [],
+     "5a193a37450f3af5ee63d34485cab75e97940aa606af78d8c4ddc7427e9c0683"),
+    ("example1-cf-planar", ["--alpha", "0.9"],
+     "55685c7bdb2376bacaa1028aeb14ab65d9e2918d502a19f34287b3da9a28c560"),
+])
+def test_cf_scenario_trajectory_bytes_are_pinned(tmp_path, name, extra, digest):
+    # A CF step is IEEE + - * on doubles only (no BLAS, no libm), so these
+    # bytes are the same on every platform.  The Caputo runs go through
+    # math.gamma, pow and BLAS, whose last bits may vary, so they are not pinned.
+    path = _write_config(tmp_path, scenario_config(SCENARIOS[name]))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", path, "--out", str(out), *extra]) == 0
+    assert hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest() == digest
 
 
 def test_trajectory_csv_matches_row_by_row_formatting():

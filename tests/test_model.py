@@ -40,7 +40,7 @@ state_component = st.floats(min_value=-1e50, max_value=1e50)
 @given(params=params_strategy, x=state_component, y=state_component, z=state_component)
 def test_vector_field_is_bit_identical_to_rhs(params, x, y, z):
     state = np.array([x, y, z])
-    out = vector_field(params)(0.0, state)
+    out = np.asarray(vector_field(params)(0.0, state))
     ref = rhs(params, state)
     assert np.array_equal(out, ref)
     assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()  # signed zeros too

@@ -8,6 +8,7 @@ import pytest
 from fraclv.model import vector_field
 from fraclv.presets import PRESETS, SCENARIOS
 from fraclv.solvers import (
+    DIVERGENCE_LIMIT,
     DivergenceError,
     SolverConfig,
     corrector_weights,
@@ -102,17 +103,17 @@ def test_engine_matches_manual_weight_application(integrate, n_of, scale_of, mod
     n = n_of(alpha)
     scale = scale_of(alpha)
     x0 = np.array([0.5, 0.9, 0.1])
-    gvals = [field(0.0, x0)]
+    gvals = [np.asarray(field(0.0, x0))]
     states = [x0]
     for k in range(steps):
         t_next = h * (k + 1)
         dw = predictor_weights(k, n, h)
         xp = x0 + scale * sum(w * g for w, g in zip(dw, gvals))
-        gp = field(t_next, xp)
+        gp = np.asarray(field(t_next, xp))
         bw = corrector_weights(k, n, h)
         xc = x0 + scale * (sum(w * g for w, g in zip(bw[:-1], gvals)) + bw[-1] * gp)
         states.append(xc)
-        gvals.append(field(t_next, xc))
+        gvals.append(np.asarray(field(t_next, xc)))
 
     # differences are pure summation-order rounding (BLAS dot vs Python sum)
     np.testing.assert_allclose(traj.states, np.array(states), rtol=1e-12, atol=1e-12)
@@ -266,6 +267,103 @@ def test_divergence_guard_catches_nan(integrate):
     with pytest.raises(DivergenceError) as excinfo:
         integrate(nan_after_start, [1.0, 2.0], SolverConfig(step=0.1, horizon=1.0))
     assert np.all(np.isfinite(excinfo.value.partial.states))
+
+
+# The guard's edges: exactly +-L passes, the next double up trips it, and so do
+# +-inf and NaN in any component.  Each runner has order 1 and a step where
+# the state after one nonzero field value v is exactly gain * v (gain a power
+# of two), so a field that switches on at t = 3 places the value exactly.
+GUARDED = {
+    "caputo": (lambda f, x0, c: integrate_caputo(f, x0, 1.0, c), 0.5, 0.25),
+    "cf": (lambda f, x0, c: integrate_cf(f, x0, 1.0, c), 0.5, 0.25),
+    "rk4": (lambda f, x0, c: reference_rk4(f, x0, c), 0.75, 0.125),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GUARDED))
+def test_guard_passes_a_component_of_exactly_the_limit(name):
+    run, h, _ = GUARDED[name]
+    initial = [0.0, DIVERGENCE_LIMIT, -DIVERGENCE_LIMIT]
+    traj = run(lambda t, x: (0.0, 0.0, 0.0), initial, SolverConfig(step=h, horizon=10 * h))
+    assert np.array_equal(traj.states, np.tile(initial, (11, 1)))
+
+
+@pytest.mark.parametrize("name", sorted(GUARDED))
+@pytest.mark.parametrize("component", [1, 2])
+@pytest.mark.parametrize("value", [math.nextafter(DIVERGENCE_LIMIT, math.inf),
+                                   -math.nextafter(DIVERGENCE_LIMIT, math.inf),
+                                   math.inf, -math.inf, math.nan])
+def test_guard_trips_beyond_the_limit(name, component, value):
+    run, h, gain = GUARDED[name]
+    kick = [0.0, 0.0, 0.0]
+    kick[component] = value / gain
+
+    def switched(t, x):
+        return tuple(kick) if t >= 3.0 else (0.0, 0.0, 0.0)
+
+    with pytest.raises(DivergenceError) as excinfo:
+        run(switched, [0.0, 0.0, 0.0], SolverConfig(step=h, horizon=20 * h))
+    err = excinfo.value
+    step = round(3.0 / h)  # the first state built from the kick
+    assert err.step_index == step
+    assert np.array_equal(err.partial.times, h * np.arange(step))
+    assert np.array_equal(err.partial.states, np.zeros((step, 3)))
+
+
+@pytest.mark.parametrize("name", sorted(GUARDED))
+def test_overflow_in_field_or_step_is_divergence(name):
+    # Python float * and + overflow to inf without raising; the guard then trips
+    run, h, _ = GUARDED[name]
+    cube = lambda t, x: [v * v * v for v in x.tolist()]
+    with pytest.raises(DivergenceError):
+        run(cube, [10.0, 20.0], SolverConfig(step=h, horizon=50 * h))
+    huge = lambda t, x: [1.7e308, -1.7e308]  # the step's own sums overflow
+    with pytest.raises(DivergenceError) as excinfo:
+        run(huge, [1.0, 2.0], SolverConfig(step=h, horizon=50 * h))
+    assert np.all(np.isfinite(excinfo.value.partial.states))
+
+
+# ---------------------------------------------------------------------------
+# field contract: an ndarray in, any length-d sequence of floats out
+
+
+@pytest.mark.parametrize("name", ["caputo", "cf"])
+def test_field_called_2n_plus_1_times_with_a_float_vector(name):
+    integrate = {"caputo": integrate_caputo, "cf": integrate_cf}[name]
+    field = vector_field(EX1)
+    seen = []
+
+    def counting(t, x):
+        seen.append((type(x), x.dtype, x.shape))
+        return field(t, x)
+
+    config = SolverConfig(step=0.01, horizon=2.0)
+    integrate(counting, [0.5, 0.9, 0.1], 0.8, config)
+    assert len(seen) == 2 * config.num_steps + 1
+    assert set(seen) == {(np.ndarray, np.dtype(np.float64), (3,))}
+
+
+@pytest.mark.parametrize("mode", ["paper", "corrected"])
+def test_tuple_list_and_ndarray_returns_agree_bitwise(mode):
+    field = vector_field(EX1)
+    shapes = (field, lambda t, x: list(field(t, x)), lambda t, x: np.array(field(t, x)))
+    config = SolverConfig(step=0.01, horizon=3.0, cf_mode=mode)
+    runs = [
+        lambda f: integrate_caputo(f, [0.5, 0.9, 0.1], 0.7, config),
+        lambda f: integrate_cf(f, [0.5, 0.9, 0.1], 0.95, config),
+        lambda f: reference_rk4(f, [0.5, 0.9, 0.1], config),
+    ]
+    for run in runs:
+        tuple_run, list_run, array_run = (run(f).states for f in shapes)
+        assert tuple_run.tobytes() == list_run.tobytes() == array_run.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(GUARDED))
+def test_field_output_length_change_is_rejected(name):
+    run, h, _ = GUARDED[name]
+    shrinking = lambda t, x: (0.0, 0.0, 0.0) if t < 1.0 else (0.0, 0.0)
+    with pytest.raises(ValueError, match="field returned 2 components"):
+        run(shrinking, [1.0, 2.0, 3.0], SolverConfig(step=h, horizon=10 * h))
 
 
 def test_cf_corrected_explicit_instability_is_caught():
