@@ -8,12 +8,13 @@ Subcommands
     reproduce-table2  re-derive the bundled reference matrix, PASS/FAIL per cell
 
 Exit codes: 0 success, 1 usage, configuration or input error (including an
-output value that is not finite, which JSON cannot carry), 2 numerical
-divergence (the partial trajectory is still written).  Every error is
-reported on stderr as one ``error: <message>`` line.
+initial state beyond the divergence limit, and an output value that is not
+finite, which JSON cannot carry), 2 numerical divergence (the partial
+trajectory is still written).  Every error is reported on stderr as one
+``error: <message>`` line.
 
 The run config is a single JSON object; unknown keys are rejected so a typo
-cannot silently change a run.  Schema (cf_mode and normalization optional):
+cannot silently change a run.  Schema (cf_mode optional):
 
     {
       "operator": "caputo" | "cf",
@@ -22,9 +23,10 @@ cannot silently change a run.  Schema (cf_mode and normalization optional):
       "initial": [0.5, 0.9, 0.1],
       "horizon": 50.0,
       "step": 0.01,
-      "cf_mode": "paper" | "corrected",
-      "normalization": 1.0
+      "cf_mode": "paper" | "corrected"
     }
+
+The CF operator is taken with M(alpha) = 1, as in the stability criteria.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ from .stability import (
 __all__ = ["ConfigError", "RunConfig", "load_config", "main", "console_main"]
 
 _REQUIRED_KEYS = {"operator", "alpha", "params", "initial", "horizon", "step"}
-_OPTIONAL_KEYS = {"cf_mode", "normalization"}
+_OPTIONAL_KEYS = {"cf_mode"}
 _PARAM_KEYS = {f"a{i}" for i in range(1, 8)}
 
 #: Comparison tolerance for the reference-matrix value cells (printed data
@@ -94,7 +96,6 @@ class RunConfig:
             "horizon": self.solver.horizon,
             "step": self.solver.step,
             "cf_mode": self.solver.cf_mode,
-            "normalization": self.solver.normalization,
         }
 
 
@@ -145,13 +146,12 @@ def parse_config(data: dict, where: str = "config") -> RunConfig:
 
     horizon = _finite_number(data["horizon"], f"{where}.horizon")
     step = _finite_number(data["step"], f"{where}.step")
-    normalization = _finite_number(data.get("normalization", 1.0), f"{where}.normalization")
     cf_mode = data.get("cf_mode", "paper")
 
     try:
         check_order(alpha)
         params = ModelParams(**values)
-        solver = SolverConfig(step, horizon, normalization, cf_mode)
+        solver = SolverConfig(step, horizon, cf_mode)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     return RunConfig(operator=operator, alpha=alpha, params=params, initial=initial, solver=solver)

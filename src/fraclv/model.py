@@ -24,16 +24,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 __all__ = [
-    "EQUILIBRIUM_KINDS",
     "Equilibrium",
     "ModelParams",
     "equilibria",
     "jacobian",
-    "rhs",
     "vector_field",
 ]
-
-EQUILIBRIUM_KINDS = ("E0", "E1", "E2", "E3", "E4")
 
 
 @dataclass(frozen=True)
@@ -74,26 +70,13 @@ class Equilibrium:
     conditions: tuple[tuple[str, bool], ...]
 
 
-def rhs(params: ModelParams, state: Sequence[float]) -> np.ndarray:
-    a1, a2, a3, a4, a5, a6, a7 = params.as_tuple()
-    x, y, z = state
-    return np.array(
-        [
-            x * (a1 - a2 * x - y - z),
-            y * ((1.0 - a3) + a4 * x),
-            z * ((1.0 - a5) + a6 * x + a7 * y),
-        ]
-    )
-
-
 def vector_field(params: ModelParams) -> Callable[[float, np.ndarray], tuple[float, float, float]]:
     """Autonomous (t, state) -> derivative adapter for the integrators.
 
     ``state`` is a 1-d float array; the derivative comes back as a tuple of
     three Python floats, which the integrators' float-level steps use as is
     (building an array per call would cost as much as the arithmetic).  The
-    values are bit-identical to ``rhs``: the same float operations in the
-    same order, on Python floats unpacked once per call.
+    coefficients are unpacked to Python floats once, the state once per call.
     """
     a1, a2, a3, a4, a5, a6, a7 = params.as_tuple()
     b3, b5 = 1.0 - a3, 1.0 - a5

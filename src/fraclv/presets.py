@@ -33,7 +33,6 @@ __all__ = [
     "TABLE2",
     "Preset",
     "Scenario",
-    "scenario_config",
 ]
 
 
@@ -218,18 +217,3 @@ SCENARIOS: dict[str, Scenario] = {
         target=(1.0, 1.0, 1.5), tolerance=5e-2,
     ),
 }
-
-
-def scenario_config(scenario: Scenario) -> dict:
-    """JSON-ready run configuration for a scenario (CLI config schema)."""
-    params = PRESETS[scenario.preset].params
-    return {
-        "operator": scenario.operator,
-        "alpha": scenario.alpha,
-        "params": params.as_dict(),
-        "initial": list(scenario.initial),
-        "horizon": scenario.horizon,
-        "step": scenario.step,
-        "cf_mode": scenario.cf_mode,
-        "normalization": 1.0,
-    }

@@ -9,14 +9,15 @@ Two operator families are covered:
   ``SolverConfig.cf_mode``:
 
   - ``"paper"`` keeps only the integral term, so the limiting dynamics as
-    ``h -> 0`` is the time-rescaled classical system ``x' = (a/M) g(x)``.
+    ``h -> 0`` is the time-rescaled classical system ``x' = a g(x)``.
   - ``"corrected"`` restores the non-integral term of the CF integral,
-    ``((1-a)/M) (g(t, x(t)) - g(0, x0))``, in both the predictor (with the
+    ``(1-a) (g(t, x(t)) - g(0, x0))``, in both the predictor (with the
     lagged field value) and the corrector (with the predicted value).  This
     variant converges to the exact CF solution; see ``linear_cf_exact``.
 
-At ``alpha = 1`` (and normalization 1) every variant collapses to the
-classical trapezoidal PECE method.
+The CF operator is taken with M(a) = 1 in its prefactor M(a)/(1-a), as in
+the stability criteria of ``fraclv.stability``.  At ``alpha = 1`` every
+variant collapses to the classical trapezoidal PECE method.
 
 Orders are plain floats.  ``check_order`` is the one range check for them,
 shared by the integrators, ``linear_cf_exact``, the stability criteria and
@@ -41,8 +42,9 @@ suite holds them to that tolerance.
 Field contract.  A field is called as ``field(t, state)`` with ``t`` a float
 and ``state`` a 1-d float64 ndarray of the initial state's length d; it
 returns any length-d sequence of floats (a tuple, a list or an ndarray).  A
-return of another length raises ValueError.  Each integrator calls the field
-2N + 1 times for N steps.
+return of another length raises ValueError, and so does an initial state
+with a component outside the divergence guard's range.  Each integrator
+calls the field 2N + 1 times for N steps.
 
 Per-step arithmetic.  For d = 3 a step costs fixed interpreter overhead
 more than arithmetic, so the predictor, the corrector, the corrected-mode
@@ -81,7 +83,6 @@ __all__ = [
     "integrate_caputo",
     "integrate_cf",
     "linear_cf_exact",
-    "reference_rk4",
 ]
 
 #: Abort threshold for any state component (divergence guard).
@@ -105,14 +106,12 @@ class SolverConfig:
     """Fixed-grid run settings.
 
     step        grid spacing h > 0
-    horizon     final time t_end >= h
-    normalization   kernel normalization M (default 1.0)
+    horizon     final time t_end >= h, with a finite step count t_end / h
     cf_mode     "paper" or "corrected"; only the CF integrator reads it
     """
 
     step: float
     horizon: float
-    normalization: float = 1.0
     cf_mode: str = "paper"
 
     def __post_init__(self):
@@ -120,8 +119,10 @@ class SolverConfig:
             raise ValueError(f"step must be positive, got {self.step}")
         if not self.horizon >= self.step:
             raise ValueError(f"horizon must be >= step, got {self.horizon}")
-        if not self.normalization > 0.0:
-            raise ValueError(f"normalization must be positive, got {self.normalization}")
+        if not math.isfinite(self.horizon / self.step):
+            raise ValueError(
+                f"horizon / step must be finite, got horizon {self.horizon} and step {self.step}"
+            )
         if self.cf_mode not in ("paper", "corrected"):
             raise ValueError(f"cf_mode must be 'paper' or 'corrected', got {self.cf_mode!r}")
 
@@ -140,7 +141,7 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
-    operator: str  # "caputo", "cf" or "rk4"
+    operator: str  # "caputo" or "cf"
     alpha: float
 
     @property
@@ -209,16 +210,20 @@ def predictor_weights(step_index: int, order_exponent: float, step: float) -> np
     return (step ** n / n) * ((m + 1.0) ** n - m ** n)
 
 
-def _initial_state(initial: Sequence[float]) -> np.ndarray:
+def _start(field: VectorField, initial: Sequence[float]) -> tuple[list[float], list[float]]:
+    """Initial state and field value as lists of floats, checked for shape.
+
+    Each initial component must pass the divergence guard's own comparison
+    ``-L <= v <= L``, so a state of exactly +-L is accepted.
+    """
     x0 = np.asarray(initial, dtype=float)
     if x0.ndim != 1 or x0.size == 0:
         raise ValueError("initial state must be a non-empty 1-d vector")
-    return x0
-
-
-def _start(field: VectorField, initial: Sequence[float]) -> tuple[list[float], list[float]]:
-    """Initial state and field value as lists of floats, checked for shape."""
-    x0 = _initial_state(initial)
+    for i, v in enumerate(x0.tolist()):
+        if not -DIVERGENCE_LIMIT <= v <= DIVERGENCE_LIMIT:
+            raise ValueError(
+                f"initial state component {i} is {v}; it must lie within +/-{DIVERGENCE_LIMIT:g}"
+            )
     g0 = np.asarray(field(0.0, x0), dtype=float)
     if g0.shape != x0.shape:
         raise ValueError(
@@ -265,21 +270,21 @@ def integrate_cf(
     Order-1 PECE on the CF integral with the running field sum
     S_k = g_0 + ... + g_k, so one step costs O(1):
 
-        predictor  x0 + (a/M) h S_k
-        corrector  x0 + (a/M) (h/2) (2 S_k - g_0 + g_p)
+        predictor  x0 + a h S_k
+        corrector  x0 + a (h/2) (2 S_k - g_0 + g_p)
 
-    In ``corrected`` mode the non-integral term ``((1-a)/M)(g - g0)`` is added
+    In ``corrected`` mode the non-integral term ``(1-a)(g - g0)`` is added
     to both, at the lagged and at the predicted field value.  Its explicit
-    treatment requires ``(1-a) * L / M < 1`` for a local Lipschitz constant L,
+    treatment requires ``(1-a) * L < 1`` for a local Lipschitz constant L,
     otherwise the run is aborted by the divergence guard.
     """
     alpha = check_order(order)
     x0, g0 = _start(field, initial)
     d = len(x0)
     times, states = _grid(x0, config)
-    ch = alpha / config.normalization * config.step
+    ch = alpha * config.step
     ch2 = ch / 2.0
-    cf_coeff = (1.0 - alpha) / config.normalization if config.cf_mode == "corrected" else 0.0
+    cf_coeff = 1.0 - alpha if config.cf_mode == "corrected" else 0.0
     total = g0
     g = g0
     with np.errstate(over="ignore", invalid="ignore"):  # for fields that return ndarrays
@@ -366,27 +371,3 @@ def linear_cf_exact(
     if denom == 0:
         raise ValueError(f"singular parameter combination: (1 - alpha) * lam = 1 (lam={lam})")
     return x0 * cmath.exp(alpha * lam * t / denom)
-
-
-def reference_rk4(
-    field: VectorField,
-    initial: Sequence[float],
-    config: SolverConfig,
-) -> Trajectory:
-    """Classical fixed-step 4th-order integration; ground truth at alpha = 1."""
-    x = _initial_state(initial).tolist()
-    d = len(x)
-    h = config.step
-    h2, h6 = h / 2.0, h / 6.0
-    times, states = _grid(x, config)
-    with np.errstate(over="ignore", invalid="ignore"):  # for fields that return ndarrays
-        for k in range(len(times) - 1):
-            tk = times.item(k)
-            k1 = _evaluate(field, tk, np.array(x), d)
-            k2 = _evaluate(field, tk + h2, np.array([a + h2 * b for a, b in zip(x, k1)]), d)
-            k3 = _evaluate(field, tk + h2, np.array([a + h2 * b for a, b in zip(x, k2)]), d)
-            k4 = _evaluate(field, tk + h, np.array([a + h * b for a, b in zip(x, k3)]), d)
-            x = [a + h6 * (p + 2.0 * q + 2.0 * r + s) for a, p, q, r, s in zip(x, k1, k2, k3, k4)]
-            _guard(x, k, times, states, "rk4", 1.0)
-            states[k + 1] = x
-    return Trajectory(times, states, "rk4", 1.0)

@@ -10,7 +10,8 @@ delta > 0: one real root plus a conjugate pair (Cardano, with the stable
 cube-root pairing u, v = -p/(3u) to avoid cancellation); |delta| within a
 relative tolerance of zero: repeated real roots; delta < 0: three distinct
 real roots by the trigonometric method.  Eigenvalues are reported sorted by
-(real, imaginary), complex pairs exactly conjugate.
+(real, imaginary), complex pairs exactly conjugate.  A non-finite
+coefficient has no roots to report and raises ValueError.
 """
 
 from __future__ import annotations
@@ -32,9 +33,6 @@ __all__ = [
     "characteristic_cubic",
     "cubic_analysis",
     "cubic_roots",
-    "cubic_value",
-    "eigenvalues",
-    "routh_hurwitz_cubic",
 ]
 
 BRANCH_ONE_REAL_PAIR = "one-real-pair"
@@ -75,10 +73,6 @@ class Spectrum:
     eigenvalues: tuple[complex, complex, complex]
     analysis: CubicAnalysis
 
-    @property
-    def max_real(self) -> float:
-        return max(w.real for w in self.eigenvalues)
-
 
 def characteristic_cubic(matrix: Sequence[Sequence[float]]) -> CubicCoefficients:
     """a = -trace, b = sum of principal 2x2 minors, c = -det."""
@@ -100,7 +94,10 @@ def characteristic_cubic(matrix: Sequence[Sequence[float]]) -> CubicCoefficients
 
 
 def cubic_analysis(coeffs: CubicCoefficients) -> CubicAnalysis:
+    """Depressed-cubic terms and branch; ValueError on a non-finite coefficient."""
     a, b, c = coeffs.a, coeffs.b, coeffs.c
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+        raise ValueError(f"cubic coefficients must be finite, got {coeffs}")
     p = b - a * a / 3.0
     q = 2.0 * a ** 3 / 27.0 - a * b / 3.0 + c
     delta = q * q / 4.0 + p ** 3 / 27.0
@@ -115,11 +112,6 @@ def cubic_analysis(coeffs: CubicCoefficients) -> CubicAnalysis:
     else:
         branch = BRANCH_THREE_REAL
     return CubicAnalysis(p=p, q=q, delta=delta, branch=branch)
-
-
-def cubic_value(coeffs: CubicCoefficients, w: complex) -> complex:
-    """Evaluate L(w) by Horner's rule (residual checks)."""
-    return ((w + coeffs.a) * w + coeffs.b) * w + coeffs.c
 
 
 def _cbrt(x: float) -> float:
@@ -159,13 +151,3 @@ def cubic_roots(coeffs: CubicCoefficients) -> Spectrum:
 
     roots.sort(key=lambda w: (w.real, w.imag))
     return Spectrum(eigenvalues=tuple(roots), analysis=analysis)
-
-
-def eigenvalues(matrix: Sequence[Sequence[float]]) -> Spectrum:
-    return cubic_roots(characteristic_cubic(matrix))
-
-
-def routh_hurwitz_cubic(coeffs: CubicCoefficients) -> bool:
-    """True iff every root of the monic cubic has negative real part."""
-    a, b, c = coeffs.a, coeffs.b, coeffs.c
-    return a > 0.0 and c > 0.0 and a * b > c

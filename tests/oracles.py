@@ -19,6 +19,13 @@ which takes a few steps instead of the 40 allowed.
 reference for ``integrate_caputo`` and ``integrate_cf``: every step sums the
 whole field history with one dot product against the weight formulas, at
 O(N^2) cost for either operator (the CF integrator keeps a running sum).
+
+``reference_rk4`` is classical fixed-step RK4, the ground truth at alpha = 1;
+like ``pece_direct`` it is a self-contained numpy loop with its own
+divergence guard and field-length check, sharing no step code with the
+integrators it checks.  ``rhs`` is the model's right-hand side written out
+as a numpy array, and ``routh_hurwitz_cubic`` the Routh-Hurwitz test on the
+characteristic cubic.
 """
 
 from __future__ import annotations
@@ -42,6 +49,25 @@ _MPMATH_STOP = 1e-20
 
 def cubic_value(a: float, b: float, c: float, w: complex) -> complex:
     return ((w + a) * w + b) * w + c
+
+
+def routh_hurwitz_cubic(coeffs) -> bool:
+    """True iff every root of the monic cubic w^3 + a w^2 + b w + c has negative real part."""
+    a, b, c = coeffs.a, coeffs.b, coeffs.c
+    return a > 0.0 and c > 0.0 and a * b > c
+
+
+def rhs(params, state: Sequence[float]) -> np.ndarray:
+    """The three-species field at ``state`` for ``ModelParams`` ``params``."""
+    a1, a2, a3, a4, a5, a6, a7 = params.as_tuple()
+    x, y, z = state
+    return np.array(
+        [
+            x * (a1 - a2 * x - y - z),
+            y * ((1.0 - a3) + a4 * x),
+            z * ((1.0 - a5) + a6 * x + a7 * y),
+        ]
+    )
 
 
 def _refine_longdouble(roots: np.ndarray, a: float, b: float, c: float) -> np.ndarray:
@@ -154,8 +180,8 @@ def pece_direct(
     """Full-history PECE engine: every step re-applies the weight formulas.
 
     n         weight exponent (1 for CF, alpha for Caputo)
-    scale     alpha/M for CF, 1/Gamma(alpha) for Caputo
-    cf_coeff  (1-alpha)/M in corrected CF mode, 0 otherwise
+    scale     alpha for CF, 1/Gamma(alpha) for Caputo
+    cf_coeff  1-alpha in corrected CF mode, 0 otherwise
     """
     x0 = np.asarray(initial, dtype=float)
     if x0.ndim != 1 or x0.size == 0:
@@ -209,6 +235,42 @@ def caputo_direct(field: VectorField, initial, alpha: float, config: SolverConfi
 
 
 def cf_direct(field: VectorField, initial, alpha: float, config: SolverConfig) -> Trajectory:
-    scale = alpha / config.normalization
-    cf_coeff = (1.0 - alpha) / config.normalization if config.cf_mode == "corrected" else 0.0
-    return pece_direct(field, initial, 1.0, scale, cf_coeff, config, "cf", alpha)
+    cf_coeff = 1.0 - alpha if config.cf_mode == "corrected" else 0.0
+    return pece_direct(field, initial, 1.0, alpha, cf_coeff, config, "cf", alpha)
+
+
+def reference_rk4(field: VectorField, initial, config: SolverConfig) -> Trajectory:
+    """Classical fixed-step 4th-order integration; ground truth at alpha = 1.
+
+    A state with a component outside +-DIVERGENCE_LIMIT (NaN included) raises
+    DivergenceError, and a field value of the wrong length ValueError.
+    """
+    x = np.asarray(initial, dtype=float)
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError("initial state must be a non-empty 1-d vector")
+    d = x.size
+
+    def f(t, y):
+        g = np.asarray(field(t, y), dtype=float)
+        if g.shape != (d,):
+            raise ValueError(f"field returned {g.size} components at t = {t:g}, expected {d}")
+        return g
+
+    h = config.step
+    num = config.num_steps
+    times = h * np.arange(num + 1)
+    states = np.empty((num + 1, d))
+    states[0] = x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(num):
+            t = times[k]
+            k1 = f(t, x)
+            k2 = f(t + h / 2.0, x + h / 2.0 * k1)
+            k3 = f(t + h / 2.0, x + h / 2.0 * k2)
+            k4 = f(t + h, x + h * k3)
+            x = x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.all(np.abs(x) <= DIVERGENCE_LIMIT):
+                partial = Trajectory(times[: k + 1], states[: k + 1].copy(), "rk4", 1.0)
+                raise DivergenceError(k + 1, times[k + 1], partial)
+            states[k + 1] = x
+    return Trajectory(times, states, "rk4", 1.0)

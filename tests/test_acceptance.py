@@ -19,17 +19,17 @@ import numpy as np
 from fraclv.cli import main
 from fraclv.model import equilibria, jacobian, vector_field
 from fraclv.presets import KNOWN_DISCREPANCIES, PRESETS, SCENARIOS, TABLE2
-from fraclv.solvers import (
-    SolverConfig,
-    integrate_caputo,
-    integrate_cf,
-    linear_cf_exact,
-    reference_rk4,
-)
-from fraclv.spectral import CubicCoefficients, cubic_roots, cubic_value, eigenvalues
+from fraclv.solvers import SolverConfig, integrate_caputo, integrate_cf, linear_cf_exact
+from fraclv.spectral import CubicCoefficients, characteristic_cubic, cubic_roots
 from fraclv.stability import caputo_stable, cf_stable_disk, cf_stable_theorem
 
-from oracles import companion_eigenvalues, multiset_distance, random_cubic
+from oracles import (
+    companion_eigenvalues,
+    cubic_value,
+    multiset_distance,
+    random_cubic,
+    reference_rk4,
+)
 
 EX1 = PRESETS["example1"].params
 
@@ -80,7 +80,7 @@ def test_criterion_3_eigenvalues():
     for name, preset in PRESETS.items():
         eqs = {eq.kind: eq for eq in equilibria(preset.params)}
         for kind, row in TABLE2[name].items():
-            spec = eigenvalues(jacobian(preset.params, eqs[kind].point))
+            spec = cubic_roots(characteristic_cubic(jacobian(preset.params, eqs[kind].point)))
             err = multiset_distance(spec.eigenvalues, row["eigenvalues"])
             assert err <= 1e-2, f"{name} {kind}: eigenvalue error {err:.3e}"
     _passed(3, "all 15 published spectra within 1e-2 as multisets")
@@ -159,14 +159,13 @@ def test_criterion_6_spectral_oracle():
         mode = 2 if mode >= 8 else (1 if mode >= 4 else 0)
         branches[mode] += 1
         a, b, c = random_cubic(rng, mode)
-        coeffs = CubicCoefficients(a, b, c)
-        mine = cubic_roots(coeffs).eigenvalues
+        mine = cubic_roots(CubicCoefficients(a, b, c)).eigenvalues
         ref = companion_eigenvalues(a, b, c)
         worst_match = max(worst_match, multiset_distance(mine, ref))
         scale = max(1.0, abs(a), abs(b), abs(c))
         worst_residual = max(
             worst_residual,
-            max(abs(cubic_value(coeffs, w)) for w in mine) / scale,
+            max(abs(cubic_value(a, b, c, w)) for w in mine) / scale,
         )
     assert min(branches.values()) >= 1000  # all three branch families present
     assert worst_match <= 1e-9, f"worst oracle mismatch {worst_match:.3e}"

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fraclv.cli import ConfigError, _trajectory_csv, load_config, main, parse_config
-from fraclv.presets import PRESETS, SCENARIOS, scenario_config
+from fraclv.presets import PRESETS, SCENARIOS
 from fraclv.solvers import Trajectory
 
 
@@ -24,6 +24,19 @@ def _base_config(**overrides):
     }
     data.update(overrides)
     return data
+
+
+def scenario_config(scenario):
+    """The run config of a bundled scenario."""
+    return {
+        "operator": scenario.operator,
+        "alpha": scenario.alpha,
+        "params": PRESETS[scenario.preset].params.as_dict(),
+        "initial": list(scenario.initial),
+        "horizon": scenario.horizon,
+        "step": scenario.step,
+        "cf_mode": scenario.cf_mode,
+    }
 
 
 def _write_config(tmp_path, data, name="config.json"):
@@ -84,11 +97,11 @@ def test_invalid_values_rejected(overrides):
 
 def test_dataclass_error_names_file_and_field(tmp_path):
     # the range check lives in SolverConfig; load_config reports it as ConfigError
-    path = _write_config(tmp_path, _base_config(normalization=0))
+    path = _write_config(tmp_path, _base_config(step=0))
     with pytest.raises(ConfigError) as info:
         load_config(path)
     assert path in str(info.value)
-    assert "normalization" in str(info.value)
+    assert "step" in str(info.value)
 
 
 def test_config_error_exits_1(tmp_path, capsys):
@@ -96,6 +109,15 @@ def test_config_error_exits_1(tmp_path, capsys):
     rc = main(["simulate", "--config", path, "--out", str(tmp_path / "out")])
     assert rc == 1
     assert "horizon" in capsys.readouterr().err
+
+
+def test_subnormal_step_is_a_config_error(tmp_path, capsys):
+    # 1.0 / 5e-324 overflows: the step count is not finite, so no grid is built
+    path = _write_config(tmp_path, _base_config(step=5e-324))
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: horizon / step must be finite")
+    assert err.count("\n") == 1
 
 
 def test_usage_error_exits_1():
@@ -159,6 +181,15 @@ def test_simulate_divergence_exits_2_with_partial_output(tmp_path):
     rows = (out / "trajectory.csv").read_text().strip().split("\n")[1:]
     assert len(rows) == manifest["divergence_step"]
     assert all(math.isfinite(float(v)) for v in rows[-1].split(","))
+
+
+def test_initial_state_beyond_the_limit_exits_1(tmp_path, capsys):
+    # rejected before the first step, so no trajectory is written
+    path = _write_config(tmp_path, _base_config(initial=[2e12, 0.9, 0.1]))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: initial state component 0 is 2000000000000.0")
+    assert not (out / "trajectory.csv").exists()
 
 
 def test_simulate_mode_and_alpha_overrides(tmp_path):

@@ -16,10 +16,9 @@ from fraclv.solvers import (
     integrate_cf,
     linear_cf_exact,
     predictor_weights,
-    reference_rk4,
 )
 
-from oracles import caputo_direct, cf_direct
+from oracles import caputo_direct, cf_direct, reference_rk4
 
 EX1 = PRESETS["example1"].params
 
@@ -273,6 +272,8 @@ def test_divergence_guard_catches_nan(integrate):
 # +-inf and NaN in any component.  Each runner has order 1 and a step where
 # the state after one nonzero field value v is exactly gain * v (gain a power
 # of two), so a field that switches on at t = 3 places the value exactly.
+# The rk4 row is the test oracle, which keeps the integrators' guard and
+# field contract with code of its own.
 GUARDED = {
     "caputo": (lambda f, x0, c: integrate_caputo(f, x0, 1.0, c), 0.5, 0.25),
     "cf": (lambda f, x0, c: integrate_cf(f, x0, 1.0, c), 0.5, 0.25),
@@ -351,7 +352,6 @@ def test_tuple_list_and_ndarray_returns_agree_bitwise(mode):
     runs = [
         lambda f: integrate_caputo(f, [0.5, 0.9, 0.1], 0.7, config),
         lambda f: integrate_cf(f, [0.5, 0.9, 0.1], 0.95, config),
-        lambda f: reference_rk4(f, [0.5, 0.9, 0.1], config),
     ]
     for run in runs:
         tuple_run, list_run, array_run = (run(f).states for f in shapes)
@@ -394,8 +394,23 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(step=0.5, horizon=0.2)
     with pytest.raises(ValueError):
-        SolverConfig(step=0.1, horizon=1.0, normalization=0.0)
-    with pytest.raises(ValueError):
         SolverConfig(step=0.1, horizon=1.0, cf_mode="bogus")
     assert SolverConfig(step=0.01, horizon=50.0).num_steps == 5000
     assert SolverConfig(step=0.3, horizon=1.0).num_steps == 3
+
+
+@pytest.mark.parametrize("step,horizon", [(5e-324, 50.0), (1.0, math.inf),
+                                          (math.inf, math.inf)])
+def test_solver_config_rejects_a_non_finite_step_count(step, horizon):
+    # horizon / step overflows to inf (or is inf / inf = NaN): no grid to build
+    with pytest.raises(ValueError, match="horizon / step must be finite") as info:
+        SolverConfig(step=step, horizon=horizon)
+    assert repr(step) in str(info.value) and repr(horizon) in str(info.value)
+
+
+@pytest.mark.parametrize("integrate", [integrate_caputo, integrate_cf])
+@pytest.mark.parametrize("bad", [math.nan, 2e12, -math.inf])
+def test_initial_state_beyond_the_guard_is_rejected(integrate, bad):
+    # the initial state meets the guard's own comparison before any step runs
+    with pytest.raises(ValueError, match=r"initial state component 0 is .*\+/-1e\+12"):
+        integrate(vector_field(EX1), [bad, 0.9, 0.1], 0.9, SolverConfig(step=0.1, horizon=1.0))

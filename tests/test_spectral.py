@@ -1,4 +1,4 @@
-"""Characteristic cubic, closed-form roots and the Routh-Hurwitz test.
+"""Characteristic cubic, closed-form roots, and the Routh-Hurwitz oracle.
 
 The companion-matrix oracle is validated first (constructed roots), then the
 closed-form branches are checked against it and against frozen values.
@@ -18,16 +18,15 @@ from fraclv.spectral import (
     characteristic_cubic,
     cubic_analysis,
     cubic_roots,
-    cubic_value,
-    eigenvalues,
-    routh_hurwitz_cubic,
 )
 
 from oracles import (
     coefficients_from_roots,
     companion_eigenvalues,
+    cubic_value,
     multiset_distance,
     random_cubic,
+    routh_hurwitz_cubic,
 )
 
 EX1 = PRESETS["example1"].params
@@ -94,7 +93,7 @@ def test_random_matrix_coefficients_match_eigvals_oracle():
 def test_e2_block_structure_example1():
     # J(E2) has the (w - D)(w^2 - A w - C E) factorization; frozen spectrum
     e2 = {eq.kind: eq for eq in equilibria(EX1)}["E2"]
-    spec = eigenvalues(jacobian(EX1, e2.point))
+    spec = cubic_roots(characteristic_cubic(jacobian(EX1, e2.point)))
     printed = [complex(-0.083, -2.914), complex(-0.083, 2.914), -2.0]
     assert multiset_distance(spec.eigenvalues, printed) < 1e-2
     assert any(abs(w - (-2.0)) < 1e-9 for w in spec.eigenvalues)
@@ -159,12 +158,13 @@ def test_example2_interior_cubic_matches_printed_values():
 
 def test_example3_spectra_match_printed_values():
     eqs = {eq.kind: eq for eq in equilibria(EX3)}
-    spec3 = eigenvalues(jacobian(EX3, eqs["E3"].point))
+    spec3 = cubic_roots(characteristic_cubic(jacobian(EX3, eqs["E3"].point)))
     assert multiset_distance(
         spec3.eigenvalues,
         [complex(-0.075, -4.852), complex(-0.075, 4.852), 52.4],
     ) < 1e-2
-    spec2 = eigenvalues(jacobian(EX2, {eq.kind: eq for eq in equilibria(EX2)}["E2"].point))
+    e2 = {eq.kind: eq for eq in equilibria(EX2)}["E2"]
+    spec2 = cubic_roots(characteristic_cubic(jacobian(EX2, e2.point)))
     assert multiset_distance(
         spec2.eigenvalues,
         [complex(-0.361, -5.429), complex(-0.361, 5.429), 1.333],
@@ -180,8 +180,15 @@ def test_500_random_cubics_against_oracle():
         assert multiset_distance(mine, ref) < 1e-9
 
 
+@pytest.mark.parametrize("coeffs", [(np.nan, 0.0, 0.0), (0.0, np.inf, 0.0),
+                                    (0.0, 0.0, -np.inf)])
+def test_non_finite_coefficient_is_rejected(coeffs):
+    with pytest.raises(ValueError, match="finite"):
+        cubic_roots(CubicCoefficients(*coeffs))
+
+
 def test_diagonal_spectrum():
-    spec = eigenvalues(np.diag([3.0, -3.0, -3.0]))
+    spec = cubic_roots(characteristic_cubic(np.diag([3.0, -3.0, -3.0])))
     assert multiset_distance(spec.eigenvalues, [-3.0, -3.0, 3.0]) < 1e-12
 
 
@@ -191,11 +198,10 @@ coeff = st.floats(min_value=-100.0, max_value=100.0)
 @given(a=coeff, b=coeff, c=coeff)
 @settings(max_examples=300)
 def test_root_residual_and_ordering(a, b, c):
-    coeffs = CubicCoefficients(a, b, c)
-    spec = cubic_roots(coeffs)
+    spec = cubic_roots(CubicCoefficients(a, b, c))
     scale = max(1.0, abs(a), abs(b), abs(c))
     for w in spec.eigenvalues:
-        assert abs(cubic_value(coeffs, w)) <= 1e-9 * scale
+        assert abs(cubic_value(a, b, c, w)) <= 1e-9 * scale
     keys = [(w.real, w.imag) for w in spec.eigenvalues]
     assert keys == sorted(keys)
 
@@ -238,9 +244,9 @@ def test_routh_hurwitz_agrees_with_root_signs():
     for _ in range(400):
         a, b, c = (rng.uniform(-8.0, 8.0) for _ in range(3))
         coeffs = CubicCoefficients(a, b, c)
-        spec = cubic_roots(coeffs)
-        if abs(spec.max_real) < 1e-6:
+        max_real = max(w.real for w in cubic_roots(coeffs).eigenvalues)
+        if abs(max_real) < 1e-6:
             continue  # bounded away from the imaginary axis
         checked += 1
-        assert routh_hurwitz_cubic(coeffs) == (spec.max_real < 0.0)
+        assert routh_hurwitz_cubic(coeffs) == (max_real < 0.0)
     assert checked > 300

@@ -305,7 +305,7 @@ def test_report_solves_each_spectrum_once(monkeypatch):
 
 
 def test_spectrum_like_inputs_accepted():
-    from fraclv.spectral import eigenvalues
+    from fraclv.spectral import characteristic_cubic, cubic_roots
     from fraclv.model import jacobian
-    spec = eigenvalues(jacobian(EX1, [0.0, 0.0, 0.0]))
+    spec = cubic_roots(characteristic_cubic(jacobian(EX1, [0.0, 0.0, 0.0])))
     assert caputo_stable(spec, 0.5).stable == caputo_stable(list(spec.eigenvalues), 0.5).stable
