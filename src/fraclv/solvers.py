@@ -30,8 +30,8 @@ order-1 weights are all ``h`` (predictor) and ``h/2, h, ..., h, h/2``
 a run O(N).  The Caputo kernel is singular, so every step sums the whole
 history: a step costs O(k) and a run O(N^2).  The Caputo field history is
 stored component-major, so each history sum is one contiguous matrix-vector
-product against a weight table built once per run from ``predictor_weights``
-and ``corrector_weights``.
+product against a weight table; ``_caputo_tables`` builds every table once
+per run.
 
 Both integrators sum the history in a different order from a direct
 full-history evaluation of the weight formulas (one dot product over all of
@@ -55,9 +55,8 @@ float ``+ - *`` are the same IEEE operations, so the trajectories are bit for
 bit those of an all-numpy step, and Python float ``+ - *`` overflows to inf
 (which the guard catches) rather than raising.  Self time per step on the
 bundled scenarios, measured under the benchmark's tracer on 2 vCPUs with
-Python 3.11: CF ~10 us (from ~20 us for an all-numpy step) and Caputo
-~26 us at 5k-10k steps (from ~33 us), most of it the history products.
-A field call takes ~1 us.
+Python 3.11: CF ~10 us and Caputo ~26 us at 5k-10k steps, most of it the
+history products.  A field call takes ~1 us.
 
 Runs are strictly sequential and deterministic; all returned objects are
 immutable value containers.
@@ -78,8 +77,6 @@ __all__ = [
     "SolverConfig",
     "Trajectory",
     "check_order",
-    "corrector_weights",
-    "predictor_weights",
     "integrate_caputo",
     "integrate_cf",
     "linear_cf_exact",
@@ -166,48 +163,33 @@ class DivergenceError(RuntimeError):
         self.partial = partial
 
 
-def _check_weight_args(step_index: int, order_exponent: float, step: float) -> None:
-    if step_index < 0:
-        raise ValueError(f"step index must be >= 0, got {step_index}")
-    if not step > 0.0:
-        raise ValueError(f"step must be positive, got {step}")
-    if not order_exponent > 0.0:
-        raise ValueError(f"order exponent must be positive, got {order_exponent}")
+def _caputo_tables(num: int, alpha: float, step: float):
+    """The Caputo ABM weights of an N-step run (N = ``num``), with 1/Gamma(a) folded in.
 
+    With the prefactors P = h^a / (a Gamma(a)) and C = h^a / Gamma(a+2), the
+    weights of step k (k = 0..N-1, history index i = 0..k) are
 
-def _corrector_first(k, n: float):
-    """Unscaled corrector weight of the initial value at step index k (array or scalar)."""
-    return k ** (n + 1.0) - (k - n) * (k + 1.0) ** n
+        predictor       P [(k-i+1)^a - (k-i)^a]                          i = 0..k
+        corrector i=0   C [k^(a+1) - (k-a) (k+1)^a]
+        corrector i>=1  C [(k-i+2)^(a+1) - 2 (k-i+1)^(a+1) + (k-i)^(a+1)]  i = 1..k
+        predicted value C
 
-
-def corrector_weights(step_index: int, order_exponent: float, step: float) -> np.ndarray:
-    """Corrector weights b_{i,k+1}, i = 0..k+1, prefactor h^n / (n (n+1)).
-
-    i = 0       : k^(n+1) - (k - n) (k+1)^n
-    1 <= i <= k : (k-i+2)^(n+1) - 2 (k-i+1)^(n+1) + (k-i)^(n+1)
-    i = k+1     : 1
-
-    For n = 1 this is the composite trapezoidal rule: [h/2, h, ..., h, h/2].
+    They depend on i only through k - i, so one table each serves every step:
+    ``pred[N-1-k:]`` pairs with g_0..g_k, ``mid[N-1-k:]`` with g_1..g_k,
+    ``first[k]`` is the weight of g_0 and ``new`` the weight of the predicted
+    field value.  At a = 1 they are h, h, h/2 and h/2 (trapezoid PECE).
     """
-    _check_weight_args(step_index, order_exponent, step)
-    k, n = step_index, float(order_exponent)
-    w = np.empty(k + 2)
-    w[0] = _corrector_first(k, n)
-    m = np.arange(k - 1, -1, -1, dtype=float)  # m = k - i for i = 1..k
-    w[1 : k + 1] = (m + 2.0) ** (n + 1.0) - 2.0 * (m + 1.0) ** (n + 1.0) + m ** (n + 1.0)
-    w[k + 1] = 1.0
-    return (step ** n / (n * (n + 1.0))) * w
-
-
-def predictor_weights(step_index: int, order_exponent: float, step: float) -> np.ndarray:
-    """Predictor weights d_{i,k+1} = (h^n / n) [(k-i+1)^n - (k-i)^n], i = 0..k.
-
-    For n = 1 every weight equals h (composite rectangle rule).
-    """
-    _check_weight_args(step_index, order_exponent, step)
-    k, n = step_index, float(order_exponent)
-    m = np.arange(k, -1, -1, dtype=float)  # m = k - i
-    return (step ** n / n) * ((m + 1.0) ** n - m ** n)
+    inv_gamma = 1.0 / math.gamma(alpha)
+    m = np.arange(num - 1, -1, -1, dtype=float)  # m = N-1-i
+    pred = inv_gamma * ((step ** alpha / alpha) * ((m + 1.0) ** alpha - m ** alpha))
+    m = m[1:]  # m = N-1-i, i = 1..N-1
+    scale = step ** alpha / (alpha * (alpha + 1.0))
+    mid = inv_gamma * (scale * ((m + 2.0) ** (alpha + 1.0) - 2.0 * (m + 1.0) ** (alpha + 1.0)
+                                + m ** (alpha + 1.0)))
+    new = inv_gamma * scale
+    k = np.arange(num, dtype=float)
+    first = new * (k ** (alpha + 1.0) - (k - alpha) * (k + 1.0) ** alpha)
+    return pred, mid, first, new
 
 
 def _start(field: VectorField, initial: Sequence[float]) -> tuple[list[float], list[float]]:
@@ -322,7 +304,7 @@ def integrate_caputo(
 
     The field history g_0..g_N is held component-major, so the history sums
     of step k are contiguous matrix-vector products against the tails of the
-    last step's weight tables: ``pred[last-k:]`` pairs with g_0..g_k and
+    tables of ``_caputo_tables``: ``pred[last-k:]`` pairs with g_0..g_k and
     ``mid[last-k:]`` with g_1..g_k (last = N-1).
     """
     alpha = check_order(order)
@@ -333,12 +315,7 @@ def integrate_caputo(
     last = num - 1
     hist = np.empty((d, num + 1))
     hist[:, 0] = g0
-    inv_gamma = 1.0 / math.gamma(alpha)
-    pred = inv_gamma * predictor_weights(last, alpha, config.step)
-    corr = inv_gamma * corrector_weights(last, alpha, config.step)
-    mid = corr[1:-1]
-    new = float(corr[-1])  # h^a / Gamma(a+2), weight of the predicted field value
-    first = new * _corrector_first(np.arange(num, dtype=float), alpha)
+    pred, mid, first, new = _caputo_tables(num, alpha, config.step)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(num):
             t = times.item(k + 1)

@@ -12,9 +12,10 @@ Caputo-Fabrizio (exponential kernel), two equivalent-in-practice views:
     (2) Re(w) > 1/(1-alpha)
     (3) Re(w) < 0
     (4) |Im(w)| > 1/(2(1-alpha))
-* disk form: the unstable region is the closed disk of radius
-  c = 1/(2(1-alpha)) centered at c on the real axis; an eigenvalue passes iff
-  it lies strictly outside.  Every theorem pass implies a disk pass.
+* disk form (``cf_disk_verdict``): the unstable region is the closed disk of
+  radius c = 1/(2(1-alpha)) centered at c on the real axis; an eigenvalue
+  passes iff it lies strictly outside.  Every theorem pass implies a disk
+  pass.
 
 Boundary policy: cone boundary and circle membership count as unstable
 (asymptotic stability is an open condition), and a zero eigenvalue is always
@@ -46,7 +47,6 @@ __all__ = [
     "StabilityVerdict",
     "caputo_stable",
     "cf_disk_verdict",
-    "cf_stable_disk",
     "cf_stable_theorem",
     "classify_region",
     "equilibrium_report",
@@ -157,13 +157,8 @@ def cf_stable_theorem(spectrum: SpectrumLike, order: float) -> StabilityVerdict:
     return _verdict("cf-theorem", _theorem, _eigs(spectrum), alpha)
 
 
-def cf_stable_disk(lam: complex, order: float) -> bool:
-    """True iff lam lies strictly outside the closed instability disk."""
-    alpha = check_order(order, allow_one=False)
-    return _disk(_eig(lam), alpha) is not None
-
-
 def cf_disk_verdict(spectrum: SpectrumLike, order: float) -> StabilityVerdict:
+    """Disk criterion: every eigenvalue strictly outside the closed instability disk."""
     alpha = check_order(order, allow_one=False)
     return _verdict("cf-disk", _disk, _eigs(spectrum), alpha)
 

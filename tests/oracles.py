@@ -201,7 +201,7 @@ def pece_direct(
     gvals[0] = g0
 
     # weight tables indexed by j = k - i; per step the reversed slices line up
-    # with history order i = 0..k (matches corrector_weights/predictor_weights)
+    # with history order i = 0..k
     j = np.arange(0, num + 1, dtype=float)
     pdiff = (h ** n / n) * ((j + 1.0) ** n - j ** n)
     wmid = (j + 2.0) ** (n + 1.0) - 2.0 * (j + 1.0) ** (n + 1.0) + j ** (n + 1.0)

@@ -21,7 +21,7 @@ from fraclv.model import equilibria, jacobian, vector_field
 from fraclv.presets import KNOWN_DISCREPANCIES, PRESETS, SCENARIOS, TABLE2
 from fraclv.solvers import SolverConfig, integrate_caputo, integrate_cf, linear_cf_exact
 from fraclv.spectral import CubicCoefficients, characteristic_cubic, cubic_roots
-from fraclv.stability import caputo_stable, cf_stable_disk, cf_stable_theorem
+from fraclv.stability import caputo_stable, cf_disk_verdict, cf_stable_theorem
 
 from oracles import (
     companion_eigenvalues,
@@ -192,21 +192,21 @@ def test_criterion_7_criterion_geometry():
         if abs(abs(lam - c) - c) < 1e-12:
             boundary_excluded += 1
         elif cf_stable_theorem([lam], a1).stable:
-            assert cf_stable_disk(lam, a1), f"theorem held but disk failed: {lam}, {a1}"
+            assert cf_disk_verdict([lam], a1).stable, f"theorem held but disk failed: {lam}, {a1}"
 
         # cone monotonicity: stable at hi implies stable at every lower order
         if caputo_stable([lam], hi).stable:
             assert caputo_stable([lam], lo).stable, f"cone not monotone: {lam}"
 
         # disk nesting: failing at the smaller order implies failing at the larger
-        if not cf_stable_disk(lam, lo):
-            assert not cf_stable_disk(lam, hi), f"disks not nested: {lam}"
+        if not cf_disk_verdict([lam], lo).stable:
+            assert not cf_disk_verdict([lam], hi).stable, f"disks not nested: {lam}"
 
         # left half-plane is stable for both criteria
         if re < 0.0:
             assert caputo_stable([lam], a1).stable
             assert cf_stable_theorem([lam], a1).stable
-            assert cf_stable_disk(lam, a1)
+            assert cf_disk_verdict([lam], a1).stable
 
     assert boundary_excluded < n // 1000
     _passed(7, f"10^5 samples: embedding, monotonicity, nesting, half-plane "

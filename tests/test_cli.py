@@ -8,6 +8,8 @@ import re
 import numpy as np
 import pytest
 
+import fraclv.cli
+import fraclv.stability
 from fraclv.cli import ConfigError, _trajectory_csv, load_config, main, parse_config
 from fraclv.presets import PRESETS, SCENARIOS
 from fraclv.solvers import Trajectory
@@ -122,6 +124,52 @@ def test_subnormal_step_is_a_config_error(tmp_path, capsys):
 
 def test_usage_error_exits_1():
     assert main(["simulate"]) == 1  # missing required flags
+
+
+@pytest.mark.parametrize("command", ["simulate", "stability"])
+@pytest.mark.parametrize("field,overrides", [
+    ("horizon", {"horizon": 10 ** 400}),
+    ("params.a1", {"params": dict(PRESETS["example1"].params.as_dict(), a1=10 ** 400)}),
+])
+def test_integer_past_the_float_range_is_a_config_error(tmp_path, capsys, command, field, overrides):
+    # float(10**400) raises OverflowError; the config error names the field
+    path = _write_config(tmp_path, _base_config(**overrides))
+    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {path}.{field}: value must be finite, "
+                            "got an integer past the float range\n")
+
+
+def test_integer_past_the_digit_limit_is_a_config_error(tmp_path):
+    # json.load refuses integer literals of more than 4300 digits with a plain ValueError
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_base_config()).replace('"horizon": 1.0', '"horizon": ' + "9" * 5000))
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: invalid JSON: Exceeds the limit"):
+        load_config(str(path))
+
+
+@pytest.mark.parametrize("command", ["simulate", "stability"])
+def test_bad_override_names_the_command_line(tmp_path, capsys, command):
+    path = _write_config(tmp_path, _base_config())
+    assert main([command, "--config", path, "--out", str(tmp_path / "out"), "--alpha", "1.5"]) == 1
+    assert capsys.readouterr().err == (f"error: command-line --alpha 1.5 over {path}: "
+                                       "order alpha must be in (0, 1], got 1.5\n")
+
+
+@pytest.mark.parametrize("argv", [[], ["--alpha", "0.9"], ["--alpha", "0.9", "--mode", "corrected"]])
+def test_simulate_parses_the_config_once(tmp_path, monkeypatch, argv):
+    calls = []
+    original = fraclv.cli.parse_config
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fraclv.cli, "parse_config", counted)
+    path = _write_config(tmp_path, _base_config(operator="cf"))
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "out"), *argv]) == 0
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +350,23 @@ def test_equilibria_rejects_non_finite_output(tmp_path, capsys):
     assert captured.err == "error: [3].point[0] is inf; JSON cannot carry a non-finite number\n"
 
 
+@pytest.mark.parametrize("command", ["simulate", "stability"])
+@pytest.mark.parametrize("out,message", [
+    ("taken", "File exists"),
+    ("taken/sub", "Not a directory"),
+])
+def test_unusable_output_path_is_one_error_line(tmp_path, capsys, command, out, message):
+    # --out names an existing file, or a path under one
+    (tmp_path / "taken").write_text("not a directory")
+    path = _write_config(tmp_path, _base_config())
+    assert main([command, "--config", path, "--out", str(tmp_path / out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+    assert captured.err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # stability
 
@@ -373,6 +438,23 @@ def test_classify_regions(capsys, argv, region):
     payload = json.loads(capsys.readouterr().out)
     assert payload["region"] == region
     assert set(payload) >= {"caputo_stable", "cf_disk_stable", "cf_theorem_pass"}
+
+
+def test_classify_evaluates_each_criterion_once(capsys, monkeypatch):
+    # the cone and disk verdicts are read off the region: A = both, B = cone, D = disk
+    calls = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, **k: calls.append(name) or original(*a, **k))
+
+    counted(fraclv.stability, "check_order")
+    for name in ("classify_region", "cf_stable_theorem", "caputo_stable"):
+        counted(fraclv.cli, name)
+    assert main(["classify", "0.5", "0.8", "0.6"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["region"], payload["caputo_stable"], payload["cf_disk_stable"]) == ("B", True, False)
+    assert sorted(calls) == ["cf_stable_theorem", "check_order", "check_order", "classify_region"]
 
 
 def test_classify_rejects_bad_alpha(capsys):

@@ -8,7 +8,6 @@ from fraclv.solvers import SolverConfig, integrate_caputo, integrate_cf, linear_
 from fraclv.stability import (
     caputo_stable,
     cf_disk_verdict,
-    cf_stable_disk,
     cf_stable_theorem,
     classify_region,
     equilibrium_report,
@@ -28,7 +27,6 @@ ENTRY_POINTS = [
     ("caputo_stable", lambda a: caputo_stable(SPECTRUM, a), True),
     ("equilibrium_report", lambda a: equilibrium_report(EX1, a), True),
     ("cf_stable_theorem", lambda a: cf_stable_theorem(SPECTRUM, a), False),
-    ("cf_stable_disk", lambda a: cf_stable_disk(SPECTRUM[0], a), False),
     ("cf_disk_verdict", lambda a: cf_disk_verdict(SPECTRUM, a), False),
     ("classify_region", lambda a: classify_region(SPECTRUM[0], a), False),
     # an empty spectrum has nothing per eigenvalue, so the order must be checked up front

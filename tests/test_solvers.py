@@ -11,11 +11,9 @@ from fraclv.solvers import (
     DIVERGENCE_LIMIT,
     DivergenceError,
     SolverConfig,
-    corrector_weights,
     integrate_caputo,
     integrate_cf,
     linear_cf_exact,
-    predictor_weights,
 )
 
 from oracles import caputo_direct, cf_direct, reference_rk4
@@ -80,7 +78,26 @@ def test_cf_exact_rejects_singular_parameter():
 
 
 # ---------------------------------------------------------------------------
-# engine cross-check against the public weight functions
+# engine cross-check against the weight formulas, written out per step
+
+
+def predictor_weights(k, n, h):
+    """d_{i,k+1} = (h^n / n) [(k-i+1)^n - (k-i)^n], i = 0..k."""
+    return [h ** n / n * ((k - i + 1) ** n - (k - i) ** n) for i in range(k + 1)]
+
+
+def corrector_weights(k, n, h):
+    """b_{i,k+1}, i = 0..k+1, times the prefactor h^n / (n (n+1)):
+
+    i = 0       : k^(n+1) - (k - n) (k+1)^n
+    1 <= i <= k : (k-i+2)^(n+1) - 2 (k-i+1)^(n+1) + (k-i)^(n+1)
+    i = k+1     : 1
+    """
+    w = [k ** (n + 1) - (k - n) * (k + 1) ** n]
+    w += [(k - i + 2) ** (n + 1) - 2 * (k - i + 1) ** (n + 1) + (k - i) ** (n + 1)
+          for i in range(1, k + 1)]
+    w.append(1.0)
+    return [h ** n / (n * (n + 1)) * v for v in w]
 
 
 @pytest.mark.parametrize(

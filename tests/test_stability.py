@@ -11,7 +11,6 @@ from fraclv.presets import PRESETS
 from fraclv.stability import (
     caputo_stable,
     cf_disk_verdict,
-    cf_stable_disk,
     cf_stable_theorem,
     classify_region,
     equilibrium_report,
@@ -121,11 +120,11 @@ def test_cf_theorem_excludes_threshold_point():
 
 
 def test_disk_examples():
-    assert cf_stable_disk(6.0, 0.6)  # |6 - 1.25| > 1.25
-    assert not cf_stable_disk(1.25, 0.6)  # center
-    assert cf_stable_disk(-1e-12, 0.6)  # left half-plane
-    assert not cf_stable_disk(0.0, 0.6)  # on the circle
-    assert not cf_stable_disk(2.5, 0.6)  # on the circle at 1/(1-alpha)
+    assert cf_disk_verdict([6.0], 0.6).stable  # |6 - 1.25| > 1.25
+    assert not cf_disk_verdict([1.25], 0.6).stable  # center
+    assert cf_disk_verdict([-1e-12], 0.6).stable  # left half-plane
+    assert not cf_disk_verdict([0.0], 0.6).stable  # on the circle
+    assert not cf_disk_verdict([2.5], 0.6).stable  # on the circle at 1/(1-alpha)
 
 
 def test_disk_verdict_wraps_spectrum():
@@ -137,7 +136,7 @@ def test_disk_verdict_wraps_spectrum():
 
 def test_disk_rejects_order_one():
     with pytest.raises(ValueError):
-        cf_stable_disk(1.0, 1.0)
+        cf_disk_verdict([1.0], 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +162,6 @@ def test_non_finite_eigenvalue_rejected(lam):
     with pytest.raises(ValueError):
         cf_stable_theorem([-1.0, lam], 0.5)
     with pytest.raises(ValueError):
-        cf_stable_disk(lam, 0.5)
-    with pytest.raises(ValueError):
         cf_disk_verdict([lam], 0.5)
 
 
@@ -180,7 +177,7 @@ def test_region_partition_is_total_and_consistent(re, im, alpha):
     lam = complex(re, im)
     region = classify_region(lam, alpha)
     cone = caputo_stable([lam], alpha).stable
-    disk = cf_stable_disk(lam, alpha)
+    disk = cf_disk_verdict([lam], alpha).stable
     expected = {(True, True): "A", (True, False): "B",
                 (False, False): "C", (False, True): "D"}[(cone, disk)]
     assert region == expected
@@ -279,8 +276,7 @@ def test_report_at_order_one_marks_cf_not_applicable():
 
 
 def test_report_solves_each_spectrum_once(monkeypatch):
-    public = ("caputo_stable", "cf_stable_theorem", "cf_disk_verdict", "cf_stable_disk",
-              "classify_region")
+    public = ("caputo_stable", "cf_stable_theorem", "cf_disk_verdict", "classify_region")
     calls = dict.fromkeys(("equilibria", "cubic_roots", "check_order", "_eigs",
                            "table1_conditions", *public), 0)
 
