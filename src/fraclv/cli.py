@@ -8,9 +8,10 @@ Subcommands
     reproduce-table2  re-derive the bundled reference matrix, PASS/FAIL per cell
 
 Exit codes: 0 success, 1 usage, configuration or input error (including an
-initial state beyond the divergence limit, an output value that is not
-finite, which JSON cannot carry, and an output path that cannot be created or
-written), 2 numerical divergence (the partial trajectory is still written).
+initial state beyond the divergence limit, a step count too large to
+allocate, an output value that is not finite, which JSON cannot carry, and an
+output path that cannot be created or written), 2 numerical divergence (the
+partial trajectory is still written).
 Every error is reported on stderr as one ``error: <message>`` line.  The
 ``--alpha`` and ``--mode`` flags replace the config's ``alpha`` and
 ``cf_mode`` before it is validated, and an error in such a config names the
@@ -164,11 +165,7 @@ def parse_config(data: dict, where: str = "config") -> RunConfig:
     return RunConfig(operator=operator, alpha=alpha, params=params, initial=initial, solver=solver)
 
 
-def load_config(path: str) -> RunConfig:
-    return _load(path)
-
-
-def _load(path: str, alpha=None, cf_mode=None) -> RunConfig:
+def load_config(path: str, alpha=None, cf_mode=None) -> RunConfig:
     """The config at ``path``, with the command line's ``--alpha`` and
     ``--mode`` (when given) written into the decoded object before its one
     parse.  An error then names the flags as well as the file:
@@ -281,7 +278,7 @@ def _integrate(config: RunConfig) -> Trajectory:
 
 
 def cmd_simulate(config_path: str, out_dir: str, alpha=None, cf_mode=None) -> int:
-    config = _load(config_path, alpha, cf_mode)
+    config = load_config(config_path, alpha, cf_mode)
     os.makedirs(out_dir, exist_ok=True)
 
     started = time.perf_counter()
@@ -315,7 +312,7 @@ def cmd_equilibria(config_path: str) -> int:
 
 
 def cmd_stability(config_path: str, out_dir=None, alpha=None) -> int:
-    config = _load(config_path, alpha)
+    config = load_config(config_path, alpha)
     reports = equilibrium_report(config.params, config.alpha)
     payload = {
         "alpha": config.alpha,
@@ -398,14 +395,9 @@ def cmd_reproduce_table2() -> int:
             print(f"{name} {kind} eigenvalues: {'PASS' if eig_ok else 'FAIL'} "
                   f"(multiset error {eig_err:.2e})")
 
-            for operator in ("caputo", "cf"):
-                cells = []
-                for alpha in preset.alphas:
-                    if operator == "caputo":
-                        got = caputo_stable(spectrum, alpha).stable
-                    else:
-                        got = cf_stable_theorem(spectrum, alpha).stable
-                    cells.append((alpha, got, row["marks"][(operator, alpha)]))
+            for operator, criterion in (("caputo", caputo_stable), ("cf", cf_stable_theorem)):
+                cells = [(alpha, criterion(spectrum, alpha).stable, row["marks"][(operator, alpha)])
+                         for alpha in preset.alphas]
                 agree = all(got == want for _, got, want in cells)
                 detail = ", ".join(
                     f"alpha={a:g}: computed={'stable' if g else 'unstable'} "

@@ -236,7 +236,13 @@ def _guard(x, k, times, states, operator, alpha) -> None:
 
 def _grid(x0: list[float], config: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
     num = config.num_steps
-    states = np.empty((num + 1, len(x0)))
+    try:
+        states = np.empty((num + 1, len(x0)))
+    except (ValueError, MemoryError) as exc:  # numpy's message names neither field
+        raise ValueError(
+            f"step count {num:.6g} (horizon {config.horizon} / step {config.step}) "
+            f"is too large to allocate: {exc}"
+        ) from None
     states[0] = x0
     return config.step * np.arange(num + 1), states
 

@@ -29,6 +29,9 @@ Each criterion is one per-eigenvalue test, evaluated once per eigenvalue;
 each function checks the order and the spectrum's finiteness once.  The
 region classes come from the cone and disk results: A = stable for both,
 B = Caputo only, C = neither, D = CF only.
+
+``table1_conditions`` takes the equilibrium's spectrum, which only E4's CF row
+(it has no closed form) reads; no Table 1 row solves a spectrum.
 """
 
 from __future__ import annotations
@@ -173,17 +176,17 @@ def classify_region(lam: complex, order: float) -> str:
     return _REGIONS[_cone(w, alpha), _disk(w, alpha)]
 
 
-def _csqrt(x: float) -> complex:
-    return cmath.sqrt(complex(x, 0.0))
-
-
-def table1_conditions(params: ModelParams, order: float, kind: str) -> list[tuple[str, bool]]:
+def table1_conditions(
+    params: ModelParams, order: float, kind: str, spectrum: SpectrumLike
+) -> list[tuple[str, bool]]:
     """Closed-form stability conditions per equilibrium, raw booleans for audit.
 
     These are the printed sufficient conditions, not the operative verdicts;
     the verdicts in ``equilibrium_report`` always come from the spectrum.
-    Threshold comparisons against closed-form eigenvalue expressions use the
-    real part when the expression is complex.
+    ``spectrum`` is the equilibrium's spectrum; only E4's CF row, which has
+    no closed form, reads it, and no row solves one.  Threshold comparisons
+    against closed-form eigenvalue expressions use the real part when the
+    expression is complex.
     """
     alpha = check_order(order, allow_one=False)
     a1, a2, a3, a4, a5, a6, a7 = params.as_tuple()
@@ -207,7 +210,7 @@ def table1_conditions(params: ModelParams, order: float, kind: str) -> list[tupl
     if kind == "E2":
         lam1 = 1.0 - a3 - (a4 / a6) * (1.0 - a5)
         disc = a2 ** 2 * (1.0 - a5) ** 2 + 4.0 * a6 * (1.0 - a5) * (a1 * a6 + a2 * (1.0 - a5))
-        root = _csqrt(disc)
+        root = cmath.sqrt(disc)
         lam2 = (a2 * (1.0 - a5) + root) / (2.0 * a6)
         lam3 = (a2 * (1.0 - a5) - root) / (2.0 * a6)
         return [
@@ -221,7 +224,7 @@ def table1_conditions(params: ModelParams, order: float, kind: str) -> list[tupl
     if kind == "E3":
         w = 1.0 - a5 - (a6 / a4) * (1.0 - a3) + (a7 / a4) * (a1 * a4 + a2 * (1.0 - a3))
         disc = a2 ** 2 * (1.0 - a3) ** 2 + 4.0 * a4 * (1.0 - a3) * (a1 * a4 + a2 * (1.0 - a3))
-        root = _csqrt(disc)
+        root = cmath.sqrt(disc)
         lam2 = (a2 * (1.0 - a3) + root) / (2.0 * a4)
         lam3 = (a2 * (1.0 - a3) - root) / (2.0 * a4)
         return [
@@ -233,37 +236,26 @@ def table1_conditions(params: ModelParams, order: float, kind: str) -> list[tupl
         ]
 
     if kind == "E4":
-        point = {eq.kind: eq.point for eq in equilibria(params)}["E4"]
-        return _e4_conditions(params, alpha, cubic_roots(characteristic_cubic(jacobian(params, point))))
+        w = a4 * (1.0 + a1 * a7 - a5) + (a6 - a2 * a7) * (a3 - 1.0)
+        denom = w * (a2 + a4) + a2 * a4 * (a3 - 1.0)
+        rh = denom != 0.0 and a6 > a2 * a4 * (a3 - 1.0) * (w + a2 * (a3 - 1.0)) / denom
+        return [
+            ("caputo (routh-hurwitz): a6 > a2*a4*(a3-1)*(w + a2*(a3-1)) / "
+             "(w*(a2+a4) + a2*a4*(a3-1))", rh),
+            ("cf: all characteristic roots > 1/(1-alpha)",
+             all(v.real > thr for v in _eigs(spectrum))),
+        ]
 
     raise ValueError(f"unknown equilibrium kind {kind!r}")
-
-
-def _e4_conditions(params: ModelParams, alpha: float, spectrum: Spectrum) -> list[tuple[str, bool]]:
-    """Table 1 conditions for E4, given E4's spectrum."""
-    a1, a2, a3, a4, a5, a6, a7 = params.as_tuple()
-    thr = 1.0 / (1.0 - alpha)
-    w = a4 * (1.0 + a1 * a7 - a5) + (a6 - a2 * a7) * (a3 - 1.0)
-    denom = w * (a2 + a4) + a2 * a4 * (a3 - 1.0)
-    if denom != 0.0:
-        rh = a6 > a2 * a4 * (a3 - 1.0) * (w + a2 * (a3 - 1.0)) / denom
-    else:
-        rh = False
-    all_above = all(v.real > thr for v in spectrum.eigenvalues)
-    return [
-        ("caputo (routh-hurwitz): a6 > a2*a4*(a3-1)*(w + a2*(a3-1)) / "
-         "(w*(a2+a4) + a2*a4*(a3-1))", rh),
-        ("cf: all characteristic roots > 1/(1-alpha)", all_above),
-    ]
 
 
 def equilibrium_report(params: ModelParams, order: float) -> list[EquilibriumReport]:
     """Spectrum, all three verdicts, audit conditions and region classes per
     equilibrium, in fixed order E0..E4.
 
-    At alpha = 1 the CF verdicts, region classes and audit conditions are
-    None (the CF criteria are undefined there); the Caputo verdict degrades
-    to the classical test.
+    At alpha = 1 the CF verdicts and region classes are None and the audit
+    conditions empty (the CF criteria are undefined there); the Caputo
+    verdict degrades to the classical test.
     """
     alpha = check_order(order)
     reports = []
@@ -276,10 +268,7 @@ def equilibrium_report(params: ModelParams, order: float) -> list[EquilibriumRep
         if alpha < 1.0:
             cf_thm = _verdict("cf-theorem", _theorem, eigs, alpha)
             cf_dsk = _verdict("cf-disk", _disk, eigs, alpha)
-            if eq.kind == "E4":  # reuse the spectrum rather than re-solving it
-                table1 = tuple(_e4_conditions(params, alpha, spectrum))
-            else:
-                table1 = tuple(table1_conditions(params, alpha, eq.kind))
+            table1 = tuple(table1_conditions(params, alpha, eq.kind, spectrum))
             regions = tuple(_REGIONS[cone, disk] for (_, cone), (_, disk)
                             in zip(caputo.per_eigenvalue, cf_dsk.per_eigenvalue))
         reports.append(

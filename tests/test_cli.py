@@ -122,6 +122,16 @@ def test_subnormal_step_is_a_config_error(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("horizon", [1e300, 1e18])
+def test_step_count_too_large_to_allocate_is_one_error_line(tmp_path, capsys, horizon):
+    # a finite step count past numpy's array limits; nothing is allocated
+    path = _write_config(tmp_path, _base_config(horizon=horizon, step=1.0))
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: step count {horizon:g} (horizon {horizon} / step 1.0) ")
+    assert err.count("\n") == 1
+
+
 def test_usage_error_exits_1():
     assert main(["simulate"]) == 1  # missing required flags
 
@@ -476,3 +486,10 @@ def test_reproduce_table2_exit_code_and_summary(capsys):
     out = capsys.readouterr().out
     assert "stability cells: 30 total, 29 PASS, 1 KNOWN-DISCREPANCY, 0 FAIL" in out
     assert "value cells: 30 total, 30 PASS, 0 FAIL" in out
+
+
+def test_reproduce_table2_stdout_is_pinned(capsys):
+    # every line of the report, not just the summary, must stay byte-identical
+    assert main(["reproduce-table2"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == "887e4350a7cd0308441d0e941004a31ecd7065895d44fb6a526acaf92e6296fe"

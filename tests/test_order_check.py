@@ -33,7 +33,7 @@ ENTRY_POINTS = [
     ("caputo_stable-empty", lambda a: caputo_stable([], a), True),
     ("cf_stable_theorem-empty", lambda a: cf_stable_theorem([], a), False),
     ("cf_disk_verdict-empty", lambda a: cf_disk_verdict([], a), False),
-    ("table1_conditions", lambda a: table1_conditions(EX1, a, "E0"), False),
+    ("table1_conditions", lambda a: table1_conditions(EX1, a, "E0", SPECTRUM), False),
 ]
 IDS = [name for name, _, _ in ENTRY_POINTS]
 

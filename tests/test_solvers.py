@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import fraclv.solvers
 from fraclv.model import vector_field
 from fraclv.presets import PRESETS, SCENARIOS
 from fraclv.solvers import (
@@ -431,3 +432,25 @@ def test_initial_state_beyond_the_guard_is_rejected(integrate, bad):
     # the initial state meets the guard's own comparison before any step runs
     with pytest.raises(ValueError, match=r"initial state component 0 is .*\+/-1e\+12"):
         integrate(vector_field(EX1), [bad, 0.9, 0.1], 0.9, SolverConfig(step=0.1, horizon=1.0))
+
+
+@pytest.mark.parametrize("integrate", [integrate_caputo, integrate_cf])
+@pytest.mark.parametrize("horizon", [1e300, 1e18])
+def test_step_count_too_large_to_allocate_is_named(integrate, horizon):
+    # numpy refuses both shapes before allocating anything; the error names
+    # the step count and the two fields it came from
+    config = SolverConfig(step=1.0, horizon=horizon)
+    with pytest.raises(ValueError) as info:
+        integrate(vector_field(EX1), [0.5, 0.9, 0.1], 0.9, config)
+    assert str(info.value).startswith(
+        f"step count {horizon:g} (horizon {horizon} / step 1.0) is too large to allocate: ")
+
+
+def test_failed_grid_allocation_is_named(monkeypatch):
+    # a count that fits numpy's index range but not memory gives MemoryError
+    def refuse(shape, *args, **kwargs):
+        raise MemoryError(f"Unable to allocate array with shape {shape}")
+
+    monkeypatch.setattr(fraclv.solvers.np, "empty", refuse)
+    with pytest.raises(ValueError, match=r"step count 10 \(horizon 1.0 / step 0.1\) is too large"):
+        integrate_cf(vector_field(EX1), [0.5, 0.9, 0.1], 0.9, SolverConfig(step=0.1, horizon=1.0))

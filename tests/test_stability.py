@@ -7,7 +7,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fraclv.stability
+from fraclv.model import equilibria, jacobian
 from fraclv.presets import PRESETS
+from fraclv.spectral import characteristic_cubic, cubic_roots
 from fraclv.stability import (
     caputo_stable,
     cf_disk_verdict,
@@ -187,30 +189,62 @@ def test_region_partition_is_total_and_consistent(re, im, alpha):
 # closed-form condition table
 
 
+def _spectrum(params, kind):
+    point = {eq.kind: eq.point for eq in equilibria(params)}[kind]
+    return cubic_roots(characteristic_cubic(jacobian(params, point)))
+
+
 def test_table1_origin_row_tracks_order():
-    rows_high = dict(table1_conditions(EX1, 0.98, "E0"))
+    rows_high = dict(table1_conditions(EX1, 0.98, "E0", _spectrum(EX1, "E0")))
     assert rows_high["cf: a1 > 1/(1-alpha)"] is False  # 3 < 50
-    rows_low = dict(table1_conditions(EX1, 0.66, "E0"))
+    rows_low = dict(table1_conditions(EX1, 0.66, "E0", _spectrum(EX1, "E0")))
     assert rows_low["cf: a1 > 1/(1-alpha)"] is True  # 3 > 2.94
 
 
 def test_table1_e2_chain_example1():
-    rows = dict(table1_conditions(EX1, 0.98, "E2"))
+    rows = dict(table1_conditions(EX1, 0.98, "E2", _spectrum(EX1, "E2")))
     assert rows["caputo: (a5-1)/a6 < a1/a2"] is True  # 1/3 < 6
     assert rows["caputo: a1/a2 < (a3-1)/a4"] is False  # 6 > 1
     # raw audit booleans; the operative verdict still comes from the spectrum
 
 
 def test_table1_e4_rows_exist():
-    rows = table1_conditions(EX2, 0.6, "E4")
+    rows = table1_conditions(EX2, 0.6, "E4", _spectrum(EX2, "E4"))
     names = [name for name, _ in rows]
     assert any("routh-hurwitz" in n for n in names)
     assert any("characteristic roots" in n for n in names)
 
 
+E4_ROWS = [
+    "caputo (routh-hurwitz): a6 > a2*a4*(a3-1)*(w + a2*(a3-1)) / (w*(a2+a4) + a2*a4*(a3-1))",
+    "cf: all characteristic roots > 1/(1-alpha)",
+]
+
+
+@pytest.mark.parametrize("name,alpha,expected", [
+    ("example1", 0.98, [True, False]),
+    ("example1", 0.66, [True, False]),
+    ("example2", 0.6, [True, False]),
+    ("example3", 0.4, [True, False]),
+])
+def test_table1_e4_rows_at_published_orders(name, alpha, expected):
+    params = PRESETS[name].params
+    rows = table1_conditions(params, alpha, "E4", _spectrum(params, "E4"))
+    assert rows == list(zip(E4_ROWS, expected))
+
+
+def test_table1_e4_cf_row_reads_the_given_spectrum():
+    # 1/(1-0.5) = 2: every real part above it passes, whatever E4's own roots are
+    rows = dict(table1_conditions(EX2, 0.5, "E4", [complex(2.5, 1.0), complex(2.5, -1.0), 3.0]))
+    assert rows[E4_ROWS[1]] is True
+    assert dict(table1_conditions(EX2, 0.5, "E4", [2.5, 2.0, 3.0]))[E4_ROWS[1]] is False
+    with pytest.raises(ValueError, match="finite"):
+        table1_conditions(EX2, 0.5, "E4", [2.5, complex(math.nan, 0.0), 3.0])
+
+
 def test_table1_rejects_unknown_kind():
     with pytest.raises(ValueError):
-        table1_conditions(EX1, 0.5, "E9")
+        table1_conditions(EX1, 0.5, "E9", [])
 
 
 # ---------------------------------------------------------------------------
@@ -291,17 +325,16 @@ def test_report_solves_each_spectrum_once(monkeypatch):
     for name in calls:
         monkeypatch.setattr(fraclv.stability, name, counted(name))
     reports = equilibrium_report(EX2, 0.6)
-    # one order check for the report, plus one in each of the four public
-    # table1_conditions calls (E0..E3); one finiteness check per spectrum; the
-    # verdicts and regions come from the private tests, not the public functions
-    assert calls == dict(equilibria=1, cubic_roots=5, check_order=5, _eigs=5,
-                         table1_conditions=4, **dict.fromkeys(public, 0))
-    # the E4 audit rows match the standalone table, which solves E4 itself
-    assert list(reports[4].table1) == table1_conditions(EX2, 0.6, "E4")
+    # one order check for the report, plus one in each of the five
+    # table1_conditions calls (E0..E4); one finiteness check per spectrum, plus
+    # E4's CF row reading its spectrum; the verdicts and regions come from the
+    # private tests, not the public functions
+    assert calls == dict(equilibria=1, cubic_roots=5, check_order=6, _eigs=6,
+                         table1_conditions=5, **dict.fromkeys(public, 0))
+    # the E4 audit rows match the table on E4's spectrum, solved apart
+    assert list(reports[4].table1) == table1_conditions(EX2, 0.6, "E4", _spectrum(EX2, "E4"))
 
 
 def test_spectrum_like_inputs_accepted():
-    from fraclv.spectral import characteristic_cubic, cubic_roots
-    from fraclv.model import jacobian
     spec = cubic_roots(characteristic_cubic(jacobian(EX1, [0.0, 0.0, 0.0])))
     assert caputo_stable(spec, 0.5).stable == caputo_stable(list(spec.eigenvalues), 0.5).stable
