@@ -260,7 +260,7 @@ def _verdict_dict(verdict) -> dict:
 def _equilibrium_dict(eq) -> dict:
     return {
         "kind": eq.kind,
-        "point": [float(v) for v in eq.point],
+        "point": list(eq.point),
         "admissible": eq.admissible,
         "conditions": [[name, ok] for name, ok in eq.conditions],
     }
@@ -383,7 +383,7 @@ def cmd_reproduce_table2() -> int:
             eq = eqs[kind]
             spectrum = cubic_roots(characteristic_cubic(jacobian(preset.params, eq.point)))
 
-            point_err = max(abs(float(a) - b) for a, b in zip(eq.point, row["point"]))
+            point_err = max(abs(a - b) for a, b in zip(eq.point, row["point"]))
             point_ok = point_err <= TABLE_VALUE_TOL and eq.admissible == row["admissible"]
             v_pass, v_fail = v_pass + point_ok, v_fail + (not point_ok)
             print(f"{name} {kind} point: {'PASS' if point_ok else 'FAIL'} "

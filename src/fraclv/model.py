@@ -14,10 +14,15 @@ The field has five closed-form fixed points E0..E4, returned in that fixed
 order together with their admissibility (all components non-negative).  When
 the symbolic existence conditions and the computed point disagree within
 rounding of a boundary, non-negativity of the point is the operative test.
+
+Points and Jacobian rows are tuples of floats, so an ``Equilibrium`` is a
+hashable value.  If ``a7 * a4`` underflows to 0, E4's y and z are IEEE's
+quotients (signed inf, or NaN for 0/0), not a ZeroDivisionError.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -65,7 +70,7 @@ class Equilibrium:
     """
 
     kind: str
-    point: np.ndarray
+    point: tuple[float, float, float]
     admissible: bool
     conditions: tuple[tuple[str, bool], ...]
 
@@ -88,15 +93,14 @@ def vector_field(params: ModelParams) -> Callable[[float, np.ndarray], tuple[flo
     return field
 
 
-def jacobian(params: ModelParams, point: Sequence[float]) -> np.ndarray:
+def jacobian(params: ModelParams, point: Sequence[float]) -> tuple[tuple[float, float, float], ...]:
+    """The Jacobian at ``point`` as three rows of three floats."""
     a1, a2, a3, a4, a5, a6, a7 = params.as_tuple()
     x, y, z = point
-    return np.array(
-        [
-            [a1 - 2.0 * a2 * x - y - z, -x, -x],
-            [a4 * y, 1.0 - a3 + a4 * x, 0.0],
-            [a6 * z, a7 * z, a6 * x - a5 + a7 * y + 1.0],
-        ]
+    return (
+        (a1 - 2.0 * a2 * x - y - z, -x, -x),
+        (a4 * y, 1.0 - a3 + a4 * x, 0.0),
+        (a6 * z, a7 * z, a6 * x - a5 + a7 * y + 1.0),
     )
 
 
@@ -138,38 +142,35 @@ def _conditions(params: ModelParams, kind: str) -> tuple[tuple[str, bool], ...]:
     raise ValueError(f"unknown equilibrium kind {kind!r}")
 
 
-def _points(params: ModelParams) -> dict[str, np.ndarray]:
+def _quotient(num: float, den: float) -> float:
+    # num / den with IEEE's result where Python raises ZeroDivisionError
+    if den != 0.0:
+        return num / den
+    if num == 0.0 or math.isnan(num):
+        return math.nan
+    return math.copysign(math.inf, num) * math.copysign(1.0, den)
+
+
+def _points(params: ModelParams) -> dict[str, tuple[float, float, float]]:
     a1, a2, a3, a4, a5, a6, a7 = params.as_tuple()
+    a74 = a7 * a4
     return {
-        "E0": np.array([0.0, 0.0, 0.0]),
-        "E1": np.array([a1 / a2, 0.0, 0.0]),
-        "E2": np.array(
-            [(a5 - 1.0) / a6, 0.0, (a1 * a6 - a2 * (a5 - 1.0)) / a6]
-        ),
-        "E3": np.array(
-            [(a3 - 1.0) / a4, (a1 * a4 - a2 * (a3 - 1.0)) / a4, 0.0]
-        ),
-        "E4": np.array(
-            [
-                (a3 - 1.0) / a4,
-                (a4 * (a5 - 1.0) - a6 * (a3 - 1.0)) / (a7 * a4),
-                (a4 * (1.0 + a1 * a7 - a5) + (a6 - a2 * a7) * (a3 - 1.0)) / (a7 * a4),
-            ]
+        "E0": (0.0, 0.0, 0.0),
+        "E1": (a1 / a2, 0.0, 0.0),
+        "E2": ((a5 - 1.0) / a6, 0.0, (a1 * a6 - a2 * (a5 - 1.0)) / a6),
+        "E3": ((a3 - 1.0) / a4, (a1 * a4 - a2 * (a3 - 1.0)) / a4, 0.0),
+        "E4": (
+            (a3 - 1.0) / a4,
+            _quotient(a4 * (a5 - 1.0) - a6 * (a3 - 1.0), a74),
+            _quotient(a4 * (1.0 + a1 * a7 - a5) + (a6 - a2 * a7) * (a3 - 1.0), a74),
         ),
     }
 
 
 def equilibria(params: ModelParams) -> list[Equilibrium]:
     """All five fixed points, in fixed order E0..E4 regardless of admissibility."""
-    out = []
-    for kind, point in _points(params).items():
-        out.append(
-            Equilibrium(
-                kind=kind,
-                point=point,
-                admissible=bool(np.all(point >= 0.0)),
-                conditions=_conditions(params, kind),
-            )
-        )
-    return out
+    return [
+        Equilibrium(kind, point, all(v >= 0.0 for v in point), _conditions(params, kind))
+        for kind, point in _points(params).items()
+    ]
 

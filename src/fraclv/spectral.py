@@ -11,16 +11,17 @@ cube-root pairing u, v = -p/(3u) to avoid cancellation); |delta| within a
 relative tolerance of zero: repeated real roots; delta < 0: three distinct
 real roots by the trigonometric method.  Eigenvalues are reported sorted by
 (real, imaginary), complex pairs exactly conjugate.  A non-finite
-coefficient has no roots to report and raises ValueError.
+coefficient has no roots to report and raises ValueError, as do coefficients
+whose depressed-cubic terms overflow the float range.  The module computes
+on Python floats throughout.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 __all__ = [
     "BRANCH_ONE_REAL_PAIR",
@@ -75,36 +76,42 @@ class Spectrum:
 
 
 def characteristic_cubic(matrix: Sequence[Sequence[float]]) -> CubicCoefficients:
-    """a = -trace, b = sum of principal 2x2 minors, c = -det."""
-    m = np.asarray(matrix, dtype=float)
-    if m.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
-    a = -(m[0, 0] + m[1, 1] + m[2, 2])
-    b = (
-        (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        + (m[0, 0] * m[2, 2] - m[0, 2] * m[2, 0])
-        + (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-    )
+    """a = -trace, b = sum of principal 2x2 minors, c = -det.
+
+    ``matrix`` is any 3x3 sequence of numbers (tuples, lists or an ndarray);
+    anything else, ragged rows included, raises ValueError.
+    """
+    try:
+        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = (map(float, row) for row in matrix)
+    except (TypeError, ValueError):
+        raise ValueError(f"expected a 3x3 matrix, got {matrix!r}") from None
+    a = -(m00 + m11 + m22)
+    b = (m11 * m22 - m12 * m21) + (m00 * m22 - m02 * m20) + (m00 * m11 - m01 * m10)
     det = (
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
+        m00 * (m11 * m22 - m12 * m21)
+        - m01 * (m10 * m22 - m12 * m20)
+        + m02 * (m10 * m21 - m11 * m20)
     )
-    return CubicCoefficients(a=float(a), b=float(b), c=float(-det))
+    return CubicCoefficients(a=a, b=b, c=-det)
 
 
 def cubic_analysis(coeffs: CubicCoefficients) -> CubicAnalysis:
-    """Depressed-cubic terms and branch; ValueError on a non-finite coefficient."""
+    """Depressed-cubic terms and branch; ValueError on a non-finite coefficient or term."""
     a, b, c = coeffs.a, coeffs.b, coeffs.c
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
         raise ValueError(f"cubic coefficients must be finite, got {coeffs}")
     p = b - a * a / 3.0
-    q = 2.0 * a ** 3 / 27.0 - a * b / 3.0 + c
-    delta = q * q / 4.0 + p ** 3 / 27.0
+    try:
+        q = 2.0 * a ** 3 / 27.0 - a * b / 3.0 + c
+        delta = q * q / 4.0 + p ** 3 / 27.0
+        scale_q = max(2.0 * abs(a) ** 3 / 27.0, abs(a * b) / 3.0, abs(c))
+    except OverflowError:  # a power past the float range
+        q = delta = scale_q = math.inf
     scale_p = max(abs(b), a * a / 3.0)
-    scale_q = max(2.0 * abs(a) ** 3 / 27.0, abs(a * b) / 3.0, abs(c))
-    eps = np.finfo(float).eps
+    eps = sys.float_info.epsilon
     tol = REPEATED_TOLERANCE_FACTOR * eps * (abs(q) * scale_q + p * p * scale_p)
+    if not all(map(math.isfinite, (p, q, delta, tol))):
+        raise ValueError(f"cubic terms overflow the float range for {coeffs}")
     if abs(delta) <= tol:
         branch = BRANCH_REPEATED
     elif delta > 0.0:

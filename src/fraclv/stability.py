@@ -19,7 +19,8 @@ Caputo-Fabrizio (exponential kernel), two equivalent-in-practice views:
 
 Boundary policy: cone boundary and circle membership count as unstable
 (asymptotic stability is an open condition), and a zero eigenvalue is always
-unstable.  Neither CF criterion is defined at alpha = 1.
+unstable.  Neither CF criterion is defined at alpha = 1.  A modulus past the
+float range (|w| or |w - c| for a finite w near 1.7e308) counts as inf.
 
 Orders are plain floats, checked by ``solvers.check_order``: the Caputo
 functions accept alpha in (0, 1], the CF criteria, ``classify_region`` and
@@ -118,9 +119,18 @@ def _cone(w: complex, alpha: float) -> Optional[str]:
     return "cone" if w != 0 and abs(math.atan2(w.imag, w.real)) > alpha * math.pi / 2.0 else None
 
 
+def _modulus(w: complex) -> float:
+    # abs(w), or inf where complex abs raises OverflowError.  Not math.hypot:
+    # it can differ from abs by an ulp, which moves points across the circle.
+    try:
+        return abs(w)
+    except OverflowError:
+        return math.inf
+
+
 def _theorem(w: complex, alpha: float) -> Optional[str]:
     thr = 1.0 / (1.0 - alpha)
-    if abs(w) >= thr and w != complex(thr, 0.0):
+    if _modulus(w) >= thr and w != complex(thr, 0.0):
         return "1"
     if w.real > thr:
         return "2"
@@ -133,7 +143,7 @@ def _theorem(w: complex, alpha: float) -> Optional[str]:
 
 def _disk(w: complex, alpha: float) -> Optional[str]:
     c = 1.0 / (2.0 * (1.0 - alpha))
-    return "disk" if abs(w - c) > c else None
+    return "disk" if _modulus(w - c) > c else None
 
 
 #: Region class by the (cone, disk) tags of one eigenvalue.
@@ -176,6 +186,14 @@ def classify_region(lam: complex, order: float) -> str:
     return _REGIONS[_cone(w, alpha), _disk(w, alpha)]
 
 
+def _planar_pair(a1: float, a2: float, a: float, k: float) -> tuple[complex, complex]:
+    """Table 1's closed-form eigenvalue pair of the planar block: E2 with
+    (a, k) = (a5, a6), E3 with (a3, a4)."""
+    disc = a2 ** 2 * (1.0 - a) ** 2 + 4.0 * k * (1.0 - a) * (a1 * k + a2 * (1.0 - a))
+    root = cmath.sqrt(disc)
+    return (a2 * (1.0 - a) + root) / (2.0 * k), (a2 * (1.0 - a) - root) / (2.0 * k)
+
+
 def table1_conditions(
     params: ModelParams, order: float, kind: str, spectrum: SpectrumLike
 ) -> list[tuple[str, bool]]:
@@ -209,10 +227,7 @@ def table1_conditions(
 
     if kind == "E2":
         lam1 = 1.0 - a3 - (a4 / a6) * (1.0 - a5)
-        disc = a2 ** 2 * (1.0 - a5) ** 2 + 4.0 * a6 * (1.0 - a5) * (a1 * a6 + a2 * (1.0 - a5))
-        root = cmath.sqrt(disc)
-        lam2 = (a2 * (1.0 - a5) + root) / (2.0 * a6)
-        lam3 = (a2 * (1.0 - a5) - root) / (2.0 * a6)
+        lam2, lam3 = _planar_pair(a1, a2, a5, a6)
         return [
             ("caputo: (a5-1)/a6 < a1/a2", (a5 - 1.0) / a6 < a1 / a2),
             ("caputo: a1/a2 < (a3-1)/a4", a1 / a2 < (a3 - 1.0) / a4),
@@ -223,10 +238,7 @@ def table1_conditions(
 
     if kind == "E3":
         w = 1.0 - a5 - (a6 / a4) * (1.0 - a3) + (a7 / a4) * (a1 * a4 + a2 * (1.0 - a3))
-        disc = a2 ** 2 * (1.0 - a3) ** 2 + 4.0 * a4 * (1.0 - a3) * (a1 * a4 + a2 * (1.0 - a3))
-        root = cmath.sqrt(disc)
-        lam2 = (a2 * (1.0 - a3) + root) / (2.0 * a4)
-        lam3 = (a2 * (1.0 - a3) - root) / (2.0 * a4)
+        lam2, lam3 = _planar_pair(a1, a2, a3, a4)
         return [
             ("caputo: (a3-1)/a4 < a1/a2", (a3 - 1.0) / a4 < a1 / a2),
             ("caputo: a1/a2 < (a5-1)/a6", a1 / a2 < (a5 - 1.0) / a6),

@@ -360,6 +360,34 @@ def test_equilibria_rejects_non_finite_output(tmp_path, capsys):
     assert captured.err == "error: [3].point[0] is inf; JSON cannot carry a non-finite number\n"
 
 
+@pytest.mark.parametrize("command,message", [
+    ("equilibria", "error: [3].point[0] is inf; JSON cannot carry a non-finite number\n"),
+    ("stability", None),
+])
+def test_underflowed_e4_denominator_is_one_error_line(tmp_path, capsys, command, message):
+    # a7 * a4 = 5e-324 * 1e-320 underflows to 0; E4's y and z are then the IEEE
+    # quotients (inf), not a ZeroDivisionError
+    params = dict(PRESETS["example1"].params.as_dict(), a4=1e-320, a7=5e-324)
+    path = _write_config(tmp_path, _base_config(params=params))
+    assert main([command, "--config", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    if message:
+        assert captured.err == message
+
+
+def test_overflowing_cubic_is_one_error_line(tmp_path, capsys):
+    # E0's characteristic cubic has a ~ -1e200, so a**3 overflows
+    params = dict(PRESETS["example1"].params.as_dict(), a2=1e200, a3=1e200, a4=1e300)
+    path = _write_config(tmp_path, _base_config(params=params))
+    assert main(["stability", "--config", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cubic terms overflow the float range")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["simulate", "stability"])
 @pytest.mark.parametrize("out,message", [
     ("taken", "File exists"),
@@ -475,6 +503,16 @@ def test_classify_rejects_bad_alpha(capsys):
 def test_classify_rejects_non_finite_eigenvalue(capsys):
     assert main(["classify", "nan", "0", "0.5"]) == 1
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("real,region", [("1.7e308", "D"), ("-1.7e308", "A")])
+def test_classify_huge_eigenvalue(capsys, real, region):
+    # |w| and |w - c| overflow the float range: the modulus is inf, outside the disk
+    assert main(["classify", "--", real, "1.7e308", "0.5"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["region"] == region
+    assert payload["cf_disk_stable"] is True
+    assert payload["cf_theorem_pass"] is True
 
 
 # ---------------------------------------------------------------------------

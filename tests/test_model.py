@@ -1,5 +1,7 @@
 """Vector field, equilibria, Jacobian and existence conditions."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -182,3 +184,34 @@ def test_degenerate_a3_boundary():
     assert e3.point[1] == params.a1
     assert e3.point[2] == 0.0
     np.testing.assert_allclose(rhs(params, e3.point), 0.0, atol=1e-13)
+
+
+def test_points_and_jacobians_are_float_tuples():
+    for eq in equilibria(EX1):
+        assert type(eq.point) is tuple and len(eq.point) == 3
+        assert all(type(v) is float for v in eq.point)
+        j = jacobian(EX1, eq.point)
+        assert type(j) is tuple and len(j) == 3
+        assert all(type(row) is tuple and len(row) == 3 for row in j)
+        assert all(type(v) is float for row in j for v in row)
+
+
+def test_equilibria_are_hashable_values():
+    first, second = equilibria(EX2), equilibria(EX2)
+    assert first == second
+    assert [hash(eq) for eq in first] == [hash(eq) for eq in second]
+    with pytest.raises(TypeError):
+        first[4].point[0] = 99.0
+    assert first == second
+
+
+def test_e4_with_an_underflowed_denominator():
+    # a7 * a4 = 5e-324 * 1e-320 underflows to 0: E4's y and z are the IEEE
+    # quotients, signed inf for a nonzero numerator and NaN for 0/0
+    e4 = equilibria(ModelParams(3.0, 0.5, 4.0, 1e-320, 4.0, 9.0, 5e-324))[4]
+    assert e4.point == (math.inf, -math.inf, math.inf)
+    assert not e4.admissible
+    # a3 = a5 = 1 zeroes both numerators
+    e4 = equilibria(ModelParams(3.0, 0.5, 1.0, 1e-320, 1.0, 9.0, 5e-324))[4]
+    assert e4.point[0] == 0.0 and math.isnan(e4.point[1]) and math.isnan(e4.point[2])
+    assert not e4.admissible

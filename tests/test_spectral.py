@@ -104,8 +104,44 @@ def test_characteristic_cubic_rejects_wrong_shape():
         characteristic_cubic(np.eye(2))
 
 
+def test_characteristic_cubic_reads_any_3x3_sequence():
+    # the Jacobian's float tuples, the same rows as lists and as an ndarray
+    e4 = equilibria(EX2)[4]
+    j = jacobian(EX2, e4.point)
+    assert type(j) is tuple
+    forms = (j, [list(row) for row in j], np.array(j))
+    coeffs = [characteristic_cubic(m) for m in forms]
+    assert len({(c.a.hex(), c.b.hex(), c.c.hex()) for c in coeffs}) == 1
+    assert all(type(v) is float for c in coeffs for v in (c.a, c.b, c.c))
+
+
+@pytest.mark.parametrize("matrix", [
+    np.ones((3, 4)),
+    [[1.0, 2.0, 3.0], [4.0, 5.0], [7.0, 8.0, 9.0]],
+    [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0, 0.0], [7.0, 8.0, 9.0]],
+    [[1.0, 2.0, 3.0]] * 4,
+    [1.0, 2.0, 3.0],
+])
+def test_characteristic_cubic_rejects_non_3x3(matrix):
+    with pytest.raises(ValueError, match="3x3"):
+        characteristic_cubic(matrix)
+
+
 # ---------------------------------------------------------------------------
 # cubic analysis
+
+
+@pytest.mark.parametrize("coeffs", [
+    (1e200, 0.0, 0.0),  # a ** 3 overflows
+    (0.0, -1e200, 0.0),  # p ** 3 overflows
+    (0.0, 0.0, 1e300),  # delta and the tolerance overflow to inf
+    (1e200, 1e200, 1e200),
+])
+def test_overflowing_cubic_terms_raise_value_error(coeffs):
+    # (0, 0, 1e300) used to take the repeated branch and return -1.587e100 and
+    # 7.94e99 twice; the roots of w^3 = -1e300 are -1e100 and 5e99 +- 8.66e99i
+    with pytest.raises(ValueError, match="overflow the float range"):
+        cubic_roots(CubicCoefficients(*coeffs))
 
 
 def test_analysis_repeated_example():

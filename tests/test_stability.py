@@ -167,6 +167,16 @@ def test_non_finite_eigenvalue_rejected(lam):
         cf_disk_verdict([lam], 0.5)
 
 
+@pytest.mark.parametrize("lam,region", [(complex(1.7e308, 1.7e308), "D"),
+                                        (complex(-1.7e308, 1.7e308), "A")])
+def test_modulus_past_the_float_range_is_infinite(lam, region):
+    # abs(w) and abs(w - c) raise OverflowError here; the modulus is inf,
+    # outside the disk and past the theorem's 1/(1-alpha)
+    assert classify_region(lam, 0.5) == region
+    assert cf_disk_verdict([lam], 0.5).stable
+    assert cf_stable_theorem([lam], 0.5).per_eigenvalue == ((lam, "1"),)
+
+
 @given(
     re=st.floats(-20.0, 20.0),
     im=st.floats(-20.0, 20.0),
@@ -297,6 +307,13 @@ def test_report_structure_and_regions():
             for (w, tag), region in zip(rep.cf_theorem.per_eigenvalue, rep.regions):
                 if tag is not None:
                     assert region in ("A", "D")
+
+
+def test_reports_are_hashable_values():
+    for alpha in (0.6, 1.0):
+        first, second = equilibrium_report(EX2, alpha), equilibrium_report(EX2, alpha)
+        assert first == second
+        assert [hash(rep) for rep in first] == [hash(rep) for rep in second]
 
 
 def test_report_at_order_one_marks_cf_not_applicable():
