@@ -270,21 +270,15 @@ def _equilibrium_dict(eq) -> dict:
 # subcommands
 
 
-def _integrate(config: RunConfig) -> Trajectory:
-    field = vector_field(config.params)
-    if config.operator == "caputo":
-        return integrate_caputo(field, config.initial, config.alpha, config.solver)
-    return integrate_cf(field, config.initial, config.alpha, config.solver)
-
-
 def cmd_simulate(config_path: str, out_dir: str, alpha=None, cf_mode=None) -> int:
     config = load_config(config_path, alpha, cf_mode)
     os.makedirs(out_dir, exist_ok=True)
 
     started = time.perf_counter()
     diverged_at = None
+    integrate = integrate_caputo if config.operator == "caputo" else integrate_cf
     try:
-        traj = _integrate(config)
+        traj = integrate(vector_field(config.params), config.initial, config.alpha, config.solver)
     except DivergenceError as exc:
         traj = exc.partial
         diverged_at = exc.step_index
@@ -438,14 +432,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=None, help="override config alpha")
     p.add_argument("--mode", choices=("paper", "corrected"), default=None,
                    help="override cf_mode")
+    p.set_defaults(run=lambda a: cmd_simulate(a.config, a.out, alpha=a.alpha, cf_mode=a.mode))
 
     p = sub.add_parser("equilibria", help="print the five fixed points")
     p.add_argument("--config", required=True)
+    p.set_defaults(run=lambda a: cmd_equilibria(a.config))
 
     p = sub.add_parser("stability", help="print the per-equilibrium verdict report")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None, help="also write stability_report.json here")
     p.add_argument("--alpha", type=float, default=None, help="override config alpha")
+    p.set_defaults(run=lambda a: cmd_stability(a.config, out_dir=a.out, alpha=a.alpha))
 
     p = sub.add_parser("classify", help="region class of one eigenvalue",
                        description="Region class of one eigenvalue.  Put -- before the numbers "
@@ -453,8 +450,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("real", type=float)
     p.add_argument("imag", type=float)
     p.add_argument("alpha", type=float)
+    p.set_defaults(run=lambda a: cmd_classify(a.real, a.imag, a.alpha))
 
-    sub.add_parser("reproduce-table2", help="re-derive the bundled reference matrix")
+    p = sub.add_parser("reproduce-table2", help="re-derive the bundled reference matrix")
+    p.set_defaults(run=lambda a: cmd_reproduce_table2())
     return parser
 
 
@@ -466,20 +465,10 @@ def main(argv=None) -> int:
         code = exc.code if isinstance(exc.code, int) else 0
         return 0 if code == 0 else 1
     try:
-        if args.command == "simulate":
-            return cmd_simulate(args.config, args.out, alpha=args.alpha, cf_mode=args.mode)
-        if args.command == "equilibria":
-            return cmd_equilibria(args.config)
-        if args.command == "stability":
-            return cmd_stability(args.config, out_dir=args.out, alpha=args.alpha)
-        if args.command == "classify":
-            return cmd_classify(args.real, args.imag, args.alpha)
-        if args.command == "reproduce-table2":
-            return cmd_reproduce_table2()
+        return args.run(args)
     except (ValueError, OSError) as exc:  # ConfigError included; OSError from --out
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 def console_main() -> None:

@@ -119,29 +119,6 @@ def _e4_z_condition(params: ModelParams) -> tuple[str, bool]:
             (a6 - a2 * a7) * (a3 - 1.0) >= 0.0)
 
 
-def _conditions(params: ModelParams, kind: str) -> tuple[tuple[str, bool], ...]:
-    a1, a2, a3, a4, a5, a6, a7 = params.as_tuple()
-    if kind in ("E0", "E1"):
-        return (("always exists", True),)
-    if kind == "E2":
-        return (
-            ("a5 >= 1", a5 >= 1.0),
-            ("a1*a6 >= a2*(a5 - 1)", a1 * a6 >= a2 * (a5 - 1.0)),
-        )
-    if kind == "E3":
-        return (
-            ("a3 >= 1", a3 >= 1.0),
-            ("a1*a4 >= a2*(a3 - 1)", a1 * a4 >= a2 * (a3 - 1.0)),
-        )
-    if kind == "E4":
-        return (
-            ("x >= 0: a3 >= 1", a3 >= 1.0),
-            ("y >= 0: a4*(a5 - 1) >= a6*(a3 - 1)", a4 * (a5 - 1.0) >= a6 * (a3 - 1.0)),
-            _e4_z_condition(params),
-        )
-    raise ValueError(f"unknown equilibrium kind {kind!r}")
-
-
 def _quotient(num: float, den: float) -> float:
     # num / den with IEEE's result where Python raises ZeroDivisionError
     if den != 0.0:
@@ -151,26 +128,31 @@ def _quotient(num: float, den: float) -> float:
     return math.copysign(math.inf, num) * math.copysign(1.0, den)
 
 
-def _points(params: ModelParams) -> dict[str, tuple[float, float, float]]:
+def equilibria(params: ModelParams) -> list[Equilibrium]:
+    """All five fixed points, in fixed order E0..E4 regardless of admissibility."""
     a1, a2, a3, a4, a5, a6, a7 = params.as_tuple()
     a74 = a7 * a4
-    return {
-        "E0": (0.0, 0.0, 0.0),
-        "E1": (a1 / a2, 0.0, 0.0),
-        "E2": ((a5 - 1.0) / a6, 0.0, (a1 * a6 - a2 * (a5 - 1.0)) / a6),
-        "E3": ((a3 - 1.0) / a4, (a1 * a4 - a2 * (a3 - 1.0)) / a4, 0.0),
-        "E4": (
+    always = (("always exists", True),)
+    table = (
+        ("E0", (0.0, 0.0, 0.0), always),
+        ("E1", (a1 / a2, 0.0, 0.0), always),
+        ("E2", ((a5 - 1.0) / a6, 0.0, (a1 * a6 - a2 * (a5 - 1.0)) / a6), (
+            ("a5 >= 1", a5 >= 1.0),
+            ("a1*a6 >= a2*(a5 - 1)", a1 * a6 >= a2 * (a5 - 1.0)),
+        )),
+        ("E3", ((a3 - 1.0) / a4, (a1 * a4 - a2 * (a3 - 1.0)) / a4, 0.0), (
+            ("a3 >= 1", a3 >= 1.0),
+            ("a1*a4 >= a2*(a3 - 1)", a1 * a4 >= a2 * (a3 - 1.0)),
+        )),
+        ("E4", (
             (a3 - 1.0) / a4,
             _quotient(a4 * (a5 - 1.0) - a6 * (a3 - 1.0), a74),
             _quotient(a4 * (1.0 + a1 * a7 - a5) + (a6 - a2 * a7) * (a3 - 1.0), a74),
-        ),
-    }
-
-
-def equilibria(params: ModelParams) -> list[Equilibrium]:
-    """All five fixed points, in fixed order E0..E4 regardless of admissibility."""
-    return [
-        Equilibrium(kind, point, all(v >= 0.0 for v in point), _conditions(params, kind))
-        for kind, point in _points(params).items()
-    ]
-
+        ), (
+            ("x >= 0: a3 >= 1", a3 >= 1.0),
+            ("y >= 0: a4*(a5 - 1) >= a6*(a3 - 1)", a4 * (a5 - 1.0) >= a6 * (a3 - 1.0)),
+            _e4_z_condition(params),
+        )),
+    )
+    return [Equilibrium(kind, point, all(v >= 0.0 for v in point), conditions)
+            for kind, point, conditions in table]

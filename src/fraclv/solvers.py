@@ -13,16 +13,16 @@ Two operator families are covered:
   - ``"corrected"`` restores the non-integral term of the CF integral,
     ``(1-a) (g(t, x(t)) - g(0, x0))``, in both the predictor (with the
     lagged field value) and the corrector (with the predicted value).  This
-    variant converges to the exact CF solution; see ``linear_cf_exact``.
+    variant converges to the exact CF solution.
 
 The CF operator is taken with M(a) = 1 in its prefactor M(a)/(1-a), as in
 the stability criteria of ``fraclv.stability``.  At ``alpha = 1`` every
 variant collapses to the classical trapezoidal PECE method.
 
 Orders are plain floats.  ``check_order`` is the one range check for them,
-shared by the integrators, ``linear_cf_exact``, the stability criteria and
-the CLI config parser: alpha must lie in (0, 1], or in (0, 1) where a
-criterion is undefined at alpha = 1.
+shared by the integrators, the stability criteria and the CLI config
+parser: alpha must lie in (0, 1], or in (0, 1) where a criterion is
+undefined at alpha = 1.
 
 Cost.  The CF kernel is exponential, so the operator is Markovian: its
 order-1 weights are all ``h`` (predictor) and ``h/2, h, ..., h, h/2``
@@ -64,7 +64,6 @@ immutable value containers.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -79,7 +78,6 @@ __all__ = [
     "check_order",
     "integrate_caputo",
     "integrate_cf",
-    "linear_cf_exact",
 ]
 
 #: Abort threshold for any state component (divergence guard).
@@ -138,8 +136,6 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
-    operator: str  # "caputo" or "cf"
-    alpha: float
 
     @property
     def final_state(self) -> np.ndarray:
@@ -179,7 +175,10 @@ def _caputo_tables(num: int, alpha: float, step: float):
     ``first[k]`` is the weight of g_0 and ``new`` the weight of the predicted
     field value.  At a = 1 they are h, h, h/2 and h/2 (trapezoid PECE).
     """
-    inv_gamma = 1.0 / math.gamma(alpha)
+    try:
+        inv_gamma = 1.0 / math.gamma(alpha)
+    except OverflowError:  # Gamma(a) ~ 1/a is past the float range for a below ~5.6e-309
+        raise ValueError(f"order alpha = {alpha} is too small: Gamma(alpha) overflows") from None
     m = np.arange(num - 1, -1, -1, dtype=float)  # m = N-1-i
     pred = inv_gamma * ((step ** alpha / alpha) * ((m + 1.0) ** alpha - m ** alpha))
     m = m[1:]  # m = N-1-i, i = 1..N-1
@@ -222,7 +221,7 @@ def _evaluate(field: VectorField, t: float, x: np.ndarray, d: int) -> Sequence[f
     return g
 
 
-def _guard(x, k, times, states, operator, alpha) -> None:
+def _guard(x, k, times, states) -> None:
     """Divergence guard for the state ``x`` (floats) of step k+1.
 
     Each component must satisfy ``-L <= v <= L`` with L = DIVERGENCE_LIMIT;
@@ -230,7 +229,7 @@ def _guard(x, k, times, states, operator, alpha) -> None:
     """
     for v in x:
         if not -DIVERGENCE_LIMIT <= v <= DIVERGENCE_LIMIT:
-            partial = Trajectory(times[: k + 1], states[: k + 1].copy(), operator, alpha)
+            partial = Trajectory(times[: k + 1], states[: k + 1].copy())
             raise DivergenceError(k + 1, times[k + 1], partial)
 
 
@@ -288,12 +287,12 @@ def integrate_cf(
                       for a, s, c, p in zip(x0, total, g0, gp)]
             else:
                 xc = [a + ch2 * (2.0 * s - c + p) for a, s, c, p in zip(x0, total, g0, gp)]
-            _guard(xc, k, times, states, "cf", alpha)
+            _guard(xc, k, times, states)
             xc = np.array(xc)
             states[k + 1] = xc
             g = _evaluate(field, t, xc, d)
             total = [s + b for s, b in zip(total, g)]
-    return Trajectory(times, states, "cf", alpha)
+    return Trajectory(times, states)
 
 
 def integrate_caputo(
@@ -330,27 +329,8 @@ def integrate_caputo(
             f = first.item(k)
             xc = [a + (s + f * c + new * p) for a, s, c, p
                   in zip(x0, (hist[:, 1 : k + 1] @ mid[last - k :]).tolist(), g0, gp)]
-            _guard(xc, k, times, states, "caputo", alpha)
+            _guard(xc, k, times, states)
             xc = np.array(xc)
             states[k + 1] = xc
             hist[:, k + 1] = _evaluate(field, t, xc, d)
-    return Trajectory(times, states, "caputo", alpha)
-
-
-def linear_cf_exact(
-    lam: complex,
-    order: float,
-    x0: complex,
-    t: float,
-) -> complex:
-    """Exact solution of the scalar CF problem ``D^alpha x = lam x`` (M = 1).
-
-    Returns ``x0 * exp(alpha * lam * t / (1 - (1-alpha) * lam))``.  Validation
-    oracle for ``integrate_cf`` in corrected mode; the modulus is constant in
-    time exactly on the circle ``|lam - c| = c`` with ``c = 1/(2(1-alpha))``.
-    """
-    alpha = check_order(order)
-    denom = 1.0 - (1.0 - alpha) * lam
-    if denom == 0:
-        raise ValueError(f"singular parameter combination: (1 - alpha) * lam = 1 (lam={lam})")
-    return x0 * cmath.exp(alpha * lam * t / denom)
+    return Trajectory(times, states)

@@ -26,16 +26,27 @@ divergence guard and field-length check, sharing no step code with the
 integrators it checks.  ``rhs`` is the model's right-hand side written out
 as a numpy array, and ``routh_hurwitz_cubic`` the Routh-Hurwitz test on the
 characteristic cubic.
+
+``linear_cf_exact`` is the exact solution of the scalar linear CF problem,
+the reference for ``integrate_cf`` in corrected mode.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import Sequence
 
 import numpy as np
 
-from fraclv.solvers import DIVERGENCE_LIMIT, DivergenceError, SolverConfig, Trajectory, VectorField
+from fraclv.solvers import (
+    DIVERGENCE_LIMIT,
+    DivergenceError,
+    SolverConfig,
+    Trajectory,
+    VectorField,
+    check_order,
+)
 
 _CLUSTER_SEP = 1e-4
 _NEWTON_STEPS = 40
@@ -174,8 +185,6 @@ def pece_direct(
     scale: float,
     cf_coeff: float,
     config: SolverConfig,
-    operator: str,
-    alpha: float,
 ) -> Trajectory:
     """Full-history PECE engine: every step re-applies the weight formulas.
 
@@ -222,21 +231,21 @@ def pece_direct(
             if cf_coeff:
                 xc = xc + cf_coeff * (gp - g0)
             if not np.all(np.isfinite(xc)) or np.max(np.abs(xc)) > DIVERGENCE_LIMIT:
-                partial = Trajectory(times[: k + 1], states[: k + 1].copy(), operator, alpha)
+                partial = Trajectory(times[: k + 1], states[: k + 1].copy())
                 raise DivergenceError(k + 1, times[k + 1], partial)
             states[k + 1] = xc
             gvals[k + 1] = field(times[k + 1], xc)
 
-    return Trajectory(times, states, operator, alpha)
+    return Trajectory(times, states)
 
 
 def caputo_direct(field: VectorField, initial, alpha: float, config: SolverConfig) -> Trajectory:
-    return pece_direct(field, initial, alpha, 1.0 / math.gamma(alpha), 0.0, config, "caputo", alpha)
+    return pece_direct(field, initial, alpha, 1.0 / math.gamma(alpha), 0.0, config)
 
 
 def cf_direct(field: VectorField, initial, alpha: float, config: SolverConfig) -> Trajectory:
     cf_coeff = 1.0 - alpha if config.cf_mode == "corrected" else 0.0
-    return pece_direct(field, initial, 1.0, alpha, cf_coeff, config, "cf", alpha)
+    return pece_direct(field, initial, 1.0, alpha, cf_coeff, config)
 
 
 def reference_rk4(field: VectorField, initial, config: SolverConfig) -> Trajectory:
@@ -270,7 +279,27 @@ def reference_rk4(field: VectorField, initial, config: SolverConfig) -> Trajecto
             k4 = f(t + h, x + h * k3)
             x = x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not np.all(np.abs(x) <= DIVERGENCE_LIMIT):
-                partial = Trajectory(times[: k + 1], states[: k + 1].copy(), "rk4", 1.0)
+                partial = Trajectory(times[: k + 1], states[: k + 1].copy())
                 raise DivergenceError(k + 1, times[k + 1], partial)
             states[k + 1] = x
-    return Trajectory(times, states, "rk4", 1.0)
+    return Trajectory(times, states)
+
+
+def linear_cf_exact(
+    lam: complex,
+    order: float,
+    x0: complex,
+    t: float,
+) -> complex:
+    """Exact solution of the scalar CF problem ``D^alpha x = lam x`` (M = 1).
+
+    Returns ``x0 * exp(alpha * lam * t / (1 - (1-alpha) * lam))``, the scalar
+    case of the CF-as-ODE reformulation ``(1 - (1-alpha) lam) x' = alpha lam x``
+    (Losada & Nieto 2015).  The modulus is constant in time exactly on the
+    circle ``|lam - c| = c`` with ``c = 1/(2(1-alpha))``.
+    """
+    alpha = check_order(order)
+    denom = 1.0 - (1.0 - alpha) * lam
+    if denom == 0:
+        raise ValueError(f"singular parameter combination: (1 - alpha) * lam = 1 (lam={lam})")
+    return x0 * cmath.exp(alpha * lam * t / denom)

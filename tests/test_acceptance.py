@@ -19,13 +19,14 @@ import numpy as np
 from fraclv.cli import main
 from fraclv.model import equilibria, jacobian, vector_field
 from fraclv.presets import KNOWN_DISCREPANCIES, PRESETS, SCENARIOS, TABLE2
-from fraclv.solvers import SolverConfig, integrate_caputo, integrate_cf, linear_cf_exact
+from fraclv.solvers import SolverConfig, integrate_caputo, integrate_cf
 from fraclv.spectral import CubicCoefficients, characteristic_cubic, cubic_roots
 from fraclv.stability import caputo_stable, cf_disk_verdict, cf_stable_theorem
 
 from oracles import (
     companion_eigenvalues,
     cubic_value,
+    linear_cf_exact,
     multiset_distance,
     random_cubic,
     reference_rk4,

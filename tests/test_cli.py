@@ -307,7 +307,7 @@ def test_trajectory_csv_matches_row_by_row_formatting():
     states[::500] = special[0]
     states[1::700] = special[1]
     states[1023:1026] = special[1:]
-    traj = Trajectory(0.01 * np.arange(2500), states, "caputo", 0.6)
+    traj = Trajectory(0.01 * np.arange(2500), states)
     lines = ["t,x,y,z"]
     for t, row in zip(traj.times, traj.states):
         lines.append(f"{t:.16e},{row[0]:.16e},{row[1]:.16e},{row[2]:.16e}")
@@ -385,6 +385,17 @@ def test_overflowing_cubic_is_one_error_line(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: cubic terms overflow the float range")
+    assert captured.err.count("\n") == 1
+
+
+def test_overflowing_planar_pair_is_one_error_line(tmp_path, capsys):
+    # a2 ** 2 in Table 1's E2/E3 eigenvalue pair overflows while E0..E3 have finite spectra
+    params = dict(a1=3, a2=1e155, a3=1e-160, a4=3, a5=4, a6=1e200, a7=1e-160)
+    path = _write_config(tmp_path, _base_config(params=params, alpha=0.6))
+    assert main(["stability", "--config", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: Table 1's planar eigenvalue pair overflows")
     assert captured.err.count("\n") == 1
 
 
@@ -531,3 +542,34 @@ def test_reproduce_table2_stdout_is_pinned(capsys):
     assert main(["reproduce-table2"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert digest == "887e4350a7cd0308441d0e941004a31ecd7065895d44fb6a526acaf92e6296fe"
+
+
+# sha256 of the `equilibria` and `stability` stdout of each preset's config, at
+# each published order and at 1.0 (where the CF verdicts are not applicable)
+EQUILIBRIA_DIGESTS = {
+    "example1": "3d0f1eab22c5ad3be7fe4fabbafb43c7408af261158441e080f00307e786ef7d",
+    "example2": "8ac56a2a7533f9e7135ec18d3fb37ed3d0b6180cf605c1abc1ee78d515ae09f8",
+    "example3": "3e4b9310959c59fcbdd90d4b7a5c3fb311a884b992993f944b1ab2be4b0ec057",
+}
+STABILITY_DIGESTS = {
+    ("example1", 0.98): "61378728ba1595ae47fe3a13b4aba99101668864d620b4e4820866d6e10d1c96",
+    ("example1", 0.66): "fd0f19f79e0f515611bf46268a122d056e92e7851ac41c087c4fdd66852ba9a7",
+    ("example1", 1.0): "1535ea03f175b940b9271d1ee999e0165b876834552f3aa0a64849e09cba3616",
+    ("example2", 0.6): "07fac6ed50b97411fda0a3e3600a0d9dae6769713207eab7f581f87db00880b5",
+    ("example2", 1.0): "8a91e387ec41083f5e9c2a1110dfc9f7712410ad33b8535269ab011b2be92dbc",
+    ("example3", 0.4): "1eb95cae0c6feecc53effc8c041db23b74bae300ad5be793b6e5245820cbb0bc",
+    ("example3", 1.0): "a527a941be634da99b8515382c57765026dee4c89ea07043edbe2db8fb6e2da2",
+}
+
+
+@pytest.mark.parametrize("name,alpha", list(STABILITY_DIGESTS))
+def test_analysis_stdout_is_pinned(tmp_path, capsys, name, alpha):
+    # every byte of both reports, verdicts, Table 1 rows and spectrum bits included
+    preset = PRESETS[name]
+    path = _write_config(tmp_path, _base_config(
+        alpha=alpha, params=preset.params.as_dict(), initial=list(preset.initial)))
+    digests = []
+    for command in ("equilibria", "stability"):
+        assert main([command, "--config", path]) == 0
+        digests.append(hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest())
+    assert digests == [EQUILIBRIA_DIGESTS[name], STABILITY_DIGESTS[name, alpha]]

@@ -4,7 +4,7 @@ import pytest
 
 from fraclv.model import vector_field
 from fraclv.presets import PRESETS
-from fraclv.solvers import SolverConfig, integrate_caputo, integrate_cf, linear_cf_exact
+from fraclv.solvers import SolverConfig, integrate_caputo, integrate_cf
 from fraclv.stability import (
     caputo_stable,
     cf_disk_verdict,
@@ -13,6 +13,8 @@ from fraclv.stability import (
     equilibrium_report,
     table1_conditions,
 )
+
+from oracles import linear_cf_exact
 
 EX1 = PRESETS["example1"].params
 FIELD = vector_field(EX1)

@@ -14,10 +14,9 @@ from fraclv.solvers import (
     SolverConfig,
     integrate_caputo,
     integrate_cf,
-    linear_cf_exact,
 )
 
-from oracles import caputo_direct, cf_direct, reference_rk4
+from oracles import caputo_direct, cf_direct, linear_cf_exact, reference_rk4
 
 EX1 = PRESETS["example1"].params
 
@@ -42,7 +41,7 @@ def test_rk4_zero_field_constant():
 
 
 # ---------------------------------------------------------------------------
-# linear_cf_exact
+# linear_cf_exact (itself an oracle; pinned against hand values)
 
 
 def test_cf_exact_classical_limit():
@@ -232,8 +231,6 @@ def test_trajectory_grid_and_initial_state():
     assert traj.times[0] == 0.0
     np.testing.assert_allclose(np.diff(traj.times), 0.01, rtol=1e-12)
     assert np.array_equal(traj.states[0], np.array([0.5, 0.9, 0.1]))
-    assert traj.operator == "caputo"
-    assert traj.alpha == 0.98
 
 
 def test_determinism_bitwise():
@@ -432,6 +429,13 @@ def test_initial_state_beyond_the_guard_is_rejected(integrate, bad):
     # the initial state meets the guard's own comparison before any step runs
     with pytest.raises(ValueError, match=r"initial state component 0 is .*\+/-1e\+12"):
         integrate(vector_field(EX1), [bad, 0.9, 0.1], 0.9, SolverConfig(step=0.1, horizon=1.0))
+
+
+@pytest.mark.parametrize("alpha", [5e-324, 5e-309])
+def test_order_too_small_for_the_caputo_weights_is_named(alpha):
+    # check_order accepts these orders, but Gamma(alpha) ~ 1/alpha is past the float range
+    with pytest.raises(ValueError, match=rf"order alpha = {alpha!r} is too small: Gamma\(alpha\) overflows"):
+        integrate_caputo(vector_field(EX1), [0.5, 0.9, 0.1], alpha, SolverConfig(step=0.1, horizon=1.0))
 
 
 @pytest.mark.parametrize("integrate", [integrate_caputo, integrate_cf])
