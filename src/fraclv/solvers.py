@@ -28,16 +28,24 @@ Cost.  The CF kernel is exponential, so the operator is Markovian: its
 order-1 weights are all ``h`` (predictor) and ``h/2, h, ..., h, h/2``
 (corrector), and the history sum is a running sum.  A CF step costs O(1) and
 a run O(N).  The Caputo kernel is singular, so every step sums the whole
-history: a step costs O(k) and a run O(N^2).  The Caputo field history is
-stored component-major, so each history sum is one contiguous matrix-vector
-product against a weight table; ``_caputo_tables`` builds every table once
-per run.
+field history g_0..g_k, once with the predictor and once with the corrector
+weights.  ``integrate_caputo`` splits the history into blocks of
+``HISTORY_BLOCK`` = B steps.  For step k in the block that starts at K, both
+sums over the near history g_K..g_k are one matrix product against the
+(N, 2) weight table that ``_caputo_tables`` builds once per run, at O(B) per
+step.  Both sums over the far history g_0..g_{K-1} are convolutions, taken
+for all B steps of the block at once by FFT of size K + B at the block start
+(``_far_sums``).  A run of N steps costs O(N B) for the near sums and
+O((N^2 / B) log N) for the far ones, and a run of at most B steps takes no
+FFT.  In a sweep of B from 128 to 4096 on 2 vCPUs, 1024 was the fastest or
+within the host's noise of it from 5k to 50k steps.
 
 Both integrators sum the history in a different order from a direct
 full-history evaluation of the weight formulas (one dot product over all of
-g_0..g_k per step), so results match that evaluation to rounding, not bit for
-bit: on the bundled scenarios the two agree to 1e-12 (max abs), and the test
-suite holds them to that tolerance.
+g_0..g_k per step), and the Caputo far sums carry the FFT's rounding, so
+results match that evaluation to rounding, not bit for bit: on the bundled
+scenarios the two agree to 1e-12 (max abs), and the test suite holds them to
+that tolerance.
 
 Field contract.  A field is called as ``field(t, state)`` with ``t`` a float
 and ``state`` a 1-d float64 ndarray of the initial state's length d; it
@@ -49,14 +57,14 @@ calls the field 2N + 1 times for N steps.
 Per-step arithmetic.  For d = 3 a step costs fixed interpreter overhead
 more than arithmetic, so the predictor, the corrector, the corrected-mode
 term, the CF running sum and the divergence guard run on Python floats.
-numpy holds only the weight tables, the Caputo history with its two
-matrix-vector products per step, and the ``states`` array.  Python and numpy
-float ``+ - *`` are the same IEEE operations, so the trajectories are bit for
-bit those of an all-numpy step, and Python float ``+ - *`` overflows to inf
-(which the guard catches) rather than raising.  Self time per step on the
-bundled scenarios, measured under the benchmark's tracer on 2 vCPUs with
-Python 3.11: CF ~10 us and Caputo ~26 us at 5k-10k steps, most of it the
-history products.  A field call takes ~1 us.
+numpy holds only the weight tables, the Caputo history with its one matrix
+product per step and its FFTs per block, and the ``states`` array.  Python
+and numpy float ``+ - *`` are the same IEEE operations, so the trajectories
+are bit for bit those of an all-numpy step, and Python float ``+ - *``
+overflows to inf (which the guard catches) rather than raising.  Self time
+per step on the bundled scenarios, measured under the benchmark's tracer on
+2 vCPUs with Python 3.11: CF ~8 us and Caputo ~15 us at 5k-10k steps.
+A field call takes ~1 us.
 
 Runs are strictly sequential and deterministic; all returned objects are
 immutable value containers.
@@ -72,6 +80,7 @@ import numpy as np
 
 __all__ = [
     "DIVERGENCE_LIMIT",
+    "HISTORY_BLOCK",
     "DivergenceError",
     "SolverConfig",
     "Trajectory",
@@ -82,6 +91,11 @@ __all__ = [
 
 #: Abort threshold for any state component (divergence guard).
 DIVERGENCE_LIMIT = 1e12
+
+#: Steps per block of the Caputo history: within a block the history since
+#: its start is summed directly, and the history before it once by FFT at
+#: the block start.
+HISTORY_BLOCK = 1024
 
 VectorField = Callable[[float, np.ndarray], Sequence[float]]
 
@@ -163,32 +177,57 @@ def _caputo_tables(num: int, alpha: float, step: float):
     """The Caputo ABM weights of an N-step run (N = ``num``), with 1/Gamma(a) folded in.
 
     With the prefactors P = h^a / (a Gamma(a)) and C = h^a / Gamma(a+2), the
-    weights of step k (k = 0..N-1, history index i = 0..k) are
+    weights of step k (k = 0..N-1, history index i = 0..k) depend on i only
+    through the lag m = k - i:
 
-        predictor       P [(k-i+1)^a - (k-i)^a]                          i = 0..k
-        corrector i=0   C [k^(a+1) - (k-a) (k+1)^a]
-        corrector i>=1  C [(k-i+2)^(a+1) - 2 (k-i+1)^(a+1) + (k-i)^(a+1)]  i = 1..k
-        predicted value C
+        predictor       P [(m+1)^a - m^a]                                i = 0..k
+        corrector i>=1  C [(m+2)^(a+1) - 2 (m+1)^(a+1) + m^(a+1)]        i = 1..k
+        corrector i=0   C [k^(a+1) - (k-a) (k+1)^a]  (``first[k]``)
+        predicted value C                             (``new``)
 
-    They depend on i only through k - i, so one table each serves every step:
-    ``pred[N-1-k:]`` pairs with g_0..g_k, ``mid[N-1-k:]`` with g_1..g_k,
-    ``first[k]`` is the weight of g_0 and ``new`` the weight of the predicted
-    field value.  At a = 1 they are h, h, h/2 and h/2 (trapezoid PECE).
+    Returns ``(lagged, c0, new)``.  ``lagged`` is an (N, 2) table whose row
+    N-1-m holds the predictor and the corrector weight of lag m, so
+    ``lagged[N-1-k:]`` pairs with g_0..g_k and one matrix product gives both
+    history sums of step k.  That product weighs g_0 with the lag-k corrector
+    formula, so ``c0[k] = first[k] - lagged[N-1-k, 1]`` is the rest of the
+    weight of g_0.  At a = 1 the weights are h, h, h/2 and h/2 (trapezoid
+    PECE), and c0 is -h/2.
     """
     try:
         inv_gamma = 1.0 / math.gamma(alpha)
     except OverflowError:  # Gamma(a) ~ 1/a is past the float range for a below ~5.6e-309
         raise ValueError(f"order alpha = {alpha} is too small: Gamma(alpha) overflows") from None
-    m = np.arange(num - 1, -1, -1, dtype=float)  # m = N-1-i
-    pred = inv_gamma * ((step ** alpha / alpha) * ((m + 1.0) ** alpha - m ** alpha))
-    m = m[1:]  # m = N-1-i, i = 1..N-1
+    m = np.arange(num - 1, -1, -1, dtype=float)  # m = N-1-row
+    lagged = np.empty((num, 2))
+    lagged[:, 0] = inv_gamma * ((step ** alpha / alpha) * ((m + 1.0) ** alpha - m ** alpha))
     scale = step ** alpha / (alpha * (alpha + 1.0))
-    mid = inv_gamma * (scale * ((m + 2.0) ** (alpha + 1.0) - 2.0 * (m + 1.0) ** (alpha + 1.0)
-                                + m ** (alpha + 1.0)))
+    lagged[:, 1] = inv_gamma * (scale * ((m + 2.0) ** (alpha + 1.0) - 2.0 * (m + 1.0) ** (alpha + 1.0)
+                                         + m ** (alpha + 1.0)))
     new = inv_gamma * scale
+    # k gets its own contiguous array: the bracket below cancels about 2 log10(k)
+    # digits, and ``**`` on a reversed view of m can differ from it by an ulp
     k = np.arange(num, dtype=float)
     first = new * (k ** (alpha + 1.0) - (k - alpha) * (k + 1.0) ** alpha)
-    return pred, mid, first, new
+    return lagged, first - lagged[::-1, 1], new
+
+
+def _far_sums(hist: np.ndarray, lagged: np.ndarray, start: int) -> np.ndarray:
+    """Both history sums over g_0..g_{K-1} (K = ``start``) for steps K..K+B-1.
+
+    Returns a (B, d, 2) array, B = HISTORY_BLOCK: entry [j, c] holds the
+    predictor and corrector sums of component c at step K+j.  Each is a
+    linear convolution of g_0..g_{K-1} with the weights of lags 1..K+B-1,
+    taken by FFT of size K+B, at which no needed term wraps around.  One
+    component at a time keeps the buffers small.
+    """
+    size = start + HISTORY_BLOCK
+    weights = [np.fft.rfft(w, size) for w in lagged[::-1][:size].T]  # ascending lag, zero-padded
+    far = np.empty((HISTORY_BLOCK, len(hist), 2))
+    for c, row in enumerate(hist[:, :start]):
+        spectrum = np.fft.rfft(row, size)
+        for j, w in enumerate(weights):
+            far[:, c, j] = np.fft.irfft(spectrum * w, size)[start:]
+    return far
 
 
 def _start(field: VectorField, initial: Sequence[float]) -> tuple[list[float], list[float]]:
@@ -307,10 +346,12 @@ def integrate_caputo(
     real order alpha and the corrector prefactor is ``h^a / Gamma(a+2)``
     (equivalently ``1/Gamma(a)`` applied to the shared weight form).
 
-    The field history g_0..g_N is held component-major, so the history sums
-    of step k are contiguous matrix-vector products against the tails of the
-    tables of ``_caputo_tables``: ``pred[last-k:]`` pairs with g_0..g_k and
-    ``mid[last-k:]`` with g_1..g_k (last = N-1).
+    The field history g_0..g_N is held component-major and read in blocks of
+    B = ``HISTORY_BLOCK`` steps.  In the block that starts at K, step k gets
+    both history sums over g_K..g_k from one matrix product with the tail
+    ``lagged[last-k+K:]`` of the table of ``_caputo_tables`` (last = N-1),
+    adds the sums over g_0..g_{K-1} that ``_far_sums`` computed by FFT at the
+    block start, and adds ``c0[k] g_0`` for the rest of the weight of g_0.
     """
     alpha = check_order(order)
     x0, g0 = _start(field, initial)
@@ -320,17 +361,21 @@ def integrate_caputo(
     last = num - 1
     hist = np.empty((d, num + 1))
     hist[:, 0] = g0
-    pred, mid, first, new = _caputo_tables(num, alpha, config.step)
+    lagged, c0, new = _caputo_tables(num, alpha, config.step)
+    far = np.zeros((min(HISTORY_BLOCK, num), d, 2))
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(num):
-            t = times.item(k + 1)
-            xp = [a + s for a, s in zip(x0, (hist[:, : k + 1] @ pred[last - k :]).tolist())]
-            gp = _evaluate(field, t, np.array(xp), d)
-            f = first.item(k)
-            xc = [a + (s + f * c + new * p) for a, s, c, p
-                  in zip(x0, (hist[:, 1 : k + 1] @ mid[last - k :]).tolist(), g0, gp)]
-            _guard(xc, k, times, states)
-            xc = np.array(xc)
-            states[k + 1] = xc
-            hist[:, k + 1] = _evaluate(field, t, xc, d)
+        for start in range(0, num, HISTORY_BLOCK):
+            if start:
+                far = _far_sums(hist, lagged, start)
+            for k in range(start, min(start + HISTORY_BLOCK, num)):
+                t = times.item(k + 1)
+                sums = (hist[:, start : k + 1] @ lagged[last - k + start :] + far[k - start]).tolist()
+                xp = [a + s[0] for a, s in zip(x0, sums)]
+                gp = _evaluate(field, t, np.array(xp), d)
+                f = c0.item(k)
+                xc = [a + (s[1] + f * c + new * p) for a, s, c, p in zip(x0, sums, g0, gp)]
+                _guard(xc, k, times, states)
+                xc = np.array(xc)
+                states[k + 1] = xc
+                hist[:, k + 1] = _evaluate(field, t, xc, d)
     return Trajectory(times, states)

@@ -18,7 +18,8 @@ which takes a few steps instead of the 40 allowed.
 ``pece_direct`` is a direct full-history PECE engine for both operators, the
 reference for ``integrate_caputo`` and ``integrate_cf``: every step sums the
 whole field history with one dot product against the weight formulas, at
-O(N^2) cost for either operator (the CF integrator keeps a running sum).
+O(N^2) cost for either operator (the CF integrator keeps a running sum, and
+the Caputo integrator takes the history before its current block by FFT).
 
 ``reference_rk4`` is classical fixed-step RK4, the ground truth at alpha = 1;
 like ``pece_direct`` it is a self-contained numpy loop with its own
@@ -28,7 +29,10 @@ as a numpy array, and ``routh_hurwitz_cubic`` the Routh-Hurwitz test on the
 characteristic cubic.
 
 ``linear_cf_exact`` is the exact solution of the scalar linear CF problem,
-the reference for ``integrate_cf`` in corrected mode.
+the reference for ``integrate_cf`` in corrected mode.  ``mittag_leffler``
+gives the exact solution of the scalar linear Caputo problem,
+``x(t) = E_alpha(lam t^alpha)`` for ``D^alpha x = lam x`` and x(0) = 1: a
+reference for ``integrate_caputo`` that shares no weight formula with it.
 """
 
 from __future__ import annotations
@@ -303,3 +307,28 @@ def linear_cf_exact(
     if denom == 0:
         raise ValueError(f"singular parameter combination: (1 - alpha) * lam = 1 (lam={lam})")
     return x0 * cmath.exp(alpha * lam * t / denom)
+
+
+def mittag_leffler(alpha: float, z: float, digits: int = 30) -> float:
+    """E_alpha(z) = sum_k z^k / Gamma(alpha k + 1) for real z, summed in mpmath.
+
+    For alpha in (0, 1] the terms are unimodal in k, and the largest is about
+    exp(|z|^(1/alpha)); for z < 0 they alternate, so the sum cancels that
+    many digits.  The working precision is raised by them, and the sum stops
+    once a term falls below 10^-digits of the largest.
+    """
+    import mpmath as mp
+
+    alpha = check_order(alpha)
+    cancelled = int(abs(z) ** (1.0 / alpha) / math.log(10.0)) + 1
+    with mp.workdps(digits + cancelled):
+        z, a = mp.mpf(z), mp.mpf(alpha)
+        tol = mp.mpf(10) ** -digits
+        total, largest, k = mp.mpf(0), mp.mpf(0), 0
+        while True:
+            term = z ** k / mp.gamma(a * k + 1)
+            total += term
+            largest = max(largest, abs(term))
+            if abs(term) < tol * largest:
+                return float(total)
+            k += 1

@@ -11,6 +11,10 @@ For any config through ``equilibria``, ``stability`` and ``simulate``, and any
 Values are drawn from 5e-324 to 1.7e308 in magnitude, and one value of a
 config may be NaN, +-inf, 0, negative or an integer past the float range.
 Orders sit at 0, 1 and their neighbours as well as inside (0, 1).
+
+One more property runs valid Caputo ``simulate`` configs of B to 3B steps
+(B = ``HISTORY_BLOCK``) with small steps, so that runs get past the first
+history block and read the far history by FFT (5 of its 10 examples do).
 """
 
 import contextlib
@@ -23,10 +27,15 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from fraclv.cli import main
+from fraclv.solvers import HISTORY_BLOCK
 
 #: ``simulate`` runs at most this many steps (horizon = step * count), so no
 #: run allocates or integrates much; larger step counts have their own tests.
 SIMULATE_MAX_STEPS = 1000
+#: Step counts of the long Caputo runs: past the first history block, so a
+#: run that does not fail early takes the far history by FFT, and at most
+#: 3 * HISTORY_BLOCK, under 10^4.
+LONG_STEPS = (HISTORY_BLOCK + 1, 3 * HISTORY_BLOCK)
 
 MAGNITUDE = st.floats(min_value=5e-324, max_value=1.7e308)
 POSITIVE = st.one_of(st.floats(min_value=0.1, max_value=10.0), MAGNITUDE)
@@ -67,6 +76,20 @@ def configs(draw):
         else:
             data[key][index] = value
     return data
+
+
+@st.composite
+def long_caputo_configs(draw):
+    """Valid Caputo configs with small steps, so that most runs outlast the first history block."""
+    step = draw(st.floats(min_value=1e-4, max_value=1e-2))
+    return {
+        "operator": "caputo",
+        "alpha": draw(st.floats(min_value=0.05, max_value=1.0)),
+        "params": {f"a{i}": draw(st.floats(min_value=0.1, max_value=10.0)) for i in range(1, 8)},
+        "initial": [draw(st.floats(min_value=0.0, max_value=10.0)) for _ in range(3)],
+        "horizon": step * draw(st.integers(*LONG_STEPS)),
+        "step": step,
+    }
 
 
 def _run(argv):
@@ -110,21 +133,30 @@ def test_analysis_commands_keep_the_exit_contract(data, alpha):
         _check_analysis(["stability", "--config", str(path), *_override(alpha)])
 
 
-@given(data=configs(), alpha=st.one_of(st.none(), ORDERS),
-       mode=st.sampled_from([None, "paper", "corrected"]))
-@settings(max_examples=40, deadline=None)
-def test_simulate_keeps_the_exit_contract(data, alpha, mode):
+def _check_simulate(data, extra):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "config.json")
         path.write_text(json.dumps(data), encoding="utf-8")
         out_dir = Path(tmp, "out")
-        argv = ["simulate", "--config", str(path), "--out", str(out_dir), *_override(alpha)]
-        code, out, err = _run(argv + ([] if mode is None else ["--mode", mode]))
+        code, out, err = _run(["simulate", "--config", str(path), "--out", str(out_dir), *extra])
         _check(code, out, err, codes=(0, 1, 2))
         if code != 1:
             assert out == ""
             manifest = (out_dir / "manifest.json").read_text(encoding="utf-8")
             assert json.loads(manifest, parse_constant=_reject_constant)["diverged"] is (code == 2)
+
+
+@given(data=configs(), alpha=st.one_of(st.none(), ORDERS),
+       mode=st.sampled_from([None, "paper", "corrected"]))
+@settings(max_examples=40, deadline=None)
+def test_simulate_keeps_the_exit_contract(data, alpha, mode):
+    _check_simulate(data, _override(alpha) + ([] if mode is None else ["--mode", mode]))
+
+
+@given(data=long_caputo_configs())
+@settings(max_examples=10, deadline=None)
+def test_long_caputo_simulate_keeps_the_exit_contract(data):
+    _check_simulate(data, [])
 
 
 @given(real=st.one_of(SIGNED, BAD), imag=st.one_of(SIGNED, BAD),

@@ -1,6 +1,9 @@
 """Integrator behavior: oracles, reductions, invariants and failure modes."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,13 +13,14 @@ from fraclv.model import vector_field
 from fraclv.presets import PRESETS, SCENARIOS
 from fraclv.solvers import (
     DIVERGENCE_LIMIT,
+    HISTORY_BLOCK,
     DivergenceError,
     SolverConfig,
     integrate_caputo,
     integrate_cf,
 )
 
-from oracles import caputo_direct, cf_direct, linear_cf_exact, reference_rk4
+from oracles import caputo_direct, cf_direct, linear_cf_exact, mittag_leffler, reference_rk4
 
 EX1 = PRESETS["example1"].params
 
@@ -137,8 +141,8 @@ def test_engine_matches_manual_weight_application(integrate, n_of, scale_of, mod
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_steppers_match_direct_engine_on_scenarios(name):
-    # the running CF sum and the contiguous Caputo tables only reorder the
-    # history sums; measured max difference 3.2e-14
+    # the running CF sum and the blocked Caputo history only reorder the
+    # history sums and add the FFT's rounding; measured max difference 3.1e-14
     sc = SCENARIOS[name]
     field = vector_field(PRESETS[sc.preset].params)
     config = SolverConfig(step=sc.step, horizon=sc.horizon, cf_mode=sc.cf_mode)
@@ -151,6 +155,72 @@ def test_steppers_match_direct_engine_on_scenarios(name):
     for component, value in enumerate(sc.initial):
         if value == 0.0:
             assert np.all(traj.states[:, component] == 0.0)
+
+
+@pytest.mark.parametrize("alpha,h", [(0.3, 5e-4), (0.6, 0.01), (1.0, 0.01)])
+def test_fft_history_matches_direct_engine(alpha, h):
+    # 3B + 17 steps: three block starts take the far history by FFT, and the
+    # last block is partial; measured max difference 8.9e-15, 1.8e-14 and 2.0e-13
+    steps = 3 * HISTORY_BLOCK + 17
+    field = vector_field(EX1)
+    initial = SCENARIOS["example1-caputo"].initial
+    config = SolverConfig(step=h, horizon=h * steps)
+    assert config.num_steps == steps
+    traj = integrate_caputo(field, initial, alpha, config)
+    ref = caputo_direct(field, initial, alpha, config)
+    assert np.max(np.abs(traj.states - ref.states)) <= 1e-12
+
+
+def test_numpy_fft_is_not_loaded_by_import_or_a_one_block_run():
+    # integrate_caputo reaches np.fft at call time, so start-up, the analysis
+    # commands and runs of at most HISTORY_BLOCK steps never load it
+    src = os.path.dirname(os.path.dirname(fraclv.solvers.__file__))
+    code = ("import sys, fraclv.cli\n"
+            "from fraclv.solvers import HISTORY_BLOCK, SolverConfig, integrate_caputo\n"
+            "integrate_caputo(lambda t, x: -x, [1.0], 0.5, SolverConfig(1.0, HISTORY_BLOCK))\n"
+            "assert 'numpy.fft' not in sys.modules\n")
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
+
+
+def test_late_divergence_matches_direct_engine():
+    # D^0.9 x = 0.35 x grows like E_0.9(0.35 t^0.9) and leaves the guard's
+    # range after the first block, so the step that trips it reads FFT sums
+    config = SolverConfig(step=0.05, horizon=400.0)
+    errors = []
+    for integrate in (integrate_caputo, caputo_direct):
+        with pytest.raises(DivergenceError) as excinfo:
+            integrate(lambda t, x: 0.35 * x, [1.0], 0.9, config)
+        errors.append(excinfo.value)
+    fast, direct = errors
+    assert fast.step_index == direct.step_index > HISTORY_BLOCK
+    assert np.array_equal(fast.partial.times, direct.partial.times)
+    # the prefix grows to ~1e12; measured max relative difference 8.0e-15
+    np.testing.assert_allclose(fast.partial.states, direct.partial.states, rtol=1e-12, atol=0.0)
+
+
+def test_mittag_leffler_hand_values():
+    # E_1(z) = exp(z) and E_1/2(z) = exp(z^2) erfc(-z)
+    assert mittag_leffler(1.0, -1.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
+    assert mittag_leffler(0.5, -1.0) == pytest.approx(math.e * math.erfc(1.0), rel=1e-15)
+    assert mittag_leffler(0.5, -3.0) == pytest.approx(math.exp(9.0) * math.erfc(3.0), rel=1e-14)
+    assert mittag_leffler(0.7, 0.0) == 1.0
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.6, 0.9])
+def test_caputo_converges_to_mittag_leffler_at_order_one_plus_alpha(alpha):
+    # D^alpha x = -x, x(0) = 1 has x(t) = E_alpha(-t^alpha); the PECE error at
+    # a fixed t > 0 is O(h^(1+alpha)) for alpha < 1 (Diethelm, Ford & Freed
+    # 2004).  The runs span 2, 4 and 8 history blocks; measured orders 1.36,
+    # 1.60 and 1.89
+    horizon = 1.0
+    exact = mittag_leffler(alpha, -horizon ** alpha)
+    errors = []
+    for steps in (2 * HISTORY_BLOCK, 4 * HISTORY_BLOCK, 8 * HISTORY_BLOCK):
+        config = SolverConfig(step=horizon / steps, horizon=horizon)
+        traj = integrate_caputo(lambda t, x: -x, [1.0], alpha, config)
+        errors.append(abs(traj.final_state[0] - exact))
+    for coarse, fine in zip(errors, errors[1:]):
+        assert math.log2(coarse / fine) >= 1.0 + alpha - 0.2
 
 
 # ---------------------------------------------------------------------------
