@@ -80,7 +80,6 @@ import numpy as np
 
 __all__ = [
     "DIVERGENCE_LIMIT",
-    "HISTORY_BLOCK",
     "DivergenceError",
     "SolverConfig",
     "Trajectory",

@@ -309,21 +309,21 @@ def linear_cf_exact(
     return x0 * cmath.exp(alpha * lam * t / denom)
 
 
-def mittag_leffler(alpha: float, z: float, digits: int = 30) -> float:
+def mittag_leffler(alpha: float, z: float) -> float:
     """E_alpha(z) = sum_k z^k / Gamma(alpha k + 1) for real z, summed in mpmath.
 
     For alpha in (0, 1] the terms are unimodal in k, and the largest is about
     exp(|z|^(1/alpha)); for z < 0 they alternate, so the sum cancels that
-    many digits.  The working precision is raised by them, and the sum stops
-    once a term falls below 10^-digits of the largest.
+    many digits.  The working precision is 30 digits plus those, and the sum
+    stops once a term falls below 10^-30 of the largest.
     """
     import mpmath as mp
 
     alpha = check_order(alpha)
     cancelled = int(abs(z) ** (1.0 / alpha) / math.log(10.0)) + 1
-    with mp.workdps(digits + cancelled):
+    with mp.workdps(30 + cancelled):
         z, a = mp.mpf(z), mp.mpf(alpha)
-        tol = mp.mpf(10) ** -digits
+        tol = mp.mpf(10) ** -30
         total, largest, k = mp.mpf(0), mp.mpf(0), 0
         while True:
             term = z ** k / mp.gamma(a * k + 1)

@@ -157,18 +157,31 @@ def test_steppers_match_direct_engine_on_scenarios(name):
             assert np.all(traj.states[:, component] == 0.0)
 
 
-@pytest.mark.parametrize("alpha,h", [(0.3, 5e-4), (0.6, 0.01), (1.0, 0.01)])
-def test_fft_history_matches_direct_engine(alpha, h):
+@pytest.mark.parametrize(
+    "alpha,h,field,initial",
+    [(0.3, 5e-4, vector_field(EX1), SCENARIOS["example1-caputo"].initial),
+     (0.6, 0.01, vector_field(EX1), SCENARIOS["example1-caputo"].initial),
+     (1.0, 0.01, vector_field(EX1), SCENARIOS["example1-caputo"].initial),
+     (0.9, 0.01, lambda t, x: -100.0 * x, (1e6,))],
+    ids=["example1-0.3", "example1-0.6", "example1-1.0", "transient-0.9"],
+)
+def test_fft_history_matches_direct_engine(alpha, h, field, initial):
     # 3B + 17 steps: three block starts take the far history by FFT, and the
-    # last block is partial; measured max difference 8.9e-15, 1.8e-14 and 2.0e-13
+    # last block is partial.  An FFT convolution's rounding scales with the
+    # norm of the whole history, so the bound is 1e-12 of the initial scale.
+    # example1: measured max difference 8.9e-15, 1.8e-14 and 2.0e-13.  The
+    # transient falls from 1e6 to ~48 (E_0.9(-100 t^0.9)); measured 3.3e-8,
+    # i.e. 3.3e-14 of the scale and 6.7e-10 relative on the last states.  A
+    # long-double run of the same scheme puts the blocked engine closer to it
+    # than the direct one (9.7e-11 against 6.4e-10 relative), so that gap is
+    # mostly the direct engine's own rounding.
     steps = 3 * HISTORY_BLOCK + 17
-    field = vector_field(EX1)
-    initial = SCENARIOS["example1-caputo"].initial
     config = SolverConfig(step=h, horizon=h * steps)
     assert config.num_steps == steps
     traj = integrate_caputo(field, initial, alpha, config)
     ref = caputo_direct(field, initial, alpha, config)
-    assert np.max(np.abs(traj.states - ref.states)) <= 1e-12
+    scale = max(1.0, max(abs(v) for v in initial))
+    assert np.max(np.abs(traj.states - ref.states)) <= 1e-12 * scale
 
 
 def test_numpy_fft_is_not_loaded_by_import_or_a_one_block_run():
@@ -179,7 +192,8 @@ def test_numpy_fft_is_not_loaded_by_import_or_a_one_block_run():
             "from fraclv.solvers import HISTORY_BLOCK, SolverConfig, integrate_caputo\n"
             "integrate_caputo(lambda t, x: -x, [1.0], 0.5, SolverConfig(1.0, HISTORY_BLOCK))\n"
             "assert 'numpy.fft' not in sys.modules\n")
-    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": path})
 
 
 def test_late_divergence_matches_direct_engine():
