@@ -82,7 +82,7 @@ class ConfigError(ValueError):
     """Malformed run configuration; message carries a file/field diagnostic."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunConfig:
     operator: str
     alpha: float

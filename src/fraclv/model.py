@@ -18,6 +18,11 @@ rounding of a boundary, non-negativity of the point is the operative test.
 Points and Jacobian rows are tuples of floats, so an ``Equilibrium`` is a
 hashable value.  If ``a7 * a4`` underflows to 0, E4's y and z are IEEE's
 quotients (signed inf, or NaN for 0/0), not a ZeroDivisionError.
+
+The value types are slotted frozen dataclasses (no per-instance
+``__dict__``).  Every existence-condition row whose label carries no number
+is one of two tuples built at import and shared by all equilibria; only E4's
+z row, whose label states its bound, is built per call.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModelParams:
     """The seven positive rate coefficients."""
 
@@ -61,7 +66,7 @@ class ModelParams:
         return {f"a{i}": v for i, v in enumerate(self.as_tuple(), start=1)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Equilibrium:
     """One fixed point with its admissibility audit.
 
@@ -73,6 +78,19 @@ class Equilibrium:
     point: tuple[float, float, float]
     admissible: bool
     conditions: tuple[tuple[str, bool], ...]
+
+
+#: Both rows, False and True, of each existence condition whose label carries
+#: no number, by label; built once here and shared by every Equilibrium.
+_ROWS = {label: {False: (label, False), True: (label, True)} for label in (
+    "a5 >= 1",
+    "a1*a6 >= a2*(a5 - 1)",
+    "a3 >= 1",
+    "a1*a4 >= a2*(a3 - 1)",
+    "x >= 0: a3 >= 1",
+    "y >= 0: a4*(a5 - 1) >= a6*(a3 - 1)",
+    "z >= 0: (a6 - a2*a7)*(a3 - 1) >= 0 (since 1 + a1*a7 - a5 = 0)",
+)}
 
 
 def vector_field(params: ModelParams) -> Callable[[float, np.ndarray], tuple[float, float, float]]:
@@ -115,8 +133,8 @@ def _e4_z_condition(params: ModelParams) -> tuple[str, bool]:
     if s < 0.0:
         bound = (a2 * a7 - a6) * (a3 - 1.0) / s
         return (f"z >= 0: a4 <= (a2*a7 - a6)*(a3 - 1)/(1 + a1*a7 - a5) = {bound:.6g}", a4 <= bound)
-    return ("z >= 0: (a6 - a2*a7)*(a3 - 1) >= 0 (since 1 + a1*a7 - a5 = 0)",
-            (a6 - a2 * a7) * (a3 - 1.0) >= 0.0)
+    return _ROWS["z >= 0: (a6 - a2*a7)*(a3 - 1) >= 0 (since 1 + a1*a7 - a5 = 0)"][
+        (a6 - a2 * a7) * (a3 - 1.0) >= 0.0]
 
 
 def _quotient(num: float, den: float) -> float:
@@ -137,22 +155,25 @@ def equilibria(params: ModelParams) -> list[Equilibrium]:
         ("E0", (0.0, 0.0, 0.0), always),
         ("E1", (a1 / a2, 0.0, 0.0), always),
         ("E2", ((a5 - 1.0) / a6, 0.0, (a1 * a6 - a2 * (a5 - 1.0)) / a6), (
-            ("a5 >= 1", a5 >= 1.0),
-            ("a1*a6 >= a2*(a5 - 1)", a1 * a6 >= a2 * (a5 - 1.0)),
+            _ROWS["a5 >= 1"][a5 >= 1.0],
+            _ROWS["a1*a6 >= a2*(a5 - 1)"][a1 * a6 >= a2 * (a5 - 1.0)],
         )),
         ("E3", ((a3 - 1.0) / a4, (a1 * a4 - a2 * (a3 - 1.0)) / a4, 0.0), (
-            ("a3 >= 1", a3 >= 1.0),
-            ("a1*a4 >= a2*(a3 - 1)", a1 * a4 >= a2 * (a3 - 1.0)),
+            _ROWS["a3 >= 1"][a3 >= 1.0],
+            _ROWS["a1*a4 >= a2*(a3 - 1)"][a1 * a4 >= a2 * (a3 - 1.0)],
         )),
         ("E4", (
             (a3 - 1.0) / a4,
             _quotient(a4 * (a5 - 1.0) - a6 * (a3 - 1.0), a74),
             _quotient(a4 * (1.0 + a1 * a7 - a5) + (a6 - a2 * a7) * (a3 - 1.0), a74),
         ), (
-            ("x >= 0: a3 >= 1", a3 >= 1.0),
-            ("y >= 0: a4*(a5 - 1) >= a6*(a3 - 1)", a4 * (a5 - 1.0) >= a6 * (a3 - 1.0)),
+            _ROWS["x >= 0: a3 >= 1"][a3 >= 1.0],
+            _ROWS["y >= 0: a4*(a5 - 1) >= a6*(a3 - 1)"][a4 * (a5 - 1.0) >= a6 * (a3 - 1.0)],
             _e4_z_condition(params),
         )),
     )
-    return [Equilibrium(kind, point, all(v >= 0.0 for v in point), conditions)
-            for kind, point, conditions in table]
+    out = []
+    for kind, point, conditions in table:
+        x, y, z = point
+        out.append(Equilibrium(kind, point, bool(x >= 0.0 and y >= 0.0 and z >= 0.0), conditions))
+    return out

@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Preset:
     name: str
     params: ModelParams
@@ -44,7 +44,7 @@ class Preset:
     alphas: tuple[float, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scenario:
     """One trajectory run with its expected limit point."""
 

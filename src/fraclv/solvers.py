@@ -109,7 +109,7 @@ def check_order(alpha: float, allow_one: bool = True) -> float:
     raise ValueError(f"order alpha must be in {interval}, got {alpha}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolverConfig:
     """Fixed-grid run settings.
 
@@ -140,7 +140,7 @@ class SolverConfig:
         return int(math.floor(self.horizon / self.step + 1e-9))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Trajectory:
     """Discrete solution on the fixed grid t_k = k*h.
 

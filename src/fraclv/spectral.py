@@ -14,6 +14,18 @@ real roots by the trigonometric method.  Eigenvalues are reported sorted by
 coefficient has no roots to report and raises ValueError, as do coefficients
 whose depressed-cubic terms overflow the float range.  The module computes
 on Python floats throughout.
+
+A cubic's scale is S = max(|a|, |b|^(1/2), |c|^(1/3)).  Down to
+S = 2**-150 (``SAFE_SCALE``) delta and its tolerance, both ~S^6, stay
+normal floats and the cubic is solved as given.  A smaller cubic would
+underflow them, so it is solved as the cubic in u = w / 2**k with 2**k ~ S,
+whose coefficients a/2**k, b/4**k, c/8**k are exact, and its roots are scaled
+back.  Above S ~ 2**170 the terms overflow and ValueError is raised.
+
+The value types are slotted frozen dataclasses: no per-instance ``__dict__``,
+with the fields, ``repr``, ``==`` and ``hash`` of plain frozen dataclasses.
+No row here is constant; the reports that hold a ``Spectrum`` share their
+constant rows (see ``fraclv.stability``, which gives the memory per report).
 """
 
 from __future__ import annotations
@@ -28,6 +40,7 @@ __all__ = [
     "BRANCH_REPEATED",
     "BRANCH_THREE_REAL",
     "REPEATED_TOLERANCE_FACTOR",
+    "SAFE_SCALE",
     "CubicAnalysis",
     "CubicCoefficients",
     "Spectrum",
@@ -49,8 +62,13 @@ BRANCH_THREE_REAL = "three-real"
 # land in the adjacent branches, which are stable for tiny delta.
 REPEATED_TOLERANCE_FACTOR = 64.0
 
+#: Cubics of scale S below this are solved rescaled (see the module docstring).
+SAFE_SCALE = 2.0 ** -150
+_SAFE_B = SAFE_SCALE ** 2
+_SAFE_C = SAFE_SCALE ** 3
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class CubicCoefficients:
     """Monic cubic L(w) = w^3 + a w^2 + b w + c."""
 
@@ -59,15 +77,22 @@ class CubicCoefficients:
     c: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CubicAnalysis:
+    """Depressed-cubic terms and the branch the roots come from.
+
+    For a cubic rescaled below ``SAFE_SCALE``, p, q and delta are those of
+    the cubic in u = w / 2**k that was solved (the unscaled terms underflow);
+    the branch is that of both cubics.
+    """
+
     p: float
     q: float
     delta: float
     branch: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Spectrum:
     """Exactly three eigenvalues, sorted by (real, imaginary)."""
 
@@ -82,7 +107,10 @@ def characteristic_cubic(matrix: Sequence[Sequence[float]]) -> CubicCoefficients
     anything else, ragged rows included, raises ValueError.
     """
     try:
-        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = (map(float, row) for row in matrix)
+        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = matrix
+        m00, m01, m02, m10, m11, m12, m20, m21, m22 = (
+            float(m00), float(m01), float(m02), float(m10), float(m11), float(m12),
+            float(m20), float(m21), float(m22))
     except (TypeError, ValueError):
         raise ValueError(f"expected a 3x3 matrix, got {matrix!r}") from None
     a = -(m00 + m11 + m22)
@@ -95,9 +123,21 @@ def characteristic_cubic(matrix: Sequence[Sequence[float]]) -> CubicCoefficients
     return CubicCoefficients(a=a, b=b, c=-det)
 
 
-def cubic_analysis(coeffs: CubicCoefficients) -> CubicAnalysis:
-    """Depressed-cubic terms and branch; ValueError on a non-finite coefficient or term."""
+def _scaled(coeffs: CubicCoefficients) -> tuple[float, float, float, int]:
+    """(a, b, c) of the cubic that is solved, in u = w / 2**k, and k.
+
+    k = 0 unless the cubic's scale is below ``SAFE_SCALE``; scaling such a
+    cubic up by a power of two is exact.  A NaN coefficient stays NaN.
+    """
     a, b, c = coeffs.a, coeffs.b, coeffs.c
+    if abs(a) >= SAFE_SCALE or abs(b) >= _SAFE_B or abs(c) >= _SAFE_C:
+        return a, b, c, 0
+    k = math.frexp(max(abs(a), math.sqrt(abs(b)), abs(c) ** (1.0 / 3.0)))[1]
+    return math.ldexp(a, -k), math.ldexp(b, -2 * k), math.ldexp(c, -3 * k), k
+
+
+def _analysis(a: float, b: float, c: float, coeffs: CubicCoefficients) -> CubicAnalysis:
+    """Terms and branch of w^3 + a w^2 + b w + c; errors name ``coeffs``."""
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
         raise ValueError(f"cubic coefficients must be finite, got {coeffs}")
     p = b - a * a / 3.0
@@ -110,7 +150,7 @@ def cubic_analysis(coeffs: CubicCoefficients) -> CubicAnalysis:
     scale_p = max(abs(b), a * a / 3.0)
     eps = sys.float_info.epsilon
     tol = REPEATED_TOLERANCE_FACTOR * eps * (abs(q) * scale_q + p * p * scale_p)
-    if not all(map(math.isfinite, (p, q, delta, tol))):
+    if not (math.isfinite(p) and math.isfinite(q) and math.isfinite(delta) and math.isfinite(tol)):
         raise ValueError(f"cubic terms overflow the float range for {coeffs}")
     if abs(delta) <= tol:
         branch = BRANCH_REPEATED
@@ -121,18 +161,30 @@ def cubic_analysis(coeffs: CubicCoefficients) -> CubicAnalysis:
     return CubicAnalysis(p=p, q=q, delta=delta, branch=branch)
 
 
+def cubic_analysis(coeffs: CubicCoefficients) -> CubicAnalysis:
+    """Depressed-cubic terms and branch; ValueError on a non-finite coefficient or term."""
+    a, b, c, _ = _scaled(coeffs)
+    return _analysis(a, b, c, coeffs)
+
+
 def _cbrt(x: float) -> float:
     return math.copysign(abs(x) ** (1.0 / 3.0), x)
 
 
+def _before(u: complex, v: complex) -> bool:
+    """(u.real, u.imag) < (v.real, v.imag)."""
+    return u.real < v.real or (u.real == v.real and u.imag < v.imag)
+
+
 def cubic_roots(coeffs: CubicCoefficients) -> Spectrum:
-    analysis = cubic_analysis(coeffs)
+    a, b, c, k = _scaled(coeffs)
+    analysis = _analysis(a, b, c, coeffs)
     p, q = analysis.p, analysis.q
-    shift = -coeffs.a / 3.0
+    shift = -a / 3.0
 
     if analysis.branch == BRANCH_REPEATED:
         m = _cbrt(q / 2.0)
-        roots = [complex(-2.0 * m + shift), complex(m + shift), complex(m + shift)]
+        r0, r1, r2 = complex(-2.0 * m + shift), complex(m + shift), complex(m + shift)
     elif analysis.branch == BRANCH_ONE_REAL_PAIR:
         sq = math.sqrt(analysis.delta)
         # pick the non-cancelling cube-root argument; the partner root follows
@@ -145,16 +197,24 @@ def cubic_roots(coeffs: CubicCoefficients) -> Spectrum:
         y1 = u + v
         re = -y1 / 2.0 + shift
         im = math.sqrt(max(3.0 * y1 * y1 + 4.0 * p, 0.0)) / 2.0
-        roots = [complex(y1 + shift), complex(re, -im), complex(re, im)]
+        r0, r1, r2 = complex(y1 + shift), complex(re, -im), complex(re, im)
     else:
         r = math.sqrt(-p / 3.0)
         arg = 3.0 * math.sqrt(3.0) * q / (2.0 * (-p) ** 1.5)
         phi = math.asin(min(1.0, max(-1.0, arg))) / 3.0
-        roots = [
-            complex(2.0 * r * math.sin(phi) + shift),
-            complex(-2.0 * r * math.sin(phi + math.pi / 3.0) + shift),
-            complex(2.0 * r * math.cos(phi + math.pi / 6.0) + shift),
-        ]
+        r0 = complex(2.0 * r * math.sin(phi) + shift)
+        r1 = complex(-2.0 * r * math.sin(phi + math.pi / 3.0) + shift)
+        r2 = complex(2.0 * r * math.cos(phi + math.pi / 6.0) + shift)
+    if k:
+        r0, r1, r2 = (complex(math.ldexp(r0.real, k), math.ldexp(r0.imag, k)),
+                      complex(math.ldexp(r1.real, k), math.ldexp(r1.imag, k)),
+                      complex(math.ldexp(r2.real, k), math.ldexp(r2.imag, k)))
 
-    roots.sort(key=lambda w: (w.real, w.imag))
-    return Spectrum(eigenvalues=tuple(roots), analysis=analysis)
+    # a stable sort of three by (real, imaginary), as list.sort with that key
+    if _before(r1, r0):
+        r0, r1 = r1, r0
+    if _before(r2, r1):
+        r1, r2 = r2, r1
+        if _before(r1, r0):
+            r0, r1 = r1, r0
+    return Spectrum(eigenvalues=(r0, r1, r2), analysis=analysis)

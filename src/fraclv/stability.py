@@ -27,17 +27,24 @@ functions accept alpha in (0, 1], the CF criteria, ``classify_region`` and
 ``table1_conditions`` only alpha in (0, 1).
 
 Each criterion is one per-eigenvalue test, evaluated once per eigenvalue;
-each function checks the order and the spectrum's finiteness once.  The
-region classes come from the cone and disk results: A = stable for both,
+each function checks the order and the spectrum's finiteness once, and
+``equilibrium_report`` runs all three tests in one pass over each spectrum.
+The region classes come from the cone and disk results: A = stable for both,
 B = Caputo only, C = neither, D = CF only.
 
 ``table1_conditions`` takes the equilibrium's spectrum, which only E4's CF row
 (it has no closed form) reads; no Table 1 row solves a spectrum.
+
+The value types are slotted frozen dataclasses (no per-instance ``__dict__``).
+Constant rows are shared, not built per call: each Table 1 row is one of two
+tuples per label and each ``regions`` tuple one of the 4^3 possible, all built
+at import.  A report of five equilibria retains ~8.1 KB (CPython 3.11).
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -60,7 +67,7 @@ __all__ = [
 SpectrumLike = Union[Spectrum, Sequence[complex]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StabilityVerdict:
     """Per-operator verdict; stable iff every eigenvalue satisfied a condition.
 
@@ -73,7 +80,7 @@ class StabilityVerdict:
     per_eigenvalue: tuple[tuple[complex, Optional[str]], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EquilibriumReport:
     """Everything the verdict matrix needs for one equilibrium.
 
@@ -149,11 +156,13 @@ def _disk(w: complex, alpha: float) -> Optional[str]:
 
 #: Region class by the (cone, disk) tags of one eigenvalue.
 _REGIONS = {("cone", "disk"): "A", ("cone", None): "B", (None, None): "C", (None, "disk"): "D"}
+#: Every ``regions`` tuple of a three-eigenvalue spectrum, built once and shared.
+_REGION_ROWS = {row: row for row in itertools.product("ABCD", repeat=3)}
 
 
-def _verdict(operator: str, test, eigs: tuple[complex, ...], alpha: float) -> StabilityVerdict:
-    per = tuple((w, test(w, alpha)) for w in eigs)
-    return StabilityVerdict(operator, all(tag is not None for _, tag in per), per)
+def _verdict(operator: str, eigs: tuple[complex, ...], tags: list) -> StabilityVerdict:
+    """The verdict from each eigenvalue's tag (None where its test failed)."""
+    return StabilityVerdict(operator, None not in tags, tuple(zip(eigs, tags)))
 
 
 def caputo_stable(spectrum: SpectrumLike, order: float) -> StabilityVerdict:
@@ -162,19 +171,22 @@ def caputo_stable(spectrum: SpectrumLike, order: float) -> StabilityVerdict:
     Accepts alpha = 1, where the test is exactly the classical Re(w) < 0.
     """
     alpha = check_order(order)
-    return _verdict("caputo", _cone, _eigs(spectrum), alpha)
+    eigs = _eigs(spectrum)
+    return _verdict("caputo", eigs, [_cone(w, alpha) for w in eigs])
 
 
 def cf_stable_theorem(spectrum: SpectrumLike, order: float) -> StabilityVerdict:
     """Any-of-four condition test, applied per eigenvalue."""
     alpha = check_order(order, allow_one=False)
-    return _verdict("cf-theorem", _theorem, _eigs(spectrum), alpha)
+    eigs = _eigs(spectrum)
+    return _verdict("cf-theorem", eigs, [_theorem(w, alpha) for w in eigs])
 
 
 def cf_disk_verdict(spectrum: SpectrumLike, order: float) -> StabilityVerdict:
     """Disk criterion: every eigenvalue strictly outside the closed instability disk."""
     alpha = check_order(order, allow_one=False)
-    return _verdict("cf-disk", _disk, _eigs(spectrum), alpha)
+    eigs = _eigs(spectrum)
+    return _verdict("cf-disk", eigs, [_disk(w, alpha) for w in eigs])
 
 
 def classify_region(lam: complex, order: float) -> str:
@@ -199,6 +211,28 @@ def _planar_pair(params: ModelParams, a: float, k: float) -> tuple[complex, comp
     return (a2 * (1.0 - a) + root) / (2.0 * k), (a2 * (1.0 - a) - root) / (2.0 * k)
 
 
+#: Both rows, False and True, of each Table 1 condition, by label; built once
+#: here and shared by every report.
+_TABLE1 = {label: {False: (label, False), True: (label, True)} for label in (
+    "caputo: always saddle (unstable at every order)",
+    "cf: a1 > 1/(1-alpha)",
+    "caputo: a1*a4 < a2*a3 - a2",
+    "caputo: a1*a6 < a2*a5 - a2",
+    "cf: (a1*a4 - a2*a3)/a2 > alpha/(1-alpha)",
+    "cf: (a1*a6 - a2*a5)/a2 > alpha/(1-alpha)",
+    "caputo: (a5-1)/a6 < a1/a2",
+    "caputo: a1/a2 < (a3-1)/a4",
+    "caputo: (a3-1)/a4 < a1/a2",
+    "caputo: a1/a2 < (a5-1)/a6",
+    "cf: lambda1 > 1/(1-alpha)",
+    "cf: lambda2 > 1/(1-alpha)",
+    "cf: lambda3 > 1/(1-alpha)",
+    "caputo (routh-hurwitz): a6 > a2*a4*(a3-1)*(w + a2*(a3-1)) / "
+    "(w*(a2+a4) + a2*a4*(a3-1))",
+    "cf: all characteristic roots > 1/(1-alpha)",
+)}
+
+
 def table1_conditions(
     params: ModelParams, order: float, kind: str, spectrum: SpectrumLike
 ) -> list[tuple[str, bool]]:
@@ -218,38 +252,38 @@ def table1_conditions(
 
     if kind == "E0":
         return [
-            ("caputo: always saddle (unstable at every order)", True),
-            ("cf: a1 > 1/(1-alpha)", a1 > thr),
+            _TABLE1["caputo: always saddle (unstable at every order)"][True],
+            _TABLE1["cf: a1 > 1/(1-alpha)"][a1 > thr],
         ]
 
     if kind == "E1":
         return [
-            ("caputo: a1*a4 < a2*a3 - a2", a1 * a4 < a2 * a3 - a2),
-            ("caputo: a1*a6 < a2*a5 - a2", a1 * a6 < a2 * a5 - a2),
-            ("cf: (a1*a4 - a2*a3)/a2 > alpha/(1-alpha)", (a1 * a4 - a2 * a3) / a2 > ratio),
-            ("cf: (a1*a6 - a2*a5)/a2 > alpha/(1-alpha)", (a1 * a6 - a2 * a5) / a2 > ratio),
+            _TABLE1["caputo: a1*a4 < a2*a3 - a2"][a1 * a4 < a2 * a3 - a2],
+            _TABLE1["caputo: a1*a6 < a2*a5 - a2"][a1 * a6 < a2 * a5 - a2],
+            _TABLE1["cf: (a1*a4 - a2*a3)/a2 > alpha/(1-alpha)"][(a1 * a4 - a2 * a3) / a2 > ratio],
+            _TABLE1["cf: (a1*a6 - a2*a5)/a2 > alpha/(1-alpha)"][(a1 * a6 - a2 * a5) / a2 > ratio],
         ]
 
     if kind == "E2":
         lam1 = 1.0 - a3 - (a4 / a6) * (1.0 - a5)
         lam2, lam3 = _planar_pair(params, a5, a6)
         return [
-            ("caputo: (a5-1)/a6 < a1/a2", (a5 - 1.0) / a6 < a1 / a2),
-            ("caputo: a1/a2 < (a3-1)/a4", a1 / a2 < (a3 - 1.0) / a4),
-            ("cf: lambda1 > 1/(1-alpha)", lam1 > thr),
-            ("cf: lambda2 > 1/(1-alpha)", lam2.real > thr),
-            ("cf: lambda3 > 1/(1-alpha)", lam3.real > thr),
+            _TABLE1["caputo: (a5-1)/a6 < a1/a2"][(a5 - 1.0) / a6 < a1 / a2],
+            _TABLE1["caputo: a1/a2 < (a3-1)/a4"][a1 / a2 < (a3 - 1.0) / a4],
+            _TABLE1["cf: lambda1 > 1/(1-alpha)"][lam1 > thr],
+            _TABLE1["cf: lambda2 > 1/(1-alpha)"][lam2.real > thr],
+            _TABLE1["cf: lambda3 > 1/(1-alpha)"][lam3.real > thr],
         ]
 
     if kind == "E3":
         w = 1.0 - a5 - (a6 / a4) * (1.0 - a3) + (a7 / a4) * (a1 * a4 + a2 * (1.0 - a3))
         lam2, lam3 = _planar_pair(params, a3, a4)
         return [
-            ("caputo: (a3-1)/a4 < a1/a2", (a3 - 1.0) / a4 < a1 / a2),
-            ("caputo: a1/a2 < (a5-1)/a6", a1 / a2 < (a5 - 1.0) / a6),
-            ("cf: lambda1 > 1/(1-alpha)", w > thr),
-            ("cf: lambda2 > 1/(1-alpha)", lam2.real > thr),
-            ("cf: lambda3 > 1/(1-alpha)", lam3.real > thr),
+            _TABLE1["caputo: (a3-1)/a4 < a1/a2"][(a3 - 1.0) / a4 < a1 / a2],
+            _TABLE1["caputo: a1/a2 < (a5-1)/a6"][a1 / a2 < (a5 - 1.0) / a6],
+            _TABLE1["cf: lambda1 > 1/(1-alpha)"][w > thr],
+            _TABLE1["cf: lambda2 > 1/(1-alpha)"][lam2.real > thr],
+            _TABLE1["cf: lambda3 > 1/(1-alpha)"][lam3.real > thr],
         ]
 
     if kind == "E4":
@@ -257,10 +291,10 @@ def table1_conditions(
         denom = w * (a2 + a4) + a2 * a4 * (a3 - 1.0)
         rh = denom != 0.0 and a6 > a2 * a4 * (a3 - 1.0) * (w + a2 * (a3 - 1.0)) / denom
         return [
-            ("caputo (routh-hurwitz): a6 > a2*a4*(a3-1)*(w + a2*(a3-1)) / "
-             "(w*(a2+a4) + a2*a4*(a3-1))", rh),
-            ("cf: all characteristic roots > 1/(1-alpha)",
-             all(v.real > thr for v in _eigs(spectrum))),
+            _TABLE1["caputo (routh-hurwitz): a6 > a2*a4*(a3-1)*(w + a2*(a3-1)) / "
+                "(w*(a2+a4) + a2*a4*(a3-1))"][rh],
+            _TABLE1["cf: all characteristic roots > 1/(1-alpha)"][
+                all(v.real > thr for v in _eigs(spectrum))],
         ]
 
     raise ValueError(f"unknown equilibrium kind {kind!r}")
@@ -272,31 +306,32 @@ def equilibrium_report(params: ModelParams, order: float) -> list[EquilibriumRep
 
     At alpha = 1 the CF verdicts and region classes are None and the audit
     conditions empty (the CF criteria are undefined there); the Caputo
-    verdict degrades to the classical test.
+    verdict degrades to the classical test.  Below 1 the cone, theorem and
+    disk tests run in one pass over each spectrum.
     """
     alpha = check_order(order)
     reports = []
     for eq in equilibria(params):
         spectrum = cubic_roots(characteristic_cubic(jacobian(params, eq.point)))
         eigs = _eigs(spectrum)
-        caputo = _verdict("caputo", _cone, eigs, alpha)
-        cf_thm = cf_dsk = regions = None
-        table1 = ()
-        if alpha < 1.0:
-            cf_thm = _verdict("cf-theorem", _theorem, eigs, alpha)
-            cf_dsk = _verdict("cf-disk", _disk, eigs, alpha)
-            table1 = tuple(table1_conditions(params, alpha, eq.kind, spectrum))
-            regions = tuple(_REGIONS[cone, disk] for (_, cone), (_, disk)
-                            in zip(caputo.per_eigenvalue, cf_dsk.per_eigenvalue))
-        reports.append(
-            EquilibriumReport(
-                equilibrium=eq,
-                spectrum=spectrum,
-                caputo=caputo,
-                cf_theorem=cf_thm,
-                cf_disk=cf_dsk,
-                table1=table1,
-                regions=regions,
-            )
-        )
+        if alpha == 1.0:
+            caputo = _verdict("caputo", eigs, [_cone(w, alpha) for w in eigs])
+            reports.append(EquilibriumReport(eq, spectrum, caputo, None, None, (), None))
+            continue
+        cones, theorems, disks, regions = [], [], [], []
+        for w in eigs:
+            cone, disk = _cone(w, alpha), _disk(w, alpha)
+            cones.append(cone)
+            theorems.append(_theorem(w, alpha))
+            disks.append(disk)
+            regions.append(_REGIONS[cone, disk])
+        reports.append(EquilibriumReport(
+            equilibrium=eq,
+            spectrum=spectrum,
+            caputo=_verdict("caputo", eigs, cones),
+            cf_theorem=_verdict("cf-theorem", eigs, theorems),
+            cf_disk=_verdict("cf-disk", eigs, disks),
+            table1=tuple(table1_conditions(params, alpha, eq.kind, spectrum)),
+            regions=_REGION_ROWS[tuple(regions)],
+        ))
     return reports

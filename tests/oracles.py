@@ -28,6 +28,9 @@ integrators it checks.  ``rhs`` is the model's right-hand side written out
 as a numpy array, and ``routh_hurwitz_cubic`` the Routh-Hurwitz test on the
 characteristic cubic.
 
+``mp_cubic_roots`` solves a cubic in mpmath at any exponent range, for
+cubics too small or too large for the companion matrix in doubles.
+
 ``linear_cf_exact`` is the exact solution of the scalar linear CF problem,
 the reference for ``integrate_cf`` in corrected mode.  ``mittag_leffler``
 gives the exact solution of the scalar linear Caputo problem,
@@ -138,6 +141,22 @@ def companion_eigenvalues(a: float, b: float, c: float) -> list[complex]:
     else:
         lam = _refine_longdouble(lam, a, b, c)
     return sorted((complex(w) for w in lam), key=lambda w: (w.real, w.imag))
+
+
+def mp_cubic_roots(a: float, b: float, c: float) -> list[complex]:
+    """Roots of w^3 + a w^2 + b w + c at 60 digits, sorted by (real, imag).
+
+    mpmath's exponent range is unbounded, so the cubic is solved as the cubic
+    in u = w / s with s = max(|a|, |b|^(1/2), |c|^(1/3)), whose coefficients
+    are at most 1, and the roots are scaled back before rounding to doubles.
+    """
+    import mpmath as mp
+
+    with mp.workdps(60):
+        am, bm, cm = mp.mpf(a), mp.mpf(b), mp.mpf(c)
+        s = max(abs(am), mp.sqrt(abs(bm)), mp.cbrt(abs(cm)))
+        roots = mp.polyroots([1, am / s, bm / s ** 2, cm / s ** 3], maxsteps=200, extraprec=200)
+        return sorted((complex(s * r) for r in roots), key=lambda w: (w.real, w.imag))
 
 
 def multiset_distance(xs, ys) -> float:

@@ -4,6 +4,8 @@ The companion-matrix oracle is validated first (constructed roots), then the
 closed-form branches are checked against it and against frozen values.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,7 @@ from fraclv.spectral import (
     BRANCH_ONE_REAL_PAIR,
     BRANCH_REPEATED,
     BRANCH_THREE_REAL,
+    SAFE_SCALE,
     CubicCoefficients,
     characteristic_cubic,
     cubic_analysis,
@@ -24,6 +27,7 @@ from oracles import (
     coefficients_from_roots,
     companion_eigenvalues,
     cubic_value,
+    mp_cubic_roots,
     multiset_distance,
     random_cubic,
     routh_hurwitz_cubic,
@@ -142,6 +146,53 @@ def test_overflowing_cubic_terms_raise_value_error(coeffs):
     # 7.94e99 twice; the roots of w^3 = -1e300 are -1e100 and 5e99 +- 8.66e99i
     with pytest.raises(ValueError, match="overflow the float range"):
         cubic_roots(CubicCoefficients(*coeffs))
+
+
+def test_tiny_cubic_roots_match_the_mpmath_reference():
+    # w^3 + 1e-320: unscaled, delta and its tolerance underflow and the
+    # repeated branch gave moduli 3.42e-107 and 1.71e-107; every root has
+    # modulus c^(1/3) ~ 2.15e-107 (c is the subnormal nearest 1e-320)
+    spec = cubic_roots(CubicCoefficients(0.0, 0.0, 1e-320))
+    ref = mp_cubic_roots(0.0, 0.0, 1e-320)
+    modulus = abs(ref[0])
+    assert 2.15e-107 < modulus < 2.16e-107
+    for w, r in zip(spec.eigenvalues, ref):
+        assert abs(w - r) <= 1e-9 * abs(r)
+        assert abs(abs(w) - modulus) <= 1e-9 * modulus
+    assert spec.analysis.branch == BRANCH_ONE_REAL_PAIR
+    assert spec.eigenvalues[1] == spec.eigenvalues[2].conjugate()
+
+
+@pytest.mark.parametrize("roots", [
+    (1.0, complex(-0.5, 2.0), complex(-0.5, -2.0)),  # one real and a pair
+    (-3.0, 0.5, 2.0),  # three real
+    (1.0, 1.0, -2.0),  # repeated
+    (-1.0, -1.0, -1.0),  # triple
+])
+@pytest.mark.parametrize("k", [-200, -330])
+def test_cubics_below_the_safe_scale_are_solved_rescaled(roots, k):
+    # (a, b, c) = (a0 2^k, b0 4^k, c0 8^k) is exact and has roots 2^k times the
+    # given ones; their scale is below SAFE_SCALE = 2^-150, so delta ~ S^6
+    # would underflow unscaled
+    a0, b0, c0 = coefficients_from_roots(*roots)
+    a, b, c = math.ldexp(a0, k), math.ldexp(b0, 2 * k), math.ldexp(c0, 3 * k)
+    spec = cubic_roots(CubicCoefficients(a, b, c))
+    ref = mp_cubic_roots(a, b, c)
+    # a double root is only defined to ~sqrt(eps) of the cubic's scale
+    tol = 1e-7 if len(set(roots)) < 3 else 1e-9
+    assert multiset_distance(spec.eigenvalues, ref) <= tol * 2.0 ** k * 3.0
+    assert multiset_distance(spec.eigenvalues, [w * 2.0 ** k for w in roots]) <= tol * 2.0 ** k * 3.0
+
+
+def test_safe_scale_boundary():
+    # at SAFE_SCALE the cubic is solved as given: its analysis has p = -a^2/3
+    # of the given a; just below it the analysis is that of the rescaled cubic
+    at = cubic_analysis(CubicCoefficients(SAFE_SCALE, 0.0, 0.0))
+    assert at.p == -SAFE_SCALE ** 2 / 3.0
+    below = cubic_analysis(CubicCoefficients(SAFE_SCALE / 2.0, 0.0, 0.0))
+    assert 0.01 < abs(below.p) < 1.0
+    spec = cubic_roots(CubicCoefficients(SAFE_SCALE / 2.0, 0.0, 0.0))
+    assert spec.eigenvalues[0] == -SAFE_SCALE / 2.0
 
 
 def test_analysis_repeated_example():

@@ -1,0 +1,133 @@
+"""The value types and the shared constant rows.
+
+Every public dataclass is a slotted frozen dataclass: no per-instance
+``__dict__``, assigning or deleting a field raises ``FrozenInstanceError``,
+and ``==`` and ``hash`` are those of its fields.  The constant rows (Table 1 rows,
+existence conditions with constant labels, ``regions`` tuples) come from
+bounded tables built at import, which no input grows.
+"""
+
+import dataclasses
+import gc
+import random
+import tracemalloc
+
+import pytest
+
+import fraclv.cli
+import fraclv.model
+import fraclv.presets
+import fraclv.solvers
+import fraclv.spectral
+import fraclv.stability
+from fraclv.model import ModelParams, equilibria
+from fraclv.presets import PRESETS, SCENARIOS
+from fraclv.solvers import SolverConfig, integrate_cf
+from fraclv.spectral import CubicCoefficients, cubic_roots
+from fraclv.stability import equilibrium_report
+
+MODULES = (fraclv.cli, fraclv.model, fraclv.presets, fraclv.solvers, fraclv.spectral,
+           fraclv.stability)
+
+
+def _instances():
+    """One instance of every public dataclass, built through the public API."""
+    report = equilibrium_report(PRESETS["example2"].params, 0.6)[4]
+    spectrum = cubic_roots(CubicCoefficients(1.0, 2.0, 3.0))
+    config = fraclv.cli.parse_config({
+        "operator": "cf", "alpha": 0.6, "params": PRESETS["example1"].params.as_dict(),
+        "initial": [1.0, 1.0, 1.0], "horizon": 0.1, "step": 0.01})
+    return [
+        report, report.caputo, report.equilibrium, report.spectrum.analysis, spectrum,
+        CubicCoefficients(1.0, 2.0, 3.0), PRESETS["example1"], PRESETS["example1"].params,
+        SCENARIOS["example1-cf"], SolverConfig(step=0.01, horizon=0.1), config,
+        integrate_cf(lambda t, x: -x, [1.0], 0.6, SolverConfig(step=0.01, horizon=0.1)),
+    ]
+
+
+def test_every_public_dataclass_is_covered():
+    public = {getattr(m, n) for m in MODULES for n in m.__all__
+              if dataclasses.is_dataclass(getattr(m, n))}
+    assert {type(obj) for obj in _instances()} == public
+
+
+@pytest.mark.parametrize("obj", _instances(), ids=lambda obj: type(obj).__name__)
+def test_value_types_are_slotted_and_frozen(obj):
+    cls = type(obj)
+    params = cls.__dataclass_params__
+    assert params.frozen and "__slots__" in cls.__dict__
+    assert not hasattr(obj, "__dict__")
+    field = dataclasses.fields(obj)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(obj, field, getattr(obj, field))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(obj, field)
+    # a name that is not a field: CPython's frozen-slots __setattr__ calls
+    # super() on the class as it was before slots were added, which raises
+    # TypeError (3.10 to 3.13); plain frozen dataclasses raised FrozenInstanceError
+    with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+        obj.not_a_field = 1
+    if cls.__name__ != "Trajectory":  # its fields are arrays, which have no == or hash
+        twin = dataclasses.replace(obj)
+        assert twin == obj and twin is not obj
+        assert hash(twin) == hash(obj)
+
+
+def _tables():
+    return {
+        "model._ROWS": fraclv.model._ROWS,
+        "stability._TABLE1": fraclv.stability._TABLE1,
+        "stability._REGION_ROWS": fraclv.stability._REGION_ROWS,
+    }
+
+
+def _sizes():
+    return {name: (len(table), sum(len(v) if isinstance(v, dict) else 1 for v in table.values()))
+            for name, table in _tables().items()}
+
+
+def test_shared_rows_come_from_bounded_tables():
+    at_import = _sizes()
+    assert at_import["stability._REGION_ROWS"] == (64, 64)
+    rng = random.Random(5)
+    for _ in range(1000):
+        params = ModelParams(*(10.0 ** rng.uniform(-1.0, 1.0) for _ in range(7)))
+        for rep in equilibrium_report(params, rng.uniform(0.05, 0.95)):
+            assert rep.regions is fraclv.stability._REGION_ROWS[rep.regions]
+            for row in rep.table1:
+                assert row is fraclv.stability._TABLE1[row[0]][row[1]]
+            for row in rep.equilibrium.conditions:
+                if row[0] in fraclv.model._ROWS:
+                    assert row is fraclv.model._ROWS[row[0]][row[1]]
+                else:  # "always exists", a constant, or E4's z row with its bound
+                    assert row[0] == "always exists" or row[0].startswith("z >= 0")
+    assert _sizes() == at_import
+
+
+def test_rows_are_shared_across_inputs():
+    ex1, ex2 = equilibria(PRESETS["example1"].params), equilibria(PRESETS["example2"].params)
+    assert ex1[2].conditions[0] is ex2[2].conditions[0]  # "a5 >= 1", True for both
+    assert ex1[4].conditions[2] is not ex2[4].conditions[2]  # E4's z row carries its bound
+
+
+#: Retained bytes per equilibrium_report at alpha = 0.66 on jittered presets,
+#: measured + 10%.  Measured on CPython 3.11: 8,067 B, against 11,139 B with
+#: plain frozen dataclasses and rows built per call.
+REPORT_BYTES_BOUND = 8_870
+
+
+def test_retained_bytes_per_report():
+    rng = random.Random(1)
+    params = [ModelParams(*(v * (1.0 + rng.uniform(-0.1, 0.1)) for v in preset.params.as_tuple()))
+              for preset in PRESETS.values() for _ in range(100)]
+    equilibrium_report(params[0], 0.66)  # first-call costs are not retained per report
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        reports = [equilibrium_report(p, 0.66) for p in params]
+        gc.collect()
+        per_report = (tracemalloc.get_traced_memory()[0] - before) / len(reports)
+    finally:
+        tracemalloc.stop()
+    assert per_report <= REPORT_BYTES_BOUND
