@@ -252,7 +252,7 @@ def _verdict_dict(verdict) -> dict:
         "stable": verdict.stable,
         "per_eigenvalue": [
             {"eigenvalue": _complex_pair(w), "condition": tag}
-            for w, tag in verdict.per_eigenvalue
+            for w, tag in zip(verdict.eigenvalues, verdict.tags)
         ],
     }
 

@@ -20,14 +20,17 @@ hashable value.  If ``a7 * a4`` underflows to 0, E4's y and z are IEEE's
 quotients (signed inf, or NaN for 0/0), not a ZeroDivisionError.
 
 The value types are slotted frozen dataclasses (no per-instance
-``__dict__``).  Every existence-condition row whose label carries no number
-is one of two tuples built at import and shared by all equilibria; only E4's
-z row, whose label states its bound, is built per call.
+``__dict__``), and ``ModelParams`` holds Python floats whatever real numbers
+it is given.  Every existence-condition row whose label carries no number is
+one of two tuples built at import and shared by all equilibria, and so is each
+E2 and E3 condition pair; only E4's z row, whose label states its bound, is
+built per call.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -44,7 +47,13 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class ModelParams:
-    """The seven positive rate coefficients."""
+    """The seven positive rate coefficients, stored as Python floats.
+
+    Any real number is accepted (numpy scalars included) and converted with
+    ``float``, so a float comes through bit for bit and no numpy scalar
+    reaches a result.  A non-number, an integer past the float range or a
+    value that is not positive raises ValueError naming the coefficient.
+    """
 
     a1: float
     a2: float
@@ -56,8 +65,17 @@ class ModelParams:
 
     def __post_init__(self):
         for name, value in self.as_dict().items():
-            if not value > 0.0:
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"coefficient {name} must be a real number, got {value!r}")
+            try:
+                number = float(value)
+            except OverflowError:
+                raise ValueError(
+                    f"coefficient {name} must be finite, got an integer past the float range"
+                ) from None
+            if not number > 0.0:
                 raise ValueError(f"coefficient {name} must be positive, got {value}")
+            object.__setattr__(self, name, number)
 
     def as_tuple(self) -> tuple[float, ...]:
         return (self.a1, self.a2, self.a3, self.a4, self.a5, self.a6, self.a7)
@@ -91,6 +109,12 @@ _ROWS = {label: {False: (label, False), True: (label, True)} for label in (
     "y >= 0: a4*(a5 - 1) >= a6*(a3 - 1)",
     "z >= 0: (a6 - a2*a7)*(a3 - 1) >= 0 (since 1 + a1*a7 - a5 = 0)",
 )}
+#: Every condition pair of E2 and E3, by kind and booleans; built once here from
+#: the rows above and shared by every Equilibrium.
+_PAIRS = {kind: {(p, q): (_ROWS[first][p], _ROWS[second][q])
+                 for p in (False, True) for q in (False, True)}
+          for kind, first, second in (("E2", "a5 >= 1", "a1*a6 >= a2*(a5 - 1)"),
+                                      ("E3", "a3 >= 1", "a1*a4 >= a2*(a3 - 1)"))}
 
 
 def vector_field(params: ModelParams) -> Callable[[float, np.ndarray], tuple[float, float, float]]:
@@ -154,14 +178,10 @@ def equilibria(params: ModelParams) -> list[Equilibrium]:
     table = (
         ("E0", (0.0, 0.0, 0.0), always),
         ("E1", (a1 / a2, 0.0, 0.0), always),
-        ("E2", ((a5 - 1.0) / a6, 0.0, (a1 * a6 - a2 * (a5 - 1.0)) / a6), (
-            _ROWS["a5 >= 1"][a5 >= 1.0],
-            _ROWS["a1*a6 >= a2*(a5 - 1)"][a1 * a6 >= a2 * (a5 - 1.0)],
-        )),
-        ("E3", ((a3 - 1.0) / a4, (a1 * a4 - a2 * (a3 - 1.0)) / a4, 0.0), (
-            _ROWS["a3 >= 1"][a3 >= 1.0],
-            _ROWS["a1*a4 >= a2*(a3 - 1)"][a1 * a4 >= a2 * (a3 - 1.0)],
-        )),
+        ("E2", ((a5 - 1.0) / a6, 0.0, (a1 * a6 - a2 * (a5 - 1.0)) / a6),
+         _PAIRS["E2"][a5 >= 1.0, a1 * a6 >= a2 * (a5 - 1.0)]),
+        ("E3", ((a3 - 1.0) / a4, (a1 * a4 - a2 * (a3 - 1.0)) / a4, 0.0),
+         _PAIRS["E3"][a3 >= 1.0, a1 * a4 >= a2 * (a3 - 1.0)]),
         ("E4", (
             (a3 - 1.0) / a4,
             _quotient(a4 * (a5 - 1.0) - a6 * (a3 - 1.0), a74),

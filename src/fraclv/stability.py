@@ -36,9 +36,13 @@ B = Caputo only, C = neither, D = CF only.
 (it has no closed form) reads; no Table 1 row solves a spectrum.
 
 The value types are slotted frozen dataclasses (no per-instance ``__dict__``).
-Constant rows are shared, not built per call: each Table 1 row is one of two
-tuples per label and each ``regions`` tuple one of the 4^3 possible, all built
-at import.  A report of five equilibria retains ~8.1 KB (CPython 3.11).
+A verdict holds the spectrum's own eigenvalue tuple and a tag tuple, not
+(eigenvalue, tag) pairs.  Constant rows are shared, not built per call, from
+tables built at import that no input grows: each Table 1 row is one of two
+tuples per label, each report's Table 1 one of the 88 possible tuples, each
+three-eigenvalue tag row one of 8 cone, 8 disk or 125 theorem rows, and each
+``regions`` tuple one of the 4^3 possible.  A report of five equilibria
+retains ~4.2 KB (CPython 3.11.7).
 """
 
 from __future__ import annotations
@@ -67,17 +71,31 @@ __all__ = [
 SpectrumLike = Union[Spectrum, Sequence[complex]]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class StabilityVerdict:
     """Per-operator verdict; stable iff every eigenvalue satisfied a condition.
 
-    ``per_eigenvalue`` pairs each eigenvalue with the identifier of the
-    condition it satisfied ("cone", "1".."4", "disk") or None.
+    ``tags[i]`` is the identifier of the condition ``eigenvalues[i]``
+    satisfied ("cone", "1".."4", "disk") or None.  ``eigenvalues`` is the
+    spectrum's own tuple, and for three eigenvalues ``tags`` is one of the
+    rows built at import, so a verdict holds no copy of either.
+    ``per_eigenvalue`` pairs them up on demand, and ``repr`` prints those
+    pairs.
     """
 
     operator: str  # "caputo", "cf-theorem" or "cf-disk"
     stable: bool
-    per_eigenvalue: tuple[tuple[complex, Optional[str]], ...]
+    eigenvalues: tuple[complex, ...]
+    tags: tuple[Optional[str], ...]
+
+    @property
+    def per_eigenvalue(self) -> tuple[tuple[complex, Optional[str]], ...]:
+        """Each eigenvalue paired with its tag."""
+        return tuple(zip(self.eigenvalues, self.tags))
+
+    def __repr__(self) -> str:
+        return (f"StabilityVerdict(operator={self.operator!r}, stable={self.stable!r}, "
+                f"per_eigenvalue={self.per_eigenvalue!r})")
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,11 +176,18 @@ def _disk(w: complex, alpha: float) -> Optional[str]:
 _REGIONS = {("cone", "disk"): "A", ("cone", None): "B", (None, None): "C", (None, "disk"): "D"}
 #: Every ``regions`` tuple of a three-eigenvalue spectrum, built once and shared.
 _REGION_ROWS = {row: row for row in itertools.product("ABCD", repeat=3)}
+#: Every tag row of a three-eigenvalue spectrum, built once and shared: 8 cone,
+#: 8 disk and 125 theorem rows, of which the all-None row is common to all three.
+_TAG_ROWS = {row: row for tags in (("cone", None), ("disk", None), ("1", "2", "3", "4", None))
+             for row in itertools.product(tags, repeat=3)}
 
 
 def _verdict(operator: str, eigs: tuple[complex, ...], tags: list) -> StabilityVerdict:
-    """The verdict from each eigenvalue's tag (None where its test failed)."""
-    return StabilityVerdict(operator, None not in tags, tuple(zip(eigs, tags)))
+    """The verdict from each eigenvalue's tag (None where its test failed).
+
+    Three tags come back as the shared row; other lengths as a new tuple."""
+    row = tuple(tags)
+    return StabilityVerdict(operator, None not in row, eigs, _TAG_ROWS.get(row, row))
 
 
 def caputo_stable(spectrum: SpectrumLike, order: float) -> StabilityVerdict:
@@ -211,26 +236,35 @@ def _planar_pair(params: ModelParams, a: float, k: float) -> tuple[complex, comp
     return (a2 * (1.0 - a) + root) / (2.0 * k), (a2 * (1.0 - a) - root) / (2.0 * k)
 
 
+#: Table 1's condition labels by equilibrium kind, in printed order.
+_TABLE1_LABELS = {
+    "E0": ("caputo: always saddle (unstable at every order)", "cf: a1 > 1/(1-alpha)"),
+    "E1": ("caputo: a1*a4 < a2*a3 - a2",
+           "caputo: a1*a6 < a2*a5 - a2",
+           "cf: (a1*a4 - a2*a3)/a2 > alpha/(1-alpha)",
+           "cf: (a1*a6 - a2*a5)/a2 > alpha/(1-alpha)"),
+    "E2": ("caputo: (a5-1)/a6 < a1/a2",
+           "caputo: a1/a2 < (a3-1)/a4",
+           "cf: lambda1 > 1/(1-alpha)",
+           "cf: lambda2 > 1/(1-alpha)",
+           "cf: lambda3 > 1/(1-alpha)"),
+    "E3": ("caputo: (a3-1)/a4 < a1/a2",
+           "caputo: a1/a2 < (a5-1)/a6",
+           "cf: lambda1 > 1/(1-alpha)",
+           "cf: lambda2 > 1/(1-alpha)",
+           "cf: lambda3 > 1/(1-alpha)"),
+    "E4": ("caputo (routh-hurwitz): a6 > a2*a4*(a3-1)*(w + a2*(a3-1)) / "
+           "(w*(a2+a4) + a2*a4*(a3-1))",
+           "cf: all characteristic roots > 1/(1-alpha)"),
+}
 #: Both rows, False and True, of each Table 1 condition, by label; built once
 #: here and shared by every report.
-_TABLE1 = {label: {False: (label, False), True: (label, True)} for label in (
-    "caputo: always saddle (unstable at every order)",
-    "cf: a1 > 1/(1-alpha)",
-    "caputo: a1*a4 < a2*a3 - a2",
-    "caputo: a1*a6 < a2*a5 - a2",
-    "cf: (a1*a4 - a2*a3)/a2 > alpha/(1-alpha)",
-    "cf: (a1*a6 - a2*a5)/a2 > alpha/(1-alpha)",
-    "caputo: (a5-1)/a6 < a1/a2",
-    "caputo: a1/a2 < (a3-1)/a4",
-    "caputo: (a3-1)/a4 < a1/a2",
-    "caputo: a1/a2 < (a5-1)/a6",
-    "cf: lambda1 > 1/(1-alpha)",
-    "cf: lambda2 > 1/(1-alpha)",
-    "cf: lambda3 > 1/(1-alpha)",
-    "caputo (routh-hurwitz): a6 > a2*a4*(a3-1)*(w + a2*(a3-1)) / "
-    "(w*(a2+a4) + a2*a4*(a3-1))",
-    "cf: all characteristic roots > 1/(1-alpha)",
-)}
+_TABLE1 = {label: {False: (label, False), True: (label, True)}
+           for labels in _TABLE1_LABELS.values() for label in labels}
+#: Every Table 1 of each kind as one tuple of those rows, keyed by itself;
+#: built once here and shared by every report.
+_TABLE1_ROWS = {rows: rows for labels in _TABLE1_LABELS.values()
+                for rows in itertools.product(*(_TABLE1[label].values() for label in labels))}
 
 
 def table1_conditions(
@@ -251,53 +285,28 @@ def table1_conditions(
     ratio = alpha / (1.0 - alpha)
 
     if kind == "E0":
-        return [
-            _TABLE1["caputo: always saddle (unstable at every order)"][True],
-            _TABLE1["cf: a1 > 1/(1-alpha)"][a1 > thr],
-        ]
-
-    if kind == "E1":
-        return [
-            _TABLE1["caputo: a1*a4 < a2*a3 - a2"][a1 * a4 < a2 * a3 - a2],
-            _TABLE1["caputo: a1*a6 < a2*a5 - a2"][a1 * a6 < a2 * a5 - a2],
-            _TABLE1["cf: (a1*a4 - a2*a3)/a2 > alpha/(1-alpha)"][(a1 * a4 - a2 * a3) / a2 > ratio],
-            _TABLE1["cf: (a1*a6 - a2*a5)/a2 > alpha/(1-alpha)"][(a1 * a6 - a2 * a5) / a2 > ratio],
-        ]
-
-    if kind == "E2":
+        flags = (True, a1 > thr)
+    elif kind == "E1":
+        flags = (a1 * a4 < a2 * a3 - a2, a1 * a6 < a2 * a5 - a2,
+                 (a1 * a4 - a2 * a3) / a2 > ratio, (a1 * a6 - a2 * a5) / a2 > ratio)
+    elif kind == "E2":
         lam1 = 1.0 - a3 - (a4 / a6) * (1.0 - a5)
         lam2, lam3 = _planar_pair(params, a5, a6)
-        return [
-            _TABLE1["caputo: (a5-1)/a6 < a1/a2"][(a5 - 1.0) / a6 < a1 / a2],
-            _TABLE1["caputo: a1/a2 < (a3-1)/a4"][a1 / a2 < (a3 - 1.0) / a4],
-            _TABLE1["cf: lambda1 > 1/(1-alpha)"][lam1 > thr],
-            _TABLE1["cf: lambda2 > 1/(1-alpha)"][lam2.real > thr],
-            _TABLE1["cf: lambda3 > 1/(1-alpha)"][lam3.real > thr],
-        ]
-
-    if kind == "E3":
+        flags = ((a5 - 1.0) / a6 < a1 / a2, a1 / a2 < (a3 - 1.0) / a4,
+                 lam1 > thr, lam2.real > thr, lam3.real > thr)
+    elif kind == "E3":
         w = 1.0 - a5 - (a6 / a4) * (1.0 - a3) + (a7 / a4) * (a1 * a4 + a2 * (1.0 - a3))
         lam2, lam3 = _planar_pair(params, a3, a4)
-        return [
-            _TABLE1["caputo: (a3-1)/a4 < a1/a2"][(a3 - 1.0) / a4 < a1 / a2],
-            _TABLE1["caputo: a1/a2 < (a5-1)/a6"][a1 / a2 < (a5 - 1.0) / a6],
-            _TABLE1["cf: lambda1 > 1/(1-alpha)"][w > thr],
-            _TABLE1["cf: lambda2 > 1/(1-alpha)"][lam2.real > thr],
-            _TABLE1["cf: lambda3 > 1/(1-alpha)"][lam3.real > thr],
-        ]
-
-    if kind == "E4":
+        flags = ((a3 - 1.0) / a4 < a1 / a2, a1 / a2 < (a5 - 1.0) / a6,
+                 w > thr, lam2.real > thr, lam3.real > thr)
+    elif kind == "E4":
         w = a4 * (1.0 + a1 * a7 - a5) + (a6 - a2 * a7) * (a3 - 1.0)
         denom = w * (a2 + a4) + a2 * a4 * (a3 - 1.0)
         rh = denom != 0.0 and a6 > a2 * a4 * (a3 - 1.0) * (w + a2 * (a3 - 1.0)) / denom
-        return [
-            _TABLE1["caputo (routh-hurwitz): a6 > a2*a4*(a3-1)*(w + a2*(a3-1)) / "
-                "(w*(a2+a4) + a2*a4*(a3-1))"][rh],
-            _TABLE1["cf: all characteristic roots > 1/(1-alpha)"][
-                all(v.real > thr for v in _eigs(spectrum))],
-        ]
-
-    raise ValueError(f"unknown equilibrium kind {kind!r}")
+        flags = (rh, all(v.real > thr for v in _eigs(spectrum)))
+    else:
+        raise ValueError(f"unknown equilibrium kind {kind!r}")
+    return [_TABLE1[label][flag] for label, flag in zip(_TABLE1_LABELS[kind], flags)]
 
 
 def equilibrium_report(params: ModelParams, order: float) -> list[EquilibriumReport]:
@@ -331,7 +340,7 @@ def equilibrium_report(params: ModelParams, order: float) -> list[EquilibriumRep
             caputo=_verdict("caputo", eigs, cones),
             cf_theorem=_verdict("cf-theorem", eigs, theorems),
             cf_disk=_verdict("cf-disk", eigs, disks),
-            table1=tuple(table1_conditions(params, alpha, eq.kind, spectrum)),
+            table1=_TABLE1_ROWS[tuple(table1_conditions(params, alpha, eq.kind, spectrum))],
             regions=_REGION_ROWS[tuple(regions)],
         ))
     return reports

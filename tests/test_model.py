@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from fraclv.model import ModelParams, equilibria, jacobian, vector_field
 from fraclv.presets import PRESETS
 from fraclv.spectral import characteristic_cubic, cubic_roots
+from fraclv.stability import equilibrium_report
 
 from oracles import multiset_distance, rhs
 
@@ -27,6 +28,37 @@ def test_params_reject_nonpositive():
         ModelParams(3, 0.5, 4, 3, 4, 9, 0.0)
     with pytest.raises(ValueError):
         ModelParams(-1, 0.5, 4, 3, 4, 9, 4)
+
+
+def test_params_hold_python_floats():
+    values = (3.0, 0.5, 4.0, 3.0, 14.0, 9.0, 4.0)
+    from_numpy = ModelParams(*np.array(values))
+    assert from_numpy.as_tuple() == values
+    assert all(type(v) is float for v in from_numpy.as_tuple())
+    assert all(type(v) is float for v in ModelParams(3, 1, 4, 1, 5, 9, 2).as_tuple())
+
+
+def test_numpy_scalars_do_not_reach_the_report():
+    # the same report as for float input, down to the types: float points and
+    # the shared Table 1 and existence rows, which hold Python bools
+    from_numpy = equilibrium_report(ModelParams(*np.array([3.0, 0.5, 4.0, 3.0, 14.0, 9.0, 4.0])), 0.6)
+    from_floats = equilibrium_report(EX2, 0.6)
+    assert repr(from_numpy) == repr(from_floats)
+    for rep in from_numpy:
+        assert all(type(v) is float for v in rep.equilibrium.point)
+        assert all(type(ok) is bool for _, ok in rep.equilibrium.conditions + rep.table1)
+    assert from_numpy[4].equilibrium.conditions[2][1] is True  # E4's z row
+
+
+def test_params_reject_an_integer_past_the_float_range():
+    with pytest.raises(ValueError, match="coefficient a1 must be finite"):
+        ModelParams(10**400, 1, 1, 1, 1, 1, 1)
+
+
+@pytest.mark.parametrize("bad", ["3.0", None, complex(1.0, 0.0), True, [1.0]])
+def test_params_reject_a_non_number(bad):
+    with pytest.raises(ValueError, match="coefficient a4 must be a real number"):
+        ModelParams(3.0, 0.5, 4.0, bad, 14.0, 9.0, 4.0)
 
 
 state_component = st.floats(min_value=-1e50, max_value=1e50)

@@ -2,9 +2,10 @@
 
 Every public dataclass is a slotted frozen dataclass: no per-instance
 ``__dict__``, assigning or deleting a field raises ``FrozenInstanceError``,
-and ``==`` and ``hash`` are those of its fields.  The constant rows (Table 1 rows,
-existence conditions with constant labels, ``regions`` tuples) come from
-bounded tables built at import, which no input grows.
+and ``==`` and ``hash`` are those of its fields.  The constant rows (Table 1 rows
+and whole tables, existence conditions with constant labels and the E2 and E3
+condition pairs, verdict tag rows, ``regions`` tuples) come from bounded
+tables built at import, which no input grows.
 """
 
 import dataclasses
@@ -24,7 +25,13 @@ from fraclv.model import ModelParams, equilibria
 from fraclv.presets import PRESETS, SCENARIOS
 from fraclv.solvers import SolverConfig, integrate_cf
 from fraclv.spectral import CubicCoefficients, cubic_roots
-from fraclv.stability import equilibrium_report
+from fraclv.stability import (
+    StabilityVerdict,
+    caputo_stable,
+    cf_disk_verdict,
+    cf_stable_theorem,
+    equilibrium_report,
+)
 
 MODULES = (fraclv.cli, fraclv.model, fraclv.presets, fraclv.solvers, fraclv.spectral,
            fraclv.stability)
@@ -76,7 +83,10 @@ def test_value_types_are_slotted_and_frozen(obj):
 def _tables():
     return {
         "model._ROWS": fraclv.model._ROWS,
+        "model._PAIRS": fraclv.model._PAIRS,
         "stability._TABLE1": fraclv.stability._TABLE1,
+        "stability._TABLE1_ROWS": fraclv.stability._TABLE1_ROWS,
+        "stability._TAG_ROWS": fraclv.stability._TAG_ROWS,
         "stability._REGION_ROWS": fraclv.stability._REGION_ROWS,
     }
 
@@ -89,14 +99,27 @@ def _sizes():
 def test_shared_rows_come_from_bounded_tables():
     at_import = _sizes()
     assert at_import["stability._REGION_ROWS"] == (64, 64)
+    # 8 cone, 8 disk and 125 theorem rows share the all-None row
+    assert at_import["stability._TAG_ROWS"] == (139, 139)
+    # every Table 1 of E0..E4: 2^2 + 2^4 + 2^5 + 2^5 + 2^2
+    assert at_import["stability._TABLE1_ROWS"] == (88, 88)
+    assert at_import["model._PAIRS"] == (2, 8)
     rng = random.Random(5)
     for _ in range(1000):
         params = ModelParams(*(10.0 ** rng.uniform(-1.0, 1.0) for _ in range(7)))
         for rep in equilibrium_report(params, rng.uniform(0.05, 0.95)):
             assert rep.regions is fraclv.stability._REGION_ROWS[rep.regions]
+            assert rep.table1 is fraclv.stability._TABLE1_ROWS[rep.table1]
             for row in rep.table1:
                 assert row is fraclv.stability._TABLE1[row[0]][row[1]]
-            for row in rep.equilibrium.conditions:
+            for verdict in (rep.caputo, rep.cf_theorem, rep.cf_disk):
+                assert verdict.eigenvalues is rep.spectrum.eigenvalues
+                assert verdict.tags is fraclv.stability._TAG_ROWS[verdict.tags]
+            conditions = rep.equilibrium.conditions
+            if rep.equilibrium.kind in fraclv.model._PAIRS:
+                flags = tuple(ok for _, ok in conditions)
+                assert conditions is fraclv.model._PAIRS[rep.equilibrium.kind][flags]
+            for row in conditions:
                 if row[0] in fraclv.model._ROWS:
                     assert row is fraclv.model._ROWS[row[0]][row[1]]
                 else:  # "always exists", a constant, or E4's z row with its bound
@@ -108,12 +131,67 @@ def test_rows_are_shared_across_inputs():
     ex1, ex2 = equilibria(PRESETS["example1"].params), equilibria(PRESETS["example2"].params)
     assert ex1[2].conditions[0] is ex2[2].conditions[0]  # "a5 >= 1", True for both
     assert ex1[4].conditions[2] is not ex2[4].conditions[2]  # E4's z row carries its bound
+    assert ex1[3].conditions is ex2[3].conditions  # E3's pair, (True, True) for both
+    rep1, rep2 = equilibrium_report(PRESETS["example1"].params, 0.6), equilibrium_report(
+        PRESETS["example2"].params, 0.5)
+    assert rep1[0].table1 is rep2[0].table1  # E0: saddle, a1 = 3 above 1/(1-alpha)
+
+
+def test_equal_tag_patterns_share_one_row():
+    first = cf_stable_theorem([-1.0, complex(5.0, 1.0), 0.5], 0.6)
+    second = cf_stable_theorem([-0.5, complex(9.0, -2.0), 0.25], 0.6)
+    assert first.tags == ("3", "1", None) and first.tags is second.tags
+    assert caputo_stable([-1.0, -2.0, 3.0], 0.5).tags is caputo_stable([-5.0, -0.5, 1.0], 0.9).tags
+    assert cf_disk_verdict([-1.0, -2.0, 1.0], 0.6).tags is cf_disk_verdict([-4.0, 9.0, 1.0], 0.6).tags
+
+
+@dataclasses.dataclass(frozen=True)
+class _PairedVerdict:
+    """The verdict as it was when it stored (eigenvalue, tag) pairs."""
+
+    operator: str
+    stable: bool
+    per_eigenvalue: tuple
+
+
+_PairedVerdict.__qualname__ = "StabilityVerdict"
+
+
+@pytest.mark.parametrize("spectrum", [
+    [-1.0],
+    [complex(0.5, 3.0), complex(0.5, -3.0), -2.0],
+    [-1.0, 2.0, complex(0.1, 9.0), complex(0.1, -9.0), 0.0],
+], ids=lambda spectrum: f"{len(spectrum)}-eigenvalues")
+@pytest.mark.parametrize("verdict_of", [caputo_stable, cf_stable_theorem, cf_disk_verdict],
+                         ids=lambda fn: fn.__name__)
+def test_per_eigenvalue_pairs_eigenvalues_with_tags(spectrum, verdict_of):
+    verdict = verdict_of(spectrum, 0.6)
+    assert verdict.eigenvalues == tuple(map(complex, spectrum))
+    assert len(verdict.tags) == len(spectrum)
+    assert verdict.per_eigenvalue == tuple(zip(verdict.eigenvalues, verdict.tags))
+    assert verdict.stable == (None not in verdict.tags)
+    # repr prints the pairs, as the dataclass repr of a per_eigenvalue field did
+    assert repr(verdict) == repr(_PairedVerdict(verdict.operator, verdict.stable,
+                                                verdict.per_eigenvalue))
+    twin = verdict_of(list(spectrum), 0.6)
+    assert twin == verdict and twin is not verdict
+    assert hash(twin) == hash(verdict)
+
+
+def test_verdicts_compare_by_operator_eigenvalues_and_tags():
+    base = StabilityVerdict("caputo", True, (complex(-1.0),), ("cone",))
+    assert base == StabilityVerdict("caputo", True, (complex(-1.0),), ("cone",))
+    assert base != StabilityVerdict("caputo", True, (complex(-2.0),), ("cone",))
+    assert base != StabilityVerdict("cf-disk", True, (complex(-1.0),), ("cone",))
+    assert base != StabilityVerdict("caputo", False, (complex(-1.0),), (None,))
 
 
 #: Retained bytes per equilibrium_report at alpha = 0.66 on jittered presets,
-#: measured + 10%.  Measured on CPython 3.11: 8,067 B, against 11,139 B with
-#: plain frozen dataclasses and rows built per call.
-REPORT_BYTES_BOUND = 8_870
+#: measured + 10%.  Measured on CPython 3.11.7: 4,248 B with verdicts holding
+#: the spectrum's eigenvalues and shared tag rows, against 8,064 B with
+#: per-verdict (eigenvalue, tag) pairs and 11,139 B with plain frozen
+#: dataclasses and rows built per call.
+REPORT_BYTES_BOUND = 4_673
 
 
 def test_retained_bytes_per_report():
