@@ -65,17 +65,19 @@ class ModelParams:
 
     def __post_init__(self):
         for name, value in self.as_dict().items():
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"coefficient {name} must be a real number, got {value!r}")
-            try:
-                number = float(value)
-            except OverflowError:
-                raise ValueError(
-                    f"coefficient {name} must be finite, got an integer past the float range"
-                ) from None
+            number = value
+            if type(value) is not float:  # a float is stored as given
+                if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                    raise ValueError(f"coefficient {name} must be a real number, got {value!r}")
+                try:
+                    number = float(value)
+                except OverflowError:
+                    raise ValueError(
+                        f"coefficient {name} must be finite, got an integer past the float range"
+                    ) from None
+                object.__setattr__(self, name, number)
             if not number > 0.0:
                 raise ValueError(f"coefficient {name} must be positive, got {value}")
-            object.__setattr__(self, name, number)
 
     def as_tuple(self) -> tuple[float, ...]:
         return (self.a1, self.a2, self.a3, self.a4, self.a5, self.a6, self.a7)
