@@ -52,6 +52,7 @@ from .solvers import (
     DivergenceError,
     SolverConfig,
     Trajectory,
+    _as_float,
     check_order,
     integrate_caputo,
     integrate_cf,
@@ -103,14 +104,10 @@ class RunConfig:
 
 
 def _finite_number(raw, where: str) -> float:
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ConfigError(f"{where}: expected a number, got {raw!r}")
-    try:
-        value = float(raw)
-    except OverflowError:  # a JSON integer past the double range
-        raise ConfigError(
-            f"{where}: value must be finite, got an integer past the float range"
-        ) from None
+    try:  # the library's rule for real numbers: no bool, no integer past the float range
+        value = _as_float(raw, f"{where}: value")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if not math.isfinite(value):
         raise ConfigError(f"{where}: value must be finite, got {value}")
     return value

@@ -30,11 +30,12 @@ built per call.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .solvers import _as_float
 
 __all__ = [
     "Equilibrium",
@@ -65,18 +66,9 @@ class ModelParams:
 
     def __post_init__(self):
         for name, value in self.as_dict().items():
-            number = value
             if type(value) is not float:  # a float is stored as given
-                if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                    raise ValueError(f"coefficient {name} must be a real number, got {value!r}")
-                try:
-                    number = float(value)
-                except OverflowError:
-                    raise ValueError(
-                        f"coefficient {name} must be finite, got an integer past the float range"
-                    ) from None
-                object.__setattr__(self, name, number)
-            if not number > 0.0:
+                object.__setattr__(self, name, _as_float(value, f"coefficient {name}"))
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"coefficient {name} must be positive, got {value}")
 
     def as_tuple(self) -> tuple[float, ...]:
@@ -123,17 +115,22 @@ def vector_field(params: ModelParams) -> Callable[[float, np.ndarray], tuple[flo
     """Autonomous (t, state) -> derivative adapter for the integrators.
 
     ``state`` is a 1-d float array; the derivative comes back as a tuple of
-    three Python floats, which the integrators' float-level steps use as is
-    (building an array per call would cost as much as the arithmetic).  The
-    coefficients are unpacked to Python floats once, the state once per call.
+    three Python floats.  Its attribute ``floats`` is the same arithmetic on
+    a sequence of three Python floats, which the integrators call in its
+    place, so a step builds no array (that costs more than the arithmetic).
+    The coefficients are unpacked to Python floats once.
     """
     a1, a2, a3, a4, a5, a6, a7 = params.as_tuple()
     b3, b5 = 1.0 - a3, 1.0 - a5
 
-    def field(_t: float, state: np.ndarray) -> tuple[float, float, float]:
-        x, y, z = state.tolist()
+    def floats(_t: float, state: Sequence[float]) -> tuple[float, float, float]:
+        x, y, z = state
         return (x * (a1 - a2 * x - y - z), y * (b3 + a4 * x), z * (b5 + a6 * x + a7 * y))
 
+    def field(t: float, state: np.ndarray) -> tuple[float, float, float]:
+        return floats(t, state.tolist())
+
+    field.floats = floats
     return field
 
 

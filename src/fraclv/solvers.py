@@ -48,23 +48,25 @@ scenarios the two agree to 1e-12 (max abs), and the test suite holds them to
 that tolerance.
 
 Field contract.  A field is called as ``field(t, state)`` with ``t`` a float
-and ``state`` a 1-d float64 ndarray of the initial state's length d; it
+and ``state`` a fresh 1-d float64 ndarray of the initial state's length d; it
 returns any length-d sequence of floats (a tuple, a list or an ndarray).  A
-return of another length raises ValueError, and so does an initial state
-with a component outside the divergence guard's range.  Each integrator
-calls the field 2N + 1 times for N steps.
+float-level form ``field.floats(t, xs)``, as ``vector_field``'s fields carry,
+is called on a list of d Python floats in its place.  A return of another
+length raises ValueError, and so does an initial state with a component
+outside the divergence guard's range.  Each integrator calls the field, or
+its float-level form, 2N + 1 times for N steps.
 
 Per-step arithmetic.  For d = 3 a step costs fixed interpreter overhead
 more than arithmetic, so the predictor, the corrector, the corrected-mode
-term, the CF running sum and the divergence guard run on Python floats.
-numpy holds only the weight tables, the Caputo history with its one matrix
-product per step and its FFTs per block, and the ``states`` array.  Python
-and numpy float ``+ - *`` are the same IEEE operations, so the trajectories
-are bit for bit those of an all-numpy step, and Python float ``+ - *``
-overflows to inf (which the guard catches) rather than raising.  Self time
-per step on the bundled scenarios, measured under the benchmark's tracer on
-2 vCPUs with Python 3.11: CF ~8 us and Caputo ~15 us at 5k-10k steps.
-A field call takes ~1 us.
+term, the CF running sum and the divergence guard run on Python floats, and
+the steps pass the field lists.  numpy holds the weight tables, the Caputo
+history with its one matrix product per step and its FFTs per block, and the
+``states`` array, which takes the accepted rows in one store per block.
+Python and numpy float ``+ - *`` are the same IEEE operations, so the
+trajectories are bit for bit those of an all-numpy step, and Python float
+``+ - *`` overflows to inf (which the guard catches) rather than raising.
+Untraced time per step on the bundled scenarios, field calls included (2
+vCPUs, Python 3.11): CF ~3-4 us and Caputo ~7-9 us at 5k-10k steps.
 
 Runs are strictly sequential and deterministic; all returned objects are
 immutable value containers.
@@ -73,6 +75,7 @@ immutable value containers.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -93,16 +96,27 @@ DIVERGENCE_LIMIT = 1e12
 
 #: Steps per block of the Caputo history: within a block the history since
 #: its start is summed directly, and the history before it once by FFT at
-#: the block start.
+#: the block start.  Both integrators store their accepted rows once a block.
 HISTORY_BLOCK = 1024
 
 VectorField = Callable[[float, np.ndarray], Sequence[float]]
 
 
+def _as_float(value, what: str) -> float:
+    """``value`` as a float if it is a real number but not a bool, else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} must be finite, got an integer past the float range") from None
+
+
 def check_order(alpha: float, allow_one: bool = True) -> float:
     """``alpha`` as a float if it lies in (0, 1], or in (0, 1) when
-    ``allow_one`` is false; otherwise ValueError.  NaN is rejected."""
-    alpha = float(alpha)
+    ``allow_one`` is false; otherwise ValueError, also for NaN and non-reals."""
+    if type(alpha) is not float:  # the stability map checks ~69k floats per pass
+        alpha = _as_float(alpha, "order alpha")
     if 0.0 < alpha < 1.0 or (allow_one and alpha == 1.0):
         return alpha
     interval = "(0, 1]" if allow_one else "(0, 1) for the CF criteria"
@@ -113,8 +127,8 @@ def check_order(alpha: float, allow_one: bool = True) -> float:
 class SolverConfig:
     """Fixed-grid run settings.
 
-    step        grid spacing h > 0
-    horizon     final time t_end >= h, with a finite step count t_end / h
+    step        grid spacing h > 0; a real number but not a bool, stored as a float
+    horizon     final time t_end >= h, with a finite step count t_end / h; likewise
     cf_mode     "paper" or "corrected"; only the CF integrator reads it
     """
 
@@ -123,6 +137,8 @@ class SolverConfig:
     cf_mode: str = "paper"
 
     def __post_init__(self):
+        for name in ("step", "horizon"):
+            object.__setattr__(self, name, _as_float(getattr(self, name), name))
         if not self.step > 0.0:
             raise ValueError(f"step must be positive, got {self.step}")
         if not self.horizon >= self.step:
@@ -229,8 +245,9 @@ def _far_sums(hist: np.ndarray, lagged: np.ndarray, start: int) -> np.ndarray:
     return far
 
 
-def _start(field: VectorField, initial: Sequence[float]) -> tuple[list[float], list[float]]:
-    """Initial state and field value as lists of floats, checked for shape.
+def _start(field: VectorField, initial: Sequence[float]) -> tuple[list[float], list[float], Callable]:
+    """Initial state and field value as lists of floats, checked for shape, and the
+    field on a list of floats: ``field.floats``, or else an ndarray adapter.
 
     Each initial component must pass the divergence guard's own comparison
     ``-L <= v <= L``, so a state of exactly +-L is accepted.
@@ -243,15 +260,14 @@ def _start(field: VectorField, initial: Sequence[float]) -> tuple[list[float], l
             raise ValueError(
                 f"initial state component {i} is {v}; it must lie within +/-{DIVERGENCE_LIMIT:g}"
             )
-    g0 = np.asarray(field(0.0, x0), dtype=float)
+    step = getattr(field, "floats", None) or (lambda t, xs: field(t, np.array(xs)))
+    g0 = np.asarray(step(0.0, x0.tolist()), dtype=float)
     if g0.shape != x0.shape:
-        raise ValueError(
-            f"field dimension {g0.shape} does not match initial state {x0.shape}"
-        )
-    return x0.tolist(), g0.tolist()
+        raise ValueError(f"field dimension {g0.shape} does not match initial state {x0.shape}")
+    return x0.tolist(), g0.tolist(), step
 
 
-def _evaluate(field: VectorField, t: float, x: np.ndarray, d: int) -> Sequence[float]:
+def _evaluate(field: Callable, t: float, x: list[float], d: int) -> Sequence[float]:
     """The field at (t, x); the length of its value is checked."""
     g = field(t, x)
     if len(g) != d:
@@ -259,19 +275,27 @@ def _evaluate(field: VectorField, t: float, x: np.ndarray, d: int) -> Sequence[f
     return g
 
 
-def _guard(x, k, times, states) -> None:
-    """Divergence guard for the state ``x`` (floats) of step k+1.
+def _accept(x, k, times, states, rows) -> None:
+    """Divergence guard for the state ``x`` (floats) of step k+1, then added to ``rows``.
 
     Each component must satisfy ``-L <= v <= L`` with L = DIVERGENCE_LIMIT;
     NaN fails both comparisons, so it trips the guard, and so does inf.
     """
     for v in x:
         if not -DIVERGENCE_LIMIT <= v <= DIVERGENCE_LIMIT:
+            _store(states, rows, k + 1)
             partial = Trajectory(times[: k + 1], states[: k + 1].copy())
             raise DivergenceError(k + 1, times[k + 1], partial)
+    rows += x
 
 
-def _grid(x0: list[float], config: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
+def _store(states: np.ndarray, rows: list[float], end: int) -> None:
+    """Write the flat ``rows`` into ``states`` as the rows just before row ``end``; empty them."""
+    states.reshape(-1)[end * states.shape[1] - len(rows) : end * states.shape[1]] = rows
+    rows.clear()
+
+
+def _grid(x0: list[float], config: SolverConfig) -> tuple[np.ndarray, np.ndarray, list[float]]:
     num = config.num_steps
     try:
         states = np.empty((num + 1, len(x0)))
@@ -280,8 +304,7 @@ def _grid(x0: list[float], config: SolverConfig) -> tuple[np.ndarray, np.ndarray
             f"step count {num:.6g} (horizon {config.horizon} / step {config.step}) "
             f"is too large to allocate: {exc}"
         ) from None
-    states[0] = x0
-    return config.step * np.arange(num + 1), states
+    return config.step * np.arange(num + 1), states, x0[:]  # rows yet to store: x0, flat
 
 
 def integrate_cf(
@@ -304,32 +327,31 @@ def integrate_cf(
     otherwise the run is aborted by the divergence guard.
     """
     alpha = check_order(order)
-    x0, g0 = _start(field, initial)
+    x0, g0, field = _start(field, initial)
     d = len(x0)
-    times, states = _grid(x0, config)
+    times, states, rows = _grid(x0, config)
     ch = alpha * config.step
     ch2 = ch / 2.0
     cf_coeff = 1.0 - alpha if config.cf_mode == "corrected" else 0.0
-    total = g0
-    g = g0
+    total = g = g0
     with np.errstate(over="ignore", invalid="ignore"):  # for fields that return ndarrays
-        for k in range(len(times) - 1):
-            t = times.item(k + 1)
-            if cf_coeff:
-                xp = [a + ch * s + cf_coeff * (b - c) for a, s, b, c in zip(x0, total, g, g0)]
-            else:
-                xp = [a + ch * s for a, s in zip(x0, total)]
-            gp = _evaluate(field, t, np.array(xp), d)
-            if cf_coeff:
-                xc = [a + ch2 * (2.0 * s - c + p) + cf_coeff * (p - c)
-                      for a, s, c, p in zip(x0, total, g0, gp)]
-            else:
-                xc = [a + ch2 * (2.0 * s - c + p) for a, s, c, p in zip(x0, total, g0, gp)]
-            _guard(xc, k, times, states)
-            xc = np.array(xc)
-            states[k + 1] = xc
-            g = _evaluate(field, t, xc, d)
-            total = [s + b for s, b in zip(total, g)]
+        for start in range(0, len(times) - 1, HISTORY_BLOCK):  # rows are stored per block
+            for k in range(start, min(start + HISTORY_BLOCK, len(times) - 1)):
+                t = times.item(k + 1)
+                if cf_coeff:
+                    xp = [a + ch * s + cf_coeff * (b - c) for a, s, b, c in zip(x0, total, g, g0)]
+                else:
+                    xp = [a + ch * s for a, s in zip(x0, total)]
+                gp = _evaluate(field, t, xp, d)
+                if cf_coeff:
+                    xc = [a + ch2 * (2.0 * s - c + p) + cf_coeff * (p - c)
+                          for a, s, c, p in zip(x0, total, g0, gp)]
+                else:
+                    xc = [a + ch2 * (2.0 * s - c + p) for a, s, c, p in zip(x0, total, g0, gp)]
+                _accept(xc, k, times, states, rows)
+                g = _evaluate(field, t, xc, d)
+                total = [s + b for s, b in zip(total, g)]
+            _store(states, rows, k + 2)
     return Trajectory(times, states)
 
 
@@ -353,9 +375,9 @@ def integrate_caputo(
     block start, and adds ``c0[k] g_0`` for the rest of the weight of g_0.
     """
     alpha = check_order(order)
-    x0, g0 = _start(field, initial)
+    x0, g0, field = _start(field, initial)
     d = len(x0)
-    times, states = _grid(x0, config)
+    times, states, rows = _grid(x0, config)
     num = len(times) - 1
     last = num - 1
     hist = np.empty((d, num + 1))
@@ -370,11 +392,10 @@ def integrate_caputo(
                 t = times.item(k + 1)
                 sums = (hist[:, start : k + 1] @ lagged[last - k + start :] + far[k - start]).tolist()
                 xp = [a + s[0] for a, s in zip(x0, sums)]
-                gp = _evaluate(field, t, np.array(xp), d)
+                gp = _evaluate(field, t, xp, d)
                 f = c0.item(k)
                 xc = [a + (s[1] + f * c + new * p) for a, s, c, p in zip(x0, sums, g0, gp)]
-                _guard(xc, k, times, states)
-                xc = np.array(xc)
-                states[k + 1] = xc
+                _accept(xc, k, times, states, rows)
                 hist[:, k + 1] = _evaluate(field, t, xc, d)
+            _store(states, rows, k + 2)
     return Trajectory(times, states)

@@ -443,6 +443,76 @@ def test_field_called_2n_plus_1_times_with_a_float_vector(name):
     assert set(seen) == {(np.ndarray, np.dtype(np.float64), (3,))}
 
 
+def test_float_level_form_called_2n_plus_1_times_with_python_floats():
+    # vector_field's own form takes the steps' lists; the ndarray path stays unused
+    floats = vector_field(EX1).floats
+    seen = []
+
+    def counting(t, xs):
+        seen.append((type(xs) in (list, tuple), len(xs), all(type(v) is float for v in xs)))
+        return floats(t, xs)
+
+    def ndarray_path(t, x):
+        raise AssertionError("the ndarray path was called")
+
+    ndarray_path.floats = counting
+    config = SolverConfig(step=0.01, horizon=2.0)
+    for integrate in (integrate_caputo, integrate_cf):
+        seen.clear()
+        integrate(ndarray_path, [0.5, 0.9, 0.1], 0.8, config)
+        assert len(seen) == 2 * config.num_steps + 1
+        assert set(seen) == {(True, 3, True)}
+
+
+def _both_paths(params):
+    """``vector_field(params)``, which the steps call through its float-level
+    form, and a plain wrapper of it, which they call through the ndarray adapter."""
+    field = vector_field(params)
+    return {"floats": field, "adapter": lambda t, x: field(t, x)}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_float_and_adapter_paths_agree_bitwise(name):
+    sc = SCENARIOS[name]
+    integrate = {"caputo": integrate_caputo, "cf": integrate_cf}[sc.operator]
+    modes = ("paper", "corrected") if sc.operator == "cf" else ("paper",)
+    for mode in modes:
+        config = SolverConfig(step=sc.step, horizon=sc.horizon, cf_mode=mode)
+        runs = {}
+        for path, field in _both_paths(PRESETS[sc.preset].params).items():
+            try:
+                runs[path] = integrate(field, sc.initial, sc.alpha, config).states
+            except DivergenceError as err:  # corrected mode on the planar scenario
+                runs[path] = err.partial.states
+        assert runs["floats"].tobytes() == runs["adapter"].tobytes()
+
+
+@pytest.mark.parametrize("path", ["floats", "adapter"])
+@pytest.mark.parametrize("integrate", [integrate_caputo, integrate_cf])
+@pytest.mark.parametrize("h,initial,later", [(0.01, [-0.01, 0.9, 0.1], False),
+                                             (0.004, [-1e-6, 0.9, 0.1], True)],
+                         ids=["first-block", "later-block"])
+def test_divergence_partial_equals_the_run_cut_before_it(monkeypatch, integrate, path, h,
+                                                         initial, later):
+    # np.empty filled with NaN: a row of ``states`` left unwritten would show
+    monkeypatch.setattr(fraclv.solvers.np, "empty", lambda shape: np.full(shape, np.nan))
+    with pytest.raises(DivergenceError) as excinfo:  # x runs off to -inf
+        integrate(_both_paths(EX1)[path], initial, 0.9, SolverConfig(step=h, horizon=50.0))
+    k = excinfo.value.step_index - 1
+    assert (k > HISTORY_BLOCK) == later
+    partial = excinfo.value.partial
+    cut = integrate(_both_paths(EX1)[path], initial, 0.9, SolverConfig(step=h, horizon=k * h))
+    assert partial.states.shape == (k + 1, 3)
+    assert np.all(np.isfinite(partial.states))
+    assert np.array_equal(partial.times, cut.times)
+    # past the first block, a Caputo run's FFT far sums take the weights of
+    # lags up to its own step count, so a shorter run rounds differently there
+    # (the documented 1e-12 of the direct sums, relative once the state is large)
+    exact = HISTORY_BLOCK + 1 if integrate is integrate_caputo else k + 1
+    assert partial.states[:exact].tobytes() == cut.states[:exact].tobytes()
+    np.testing.assert_allclose(partial.states, cut.states, rtol=1e-12, atol=1e-12)
+
+
 @pytest.mark.parametrize("mode", ["paper", "corrected"])
 def test_tuple_list_and_ndarray_returns_agree_bitwise(mode):
     field = vector_field(EX1)
