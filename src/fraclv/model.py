@@ -21,10 +21,11 @@ quotients (signed inf, or NaN for 0/0), not a ZeroDivisionError.
 
 The value types are slotted frozen dataclasses (no per-instance
 ``__dict__``), and ``ModelParams`` holds Python floats whatever real numbers
-it is given.  Every existence-condition row whose label carries no number is
-one of two tuples built at import and shared by all equilibria, and so is each
-E2 and E3 condition pair; only E4's z row, whose label states its bound, is
-built per call.
+it is given.  Every existence-condition row whose label carries no number,
+and each E2 and E3 condition pair, is the one instance that ``_shared`` keeps
+for it, so all equilibria share it; only E4's z row, whose label states its
+bound, is built per call.  Its table ``_SHARED`` is the one row-sharing
+table of the package: ``fraclv.stability`` shares its rows through it too.
 """
 
 from __future__ import annotations
@@ -92,23 +93,14 @@ class Equilibrium:
     conditions: tuple[tuple[str, bool], ...]
 
 
-#: Both rows, False and True, of each existence condition whose label carries
-#: no number, by label; built once here and shared by every Equilibrium.
-_ROWS = {label: {False: (label, False), True: (label, True)} for label in (
-    "a5 >= 1",
-    "a1*a6 >= a2*(a5 - 1)",
-    "a3 >= 1",
-    "a1*a4 >= a2*(a3 - 1)",
-    "x >= 0: a3 >= 1",
-    "y >= 0: a4*(a5 - 1) >= a6*(a3 - 1)",
-    "z >= 0: (a6 - a2*a7)*(a3 - 1) >= 0 (since 1 + a1*a7 - a5 = 0)",
-)}
-#: Every condition pair of E2 and E3, by kind and booleans; built once here from
-#: the rows above and shared by every Equilibrium.
-_PAIRS = {kind: {(p, q): (_ROWS[first][p], _ROWS[second][q])
-                 for p in (False, True) for q in (False, True)}
-          for kind, first, second in (("E2", "a5 >= 1", "a1*a6 >= a2*(a5 - 1)"),
-                                      ("E3", "a3 >= 1", "a1*a4 >= a2*(a3 - 1)"))}
+#: The one instance of each constant row in use, keyed by itself.  Only rows
+#: from finite sets enter it, so no input grows it past a few hundred entries.
+_SHARED: dict[tuple, tuple] = {}
+
+
+def _shared(row: tuple) -> tuple:
+    """The one shared instance of the constant ``row``, which must come from a finite set."""
+    return _SHARED.setdefault(row, row)
 
 
 def vector_field(params: ModelParams) -> Callable[[float, np.ndarray], tuple[float, float, float]]:
@@ -156,8 +148,8 @@ def _e4_z_condition(params: ModelParams) -> tuple[str, bool]:
     if s < 0.0:
         bound = (a2 * a7 - a6) * (a3 - 1.0) / s
         return (f"z >= 0: a4 <= (a2*a7 - a6)*(a3 - 1)/(1 + a1*a7 - a5) = {bound:.6g}", a4 <= bound)
-    return _ROWS["z >= 0: (a6 - a2*a7)*(a3 - 1) >= 0 (since 1 + a1*a7 - a5 = 0)"][
-        (a6 - a2 * a7) * (a3 - 1.0) >= 0.0]
+    return _shared(("z >= 0: (a6 - a2*a7)*(a3 - 1) >= 0 (since 1 + a1*a7 - a5 = 0)",
+                    (a6 - a2 * a7) * (a3 - 1.0) >= 0.0))
 
 
 def _quotient(num: float, den: float) -> float:
@@ -178,16 +170,18 @@ def equilibria(params: ModelParams) -> list[Equilibrium]:
         ("E0", (0.0, 0.0, 0.0), always),
         ("E1", (a1 / a2, 0.0, 0.0), always),
         ("E2", ((a5 - 1.0) / a6, 0.0, (a1 * a6 - a2 * (a5 - 1.0)) / a6),
-         _PAIRS["E2"][a5 >= 1.0, a1 * a6 >= a2 * (a5 - 1.0)]),
+         _shared((_shared(("a5 >= 1", a5 >= 1.0)),
+                  _shared(("a1*a6 >= a2*(a5 - 1)", a1 * a6 >= a2 * (a5 - 1.0)))))),
         ("E3", ((a3 - 1.0) / a4, (a1 * a4 - a2 * (a3 - 1.0)) / a4, 0.0),
-         _PAIRS["E3"][a3 >= 1.0, a1 * a4 >= a2 * (a3 - 1.0)]),
+         _shared((_shared(("a3 >= 1", a3 >= 1.0)),
+                  _shared(("a1*a4 >= a2*(a3 - 1)", a1 * a4 >= a2 * (a3 - 1.0)))))),
         ("E4", (
             (a3 - 1.0) / a4,
             _quotient(a4 * (a5 - 1.0) - a6 * (a3 - 1.0), a74),
             _quotient(a4 * (1.0 + a1 * a7 - a5) + (a6 - a2 * a7) * (a3 - 1.0), a74),
         ), (
-            _ROWS["x >= 0: a3 >= 1"][a3 >= 1.0],
-            _ROWS["y >= 0: a4*(a5 - 1) >= a6*(a3 - 1)"][a4 * (a5 - 1.0) >= a6 * (a3 - 1.0)],
+            _shared(("x >= 0: a3 >= 1", a3 >= 1.0)),
+            _shared(("y >= 0: a4*(a5 - 1) >= a6*(a3 - 1)", a4 * (a5 - 1.0) >= a6 * (a3 - 1.0))),
             _e4_z_condition(params),
         )),
     )

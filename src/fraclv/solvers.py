@@ -32,20 +32,21 @@ field history g_0..g_k, once with the predictor and once with the corrector
 weights.  ``integrate_caputo`` splits the history into blocks of
 ``HISTORY_BLOCK`` = B steps.  For step k in the block that starts at K, both
 sums over the near history g_K..g_k are one matrix product against the
-(N, 2) weight table that ``_caputo_tables`` builds once per run, at O(B) per
-step.  Both sums over the far history g_0..g_{K-1} are convolutions, taken
-for all B steps of the block at once by FFT of size K + B at the block start
-(``_far_sums``).  A run of N steps costs O(N B) for the near sums and
-O((N^2 / B) log N) for the far ones, and a run of at most B steps takes no
-FFT.  In a sweep of B from 128 to 4096 on 2 vCPUs, 1024 was the fastest or
-within the host's noise of it from 5k to 50k steps.
+weight table that ``_caputo_tables`` builds once per run, for N rounded up to
+whole blocks, at O(B) per step.  Both sums over the far history g_0..g_{K-1}
+are convolutions, taken for all B steps of the block at once by FFT of size
+K + B at the block start (``_far_sums``).  A run of N steps costs O(N B) for
+the near sums and O((N^2 / B) log N) for the far ones, and a run of at most B
+steps takes no FFT.  In a sweep of B from 128 to 4096 on 2 vCPUs, 1024 was
+the fastest or within the host's noise of it from 5k to 50k steps.
 
 Both integrators sum the history in a different order from a direct
 full-history evaluation of the weight formulas (one dot product over all of
 g_0..g_k per step), and the Caputo far sums carry the FFT's rounding, so
 results match that evaluation to rounding, not bit for bit: on the bundled
 scenarios the two agree to 1e-12 (max abs), and the test suite holds them to
-that tolerance.
+that tolerance.  A lag's weight does not depend on the table's length, so a
+shorter run of either integrator is bit for bit the prefix of a longer one.
 
 Field contract.  A field is called as ``field(t, state)`` with ``t`` a float
 and ``state`` a fresh 1-d float64 ndarray of the initial state's length d; it
@@ -232,11 +233,12 @@ def _far_sums(hist: np.ndarray, lagged: np.ndarray, start: int) -> np.ndarray:
     Returns a (B, d, 2) array, B = HISTORY_BLOCK: entry [j, c] holds the
     predictor and corrector sums of component c at step K+j.  Each is a
     linear convolution of g_0..g_{K-1} with the weights of lags 1..K+B-1,
-    taken by FFT of size K+B, at which no needed term wraps around.  One
+    taken by FFT of size K+B, at which no needed term wraps around; ``lagged``
+    has at least K+B rows, so the weights need no zero-padding.  One
     component at a time keeps the buffers small.
     """
     size = start + HISTORY_BLOCK
-    weights = [np.fft.rfft(w, size) for w in lagged[::-1][:size].T]  # ascending lag, zero-padded
+    weights = [np.fft.rfft(w, size) for w in lagged[::-1][:size].T]  # lags 0..K+B-1, ascending
     far = np.empty((HISTORY_BLOCK, len(hist), 2))
     for c, row in enumerate(hist[:, :start]):
         spectrum = np.fft.rfft(row, size)
@@ -370,19 +372,20 @@ def integrate_caputo(
     The field history g_0..g_N is held component-major and read in blocks of
     B = ``HISTORY_BLOCK`` steps.  In the block that starts at K, step k gets
     both history sums over g_K..g_k from one matrix product with the tail
-    ``lagged[last-k+K:]`` of the table of ``_caputo_tables`` (last = N-1),
-    adds the sums over g_0..g_{K-1} that ``_far_sums`` computed by FFT at the
-    block start, and adds ``c0[k] g_0`` for the rest of the weight of g_0.
+    ``lagged[last-k+K:]`` of the table of ``_caputo_tables`` (whole blocks,
+    last row ``last``), adds the sums over g_0..g_{K-1} that ``_far_sums``
+    computed by FFT at the block start, and adds ``c0[k] g_0`` for the rest
+    of the weight of g_0.
     """
     alpha = check_order(order)
     x0, g0, field = _start(field, initial)
     d = len(x0)
     times, states, rows = _grid(x0, config)
     num = len(times) - 1
-    last = num - 1
     hist = np.empty((d, num + 1))
     hist[:, 0] = g0
-    lagged, c0, new = _caputo_tables(num, alpha, config.step)
+    lagged, c0, new = _caputo_tables(-(-num // HISTORY_BLOCK) * HISTORY_BLOCK, alpha, config.step)
+    last = len(lagged) - 1
     far = np.zeros((min(HISTORY_BLOCK, num), d, 2))
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, num, HISTORY_BLOCK):

@@ -24,8 +24,9 @@ back.  Above S ~ 2**170 the terms overflow and ValueError is raised.
 
 The value types are slotted frozen dataclasses: no per-instance ``__dict__``,
 with the fields, ``repr``, ``==`` and ``hash`` of plain frozen dataclasses.
-No row here is constant; the reports that hold a ``Spectrum`` share their
-constant rows (see ``fraclv.stability``, which gives the memory per report).
+No row here is constant; the reports that hold a ``Spectrum`` share theirs
+through ``fraclv.model._shared`` (see ``fraclv.stability``, which gives the
+memory per report).
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ __all__ = [
     "CubicCoefficients",
     "Spectrum",
     "characteristic_cubic",
-    "cubic_analysis",
     "cubic_roots",
 ]
 
@@ -159,12 +159,6 @@ def _analysis(a: float, b: float, c: float, coeffs: CubicCoefficients) -> CubicA
     else:
         branch = BRANCH_THREE_REAL
     return CubicAnalysis(p=p, q=q, delta=delta, branch=branch)
-
-
-def cubic_analysis(coeffs: CubicCoefficients) -> CubicAnalysis:
-    """Depressed-cubic terms and branch; ValueError on a non-finite coefficient or term."""
-    a, b, c, _ = _scaled(coeffs)
-    return _analysis(a, b, c, coeffs)
 
 
 def _cbrt(x: float) -> float:

@@ -37,23 +37,23 @@ B = Caputo only, C = neither, D = CF only.
 
 The value types are slotted frozen dataclasses (no per-instance ``__dict__``).
 A verdict holds the spectrum's own eigenvalue tuple and a tag tuple, not
-(eigenvalue, tag) pairs.  Constant rows are shared, not built per call, from
-tables built at import that no input grows: each Table 1 row is one of two
-tuples per label, each report's Table 1 one of the 88 possible tuples, each
-three-eigenvalue tag row one of 8 cone, 8 disk or 125 theorem rows, and each
-``regions`` tuple one of the 4^3 possible.  A report of five equilibria
-retains ~4.2 KB (CPython 3.11.7).
+(eigenvalue, tag) pairs.  Constant rows are shared, not built per call,
+through ``fraclv.model._shared``, which keeps one instance of each row from a
+finite set: each Table 1 row (two per label), each report's Table 1 (one of
+the 88 possible tuples), each three-eigenvalue tag row (one of 8 cone, 8 disk
+or 125 theorem rows) and each ``regions`` tuple (one of the 4^3 possible).
+The table fills as rows are first used, and no input grows it past those
+sets.  A report of five equilibria retains ~4.2 KB (CPython 3.11.7).
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .model import Equilibrium, ModelParams, equilibria, jacobian
+from .model import Equilibrium, ModelParams, _shared, equilibria, jacobian
 from .spectral import Spectrum, characteristic_cubic, cubic_roots
 from .solvers import check_order
 
@@ -77,8 +77,8 @@ class StabilityVerdict:
 
     ``tags[i]`` is the identifier of the condition ``eigenvalues[i]``
     satisfied ("cone", "1".."4", "disk") or None.  ``eigenvalues`` is the
-    spectrum's own tuple, and for three eigenvalues ``tags`` is one of the
-    rows built at import, so a verdict holds no copy of either.
+    spectrum's own tuple, and for three eigenvalues ``tags`` is the shared
+    row of ``fraclv.model._shared``, so a verdict holds no copy of either.
     ``per_eigenvalue`` pairs them up on demand, and ``repr`` prints those
     pairs.
     """
@@ -174,20 +174,15 @@ def _disk(w: complex, alpha: float) -> Optional[str]:
 
 #: Region class by the (cone, disk) tags of one eigenvalue.
 _REGIONS = {("cone", "disk"): "A", ("cone", None): "B", (None, None): "C", (None, "disk"): "D"}
-#: Every ``regions`` tuple of a three-eigenvalue spectrum, built once and shared.
-_REGION_ROWS = {row: row for row in itertools.product("ABCD", repeat=3)}
-#: Every tag row of a three-eigenvalue spectrum, built once and shared: 8 cone,
-#: 8 disk and 125 theorem rows, of which the all-None row is common to all three.
-_TAG_ROWS = {row: row for tags in (("cone", None), ("disk", None), ("1", "2", "3", "4", None))
-             for row in itertools.product(tags, repeat=3)}
 
 
 def _verdict(operator: str, eigs: tuple[complex, ...], tags: list) -> StabilityVerdict:
     """The verdict from each eigenvalue's tag (None where its test failed).
 
-    Three tags come back as the shared row; other lengths as a new tuple."""
-    row = tuple(tags)
-    return StabilityVerdict(operator, None not in row, eigs, _TAG_ROWS.get(row, row))
+    Three tags come back as the shared row; other lengths, which are
+    unbounded in number, as a new tuple."""
+    row = _shared(tuple(tags)) if len(tags) == 3 else tuple(tags)
+    return StabilityVerdict(operator, None not in row, eigs, row)
 
 
 def caputo_stable(spectrum: SpectrumLike, order: float) -> StabilityVerdict:
@@ -257,14 +252,6 @@ _TABLE1_LABELS = {
            "(w*(a2+a4) + a2*a4*(a3-1))",
            "cf: all characteristic roots > 1/(1-alpha)"),
 }
-#: Both rows, False and True, of each Table 1 condition, by label; built once
-#: here and shared by every report.
-_TABLE1 = {label: {False: (label, False), True: (label, True)}
-           for labels in _TABLE1_LABELS.values() for label in labels}
-#: Every Table 1 of each kind as one tuple of those rows, keyed by itself;
-#: built once here and shared by every report.
-_TABLE1_ROWS = {rows: rows for labels in _TABLE1_LABELS.values()
-                for rows in itertools.product(*(_TABLE1[label].values() for label in labels))}
 
 
 def table1_conditions(
@@ -306,7 +293,7 @@ def table1_conditions(
         flags = (rh, all(v.real > thr for v in _eigs(spectrum)))
     else:
         raise ValueError(f"unknown equilibrium kind {kind!r}")
-    return [_TABLE1[label][flag] for label, flag in zip(_TABLE1_LABELS[kind], flags)]
+    return [_shared((label, flag)) for label, flag in zip(_TABLE1_LABELS[kind], flags)]
 
 
 def equilibrium_report(params: ModelParams, order: float) -> list[EquilibriumReport]:
@@ -340,7 +327,7 @@ def equilibrium_report(params: ModelParams, order: float) -> list[EquilibriumRep
             caputo=_verdict("caputo", eigs, cones),
             cf_theorem=_verdict("cf-theorem", eigs, theorems),
             cf_disk=_verdict("cf-disk", eigs, disks),
-            table1=_TABLE1_ROWS[tuple(table1_conditions(params, alpha, eq.kind, spectrum))],
-            regions=_REGION_ROWS[tuple(regions)],
+            table1=_shared(tuple(table1_conditions(params, alpha, eq.kind, spectrum))),
+            regions=_shared(tuple(regions)),
         ))
     return reports

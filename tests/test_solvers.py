@@ -505,12 +505,21 @@ def test_divergence_partial_equals_the_run_cut_before_it(monkeypatch, integrate,
     assert partial.states.shape == (k + 1, 3)
     assert np.all(np.isfinite(partial.states))
     assert np.array_equal(partial.times, cut.times)
-    # past the first block, a Caputo run's FFT far sums take the weights of
-    # lags up to its own step count, so a shorter run rounds differently there
-    # (the documented 1e-12 of the direct sums, relative once the state is large)
-    exact = HISTORY_BLOCK + 1 if integrate is integrate_caputo else k + 1
-    assert partial.states[:exact].tobytes() == cut.states[:exact].tobytes()
-    np.testing.assert_allclose(partial.states, cut.states, rtol=1e-12, atol=1e-12)
+    assert partial.states.tobytes() == cut.states.tobytes()
+
+
+@pytest.mark.parametrize("name", ["example1-caputo", "example2-caputo"])
+def test_caputo_run_is_the_prefix_of_a_longer_run(name):
+    # a run's last block reads the same lag weights, full blocks' worth, as a
+    # longer run's, so cutting the horizon inside a block moves no row
+    sc = SCENARIOS[name]
+    field = vector_field(PRESETS[sc.preset].params)
+    run = lambda horizon: integrate_caputo(field, sc.initial, sc.alpha,
+                                           SolverConfig(step=sc.step, horizon=horizon)).states
+    full = run(50.0)
+    for horizon in (11.0, 15.0, 25.0, 30.0, 41.0):
+        cut = run(horizon)
+        assert cut.tobytes() == full[: len(cut)].tobytes(), horizon
 
 
 @pytest.mark.parametrize("mode", ["paper", "corrected"])

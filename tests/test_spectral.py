@@ -19,7 +19,6 @@ from fraclv.spectral import (
     SAFE_SCALE,
     CubicCoefficients,
     characteristic_cubic,
-    cubic_analysis,
     cubic_roots,
 )
 
@@ -187,30 +186,30 @@ def test_cubics_below_the_safe_scale_are_solved_rescaled(roots, k):
 def test_safe_scale_boundary():
     # at SAFE_SCALE the cubic is solved as given: its analysis has p = -a^2/3
     # of the given a; just below it the analysis is that of the rescaled cubic
-    at = cubic_analysis(CubicCoefficients(SAFE_SCALE, 0.0, 0.0))
+    at = cubic_roots(CubicCoefficients(SAFE_SCALE, 0.0, 0.0)).analysis
     assert at.p == -SAFE_SCALE ** 2 / 3.0
-    below = cubic_analysis(CubicCoefficients(SAFE_SCALE / 2.0, 0.0, 0.0))
+    below = cubic_roots(CubicCoefficients(SAFE_SCALE / 2.0, 0.0, 0.0)).analysis
     assert 0.01 < abs(below.p) < 1.0
     spec = cubic_roots(CubicCoefficients(SAFE_SCALE / 2.0, 0.0, 0.0))
     assert spec.eigenvalues[0] == -SAFE_SCALE / 2.0
 
 
 def test_analysis_repeated_example():
-    an = cubic_analysis(CubicCoefficients(0.0, -3.0, 2.0))  # (w-1)^2 (w+2)
+    an = cubic_roots(CubicCoefficients(0.0, -3.0, 2.0)).analysis  # (w-1)^2 (w+2)
     assert (an.p, an.q) == (-3.0, 2.0)
     assert abs(an.delta) < 1e-15
     assert an.branch == BRANCH_REPEATED
 
 
 def test_analysis_one_real_pair_example():
-    an = cubic_analysis(CubicCoefficients(0.0, 0.0, -1.0))  # w^3 = 1
+    an = cubic_roots(CubicCoefficients(0.0, 0.0, -1.0)).analysis  # w^3 = 1
     assert (an.p, an.q) == (0.0, -1.0)
     assert an.delta == pytest.approx(0.25)
     assert an.branch == BRANCH_ONE_REAL_PAIR
 
 
 def test_analysis_three_real_example():
-    an = cubic_analysis(CubicCoefficients(0.0, -1.0, 0.0))  # w^3 = w
+    an = cubic_roots(CubicCoefficients(0.0, -1.0, 0.0)).analysis  # w^3 = w
     assert (an.p, an.q) == (-1.0, 0.0)
     assert an.delta == pytest.approx(-1.0 / 27.0)
     assert an.branch == BRANCH_THREE_REAL

@@ -4,8 +4,9 @@ Every public dataclass is a slotted frozen dataclass: no per-instance
 ``__dict__``, assigning or deleting a field raises ``FrozenInstanceError``,
 and ``==`` and ``hash`` are those of its fields.  The constant rows (Table 1 rows
 and whole tables, existence conditions with constant labels and the E2 and E3
-condition pairs, verdict tag rows, ``regions`` tuples) come from bounded
-tables built at import, which no input grows.
+condition pairs, three-eigenvalue verdict tag rows, ``regions`` tuples) are the
+entries of one table, ``fraclv.model._SHARED``, which fills as rows are first
+used and which no input grows past its bound.
 """
 
 import dataclasses
@@ -80,51 +81,55 @@ def test_value_types_are_slotted_and_frozen(obj):
         assert hash(twin) == hash(obj)
 
 
-def _tables():
-    return {
-        "model._ROWS": fraclv.model._ROWS,
-        "model._PAIRS": fraclv.model._PAIRS,
-        "stability._TABLE1": fraclv.stability._TABLE1,
-        "stability._TABLE1_ROWS": fraclv.stability._TABLE1_ROWS,
-        "stability._TAG_ROWS": fraclv.stability._TAG_ROWS,
-        "stability._REGION_ROWS": fraclv.stability._REGION_ROWS,
-    }
+#: How many rows may enter ``model._SHARED``: existence-condition rows (7
+#: constant labels, False and True) and the 8 E2/E3 pairs (22 in all), Table 1
+#: rows (18 labels, 36 at most, as E2 and E3 share three labels), whole Table 1s
+#: (2^2 + 2^4 + 2^5 + 2^5 + 2^2 = 88), three-eigenvalue tag rows (8 cone, 8
+#: disk and 125 theorem rows share the all-None row, 139) and ``regions``
+#: tuples (4^3 = 64).
+SHARED_BOUND = 22 + 36 + 88 + 139 + 64
+
+_TAGS = {"cone", "disk", "1", "2", "3", "4", None}
 
 
-def _sizes():
-    return {name: (len(table), sum(len(v) if isinstance(v, dict) else 1 for v in table.values()))
-            for name, table in _tables().items()}
+def _random_reports(seed):
+    """The reports of 1,000 random parameter sets and orders."""
+    rng = random.Random(seed)
+    return [rep for _ in range(1000) for rep in equilibrium_report(
+        ModelParams(*(10.0 ** rng.uniform(-1.0, 1.0) for _ in range(7))), rng.uniform(0.05, 0.95))]
 
 
 def test_shared_rows_come_from_bounded_tables():
-    at_import = _sizes()
-    assert at_import["stability._REGION_ROWS"] == (64, 64)
-    # 8 cone, 8 disk and 125 theorem rows share the all-None row
-    assert at_import["stability._TAG_ROWS"] == (139, 139)
-    # every Table 1 of E0..E4: 2^2 + 2^4 + 2^5 + 2^5 + 2^2
-    assert at_import["stability._TABLE1_ROWS"] == (88, 88)
-    assert at_import["model._PAIRS"] == (2, 8)
-    rng = random.Random(5)
-    for _ in range(1000):
-        params = ModelParams(*(10.0 ** rng.uniform(-1.0, 1.0) for _ in range(7)))
-        for rep in equilibrium_report(params, rng.uniform(0.05, 0.95)):
-            assert rep.regions is fraclv.stability._REGION_ROWS[rep.regions]
-            assert rep.table1 is fraclv.stability._TABLE1_ROWS[rep.table1]
-            for row in rep.table1:
-                assert row is fraclv.stability._TABLE1[row[0]][row[1]]
-            for verdict in (rep.caputo, rep.cf_theorem, rep.cf_disk):
-                assert verdict.eigenvalues is rep.spectrum.eigenvalues
-                assert verdict.tags is fraclv.stability._TAG_ROWS[verdict.tags]
-            conditions = rep.equilibrium.conditions
-            if rep.equilibrium.kind in fraclv.model._PAIRS:
-                flags = tuple(ok for _, ok in conditions)
-                assert conditions is fraclv.model._PAIRS[rep.equilibrium.kind][flags]
-            for row in conditions:
-                if row[0] in fraclv.model._ROWS:
-                    assert row is fraclv.model._ROWS[row[0]][row[1]]
-                else:  # "always exists", a constant, or E4's z row with its bound
-                    assert row[0] == "always exists" or row[0].startswith("z >= 0")
-    assert _sizes() == at_import
+    shared = fraclv.model._SHARED
+    for rep in _random_reports(5):
+        assert shared[rep.regions] is rep.regions
+        assert shared[rep.table1] is rep.table1
+        for row in rep.table1:
+            assert shared[row] is row
+        for verdict in (rep.caputo, rep.cf_theorem, rep.cf_disk):
+            assert verdict.eigenvalues is rep.spectrum.eigenvalues
+            assert shared[verdict.tags] is verdict.tags
+        conditions = rep.equilibrium.conditions
+        if rep.equilibrium.kind in ("E2", "E3"):
+            assert shared[conditions] is conditions
+        for row in conditions:
+            if row[0] == "always exists" or row[0].startswith("z >= 0: a4"):
+                assert row not in shared  # a constant, or E4's z row with its bound
+            else:
+                assert shared[row] is row
+    # other lengths are unbounded in number, so they stay new tuples
+    for spectrum in ([-1.0], [-1.0, 2.0], [-1.0, -2.0, -3.0, 4.0, 0.0]):
+        for verdict_of in (caputo_stable, cf_stable_theorem, cf_disk_verdict):
+            assert verdict_of(spectrum, 0.6).tags not in shared
+    filled = dict(shared)
+    assert len(filled) <= SHARED_BOUND
+    _random_reports(6)
+    assert shared == filled
+    for row in shared:
+        if all(tag in _TAGS for tag in row):
+            assert len(row) == 3
+        elif isinstance(row[0], str) and isinstance(row[1], bool):
+            assert not row[0].startswith("z >= 0: a4")
 
 
 def test_rows_are_shared_across_inputs():

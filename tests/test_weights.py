@@ -88,3 +88,14 @@ def test_all_weights_positive(k, n, h):
     assert np.all(lagged > 0.0)
     assert np.all(first_weights(lagged, c0) > 0.0)
     assert new > 0.0
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.6, 0.98])
+def test_lag_weights_do_not_depend_on_the_table_length(alpha):
+    # integrate_caputo builds its table for whole blocks of steps, so a run's
+    # rows match a longer run's only if the weights of a lag and c0 match
+    lagged, c0, new = _caputo_tables(5120, alpha, 0.01)
+    for num in (1000, 1024, 2048, 3333):
+        short, short_c0, short_new = _caputo_tables(num, alpha, 0.01)
+        assert short.tobytes() == lagged[-num:].tobytes()
+        assert short_c0.tobytes() == c0[:num].tobytes() and short_new == new
