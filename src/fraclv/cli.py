@@ -243,13 +243,13 @@ def _complex_pair(w: complex) -> list[float]:
     return [w.real, w.imag]
 
 
-def _verdict_dict(verdict) -> dict:
+def _verdict_dict(verdict, eigenvalues) -> dict:
     return {
         "operator": verdict.operator,
         "stable": verdict.stable,
         "per_eigenvalue": [
             {"eigenvalue": _complex_pair(w), "condition": tag}
-            for w, tag in zip(verdict.eigenvalues, verdict.tags)
+            for w, tag in zip(eigenvalues, verdict.tags)
         ],
     }
 
@@ -313,7 +313,8 @@ def cmd_stability(config_path: str, out_dir=None, alpha=None) -> int:
     }
     for rep in reports:
         entry = _equilibrium_dict(rep.equilibrium)
-        entry["eigenvalues"] = [_complex_pair(w) for w in rep.spectrum.eigenvalues]
+        eigs = rep.spectrum.eigenvalues
+        entry["eigenvalues"] = [_complex_pair(w) for w in eigs]
         entry["cubic"] = {
             "p": rep.spectrum.analysis.p,
             "q": rep.spectrum.analysis.q,
@@ -321,9 +322,9 @@ def cmd_stability(config_path: str, out_dir=None, alpha=None) -> int:
             "branch": rep.spectrum.analysis.branch,
         }
         entry["verdicts"] = {
-            "caputo": _verdict_dict(rep.caputo),
-            "cf_theorem": _verdict_dict(rep.cf_theorem) if rep.cf_theorem else "not applicable",
-            "cf_disk": _verdict_dict(rep.cf_disk) if rep.cf_disk else "not applicable",
+            "caputo": _verdict_dict(rep.caputo, eigs),
+            "cf_theorem": _verdict_dict(rep.cf_theorem, eigs) if rep.cf_theorem else "not applicable",
+            "cf_disk": _verdict_dict(rep.cf_disk, eigs) if rep.cf_disk else "not applicable",
         }
         entry["table1_conditions"] = [[name, ok] for name, ok in rep.table1]
         entry["regions"] = list(rep.regions) if rep.regions is not None else "not applicable"

@@ -24,15 +24,16 @@ The value types are slotted frozen dataclasses (no per-instance
 it is given.  Every existence-condition row whose label carries no number,
 and each E2 and E3 condition pair, is the one instance that ``_shared`` keeps
 for it, so all equilibria share it; only E4's z row, whose label states its
-bound, is built per call.  Its table ``_SHARED`` is the one row-sharing
-table of the package: ``fraclv.stability`` shares its rows through it too.
+bound, is built per call.  Its table ``_SHARED`` is the one sharing table
+of the package: ``fraclv.stability`` shares its rows and verdicts through it
+too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Hashable, Sequence, TypeVar
 
 import numpy as np
 
@@ -46,6 +47,8 @@ __all__ = [
     "vector_field",
 ]
 
+_Hashable = TypeVar("_Hashable", bound=Hashable)
+
 
 @dataclass(frozen=True, slots=True)
 class ModelParams:
@@ -54,7 +57,8 @@ class ModelParams:
     Any real number is accepted (numpy scalars included) and converted with
     ``float``, so a float comes through bit for bit and no numpy scalar
     reaches a result.  A non-number, an integer past the float range or a
-    value that is not positive raises ValueError naming the coefficient.
+    value that is not positive and finite raises ValueError naming the
+    coefficient.
     """
 
     a1: float
@@ -69,8 +73,8 @@ class ModelParams:
         for name, value in self.as_dict().items():
             if type(value) is not float:  # a float is stored as given
                 object.__setattr__(self, name, _as_float(value, f"coefficient {name}"))
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"coefficient {name} must be positive, got {value}")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"coefficient {name} must be positive and finite, got {value}")
 
     def as_tuple(self) -> tuple[float, ...]:
         return (self.a1, self.a2, self.a3, self.a4, self.a5, self.a6, self.a7)
@@ -93,14 +97,16 @@ class Equilibrium:
     conditions: tuple[tuple[str, bool], ...]
 
 
-#: The one instance of each constant row in use, keyed by itself.  Only rows
-#: from finite sets enter it, so no input grows it past a few hundred entries.
-_SHARED: dict[tuple, tuple] = {}
+#: The one instance of each constant value in use, keyed by itself: rows of
+#: this module and of ``fraclv.stability``, and that module's three-eigenvalue
+#: verdicts.  Only values from finite sets enter it, so no input grows it past
+#: a few hundred entries.
+_SHARED: dict = {}
 
 
-def _shared(row: tuple) -> tuple:
-    """The one shared instance of the constant ``row``, which must come from a finite set."""
-    return _SHARED.setdefault(row, row)
+def _shared(value: _Hashable) -> _Hashable:
+    """The one shared instance of the constant ``value``, which must come from a finite set."""
+    return _SHARED.setdefault(value, value)
 
 
 def vector_field(params: ModelParams) -> Callable[[float, np.ndarray], tuple[float, float, float]]:

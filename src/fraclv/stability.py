@@ -36,14 +36,15 @@ B = Caputo only, C = neither, D = CF only.
 (it has no closed form) reads; no Table 1 row solves a spectrum.
 
 The value types are slotted frozen dataclasses (no per-instance ``__dict__``).
-A verdict holds the spectrum's own eigenvalue tuple and a tag tuple, not
-(eigenvalue, tag) pairs.  Constant rows are shared, not built per call,
-through ``fraclv.model._shared``, which keeps one instance of each row from a
-finite set: each Table 1 row (two per label), each report's Table 1 (one of
-the 88 possible tuples), each three-eigenvalue tag row (one of 8 cone, 8 disk
-or 125 theorem rows) and each ``regions`` tuple (one of the 4^3 possible).
-The table fills as rows are first used, and no input grows it past those
-sets.  A report of five equilibria retains ~4.2 KB (CPython 3.11.7).
+A verdict is its operator, its outcome and one tag per eigenvalue; the
+eigenvalues themselves are the spectrum's.  Constant values are shared, not
+built per call, through ``fraclv.model._shared``, which keeps one instance of
+each value from a finite set: each Table 1 row (two per label), each report's
+Table 1 (one of the 88 possible tuples), each three-eigenvalue verdict (one
+of 8 cone, 125 theorem or 8 disk verdicts) and each ``regions`` tuple (one of
+the 4^3 possible).  The table fills as values are first used, and no input
+grows it past those sets.  A report of five equilibria retains ~3.3 KB
+(CPython 3.11.7), nearly all of it the equilibria and spectra.
 """
 
 from __future__ import annotations
@@ -71,31 +72,19 @@ __all__ = [
 SpectrumLike = Union[Spectrum, Sequence[complex]]
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True)
 class StabilityVerdict:
     """Per-operator verdict; stable iff every eigenvalue satisfied a condition.
 
-    ``tags[i]`` is the identifier of the condition ``eigenvalues[i]``
-    satisfied ("cone", "1".."4", "disk") or None.  ``eigenvalues`` is the
-    spectrum's own tuple, and for three eigenvalues ``tags`` is the shared
-    row of ``fraclv.model._shared``, so a verdict holds no copy of either.
-    ``per_eigenvalue`` pairs them up on demand, and ``repr`` prints those
-    pairs.
+    ``tags[i]`` is the identifier of the condition the spectrum's i-th
+    eigenvalue satisfied ("cone", "1".."4", "disk") or None.  A verdict over
+    three eigenvalues is the one shared instance of ``fraclv.model._shared``
+    for its operator and tags.
     """
 
     operator: str  # "caputo", "cf-theorem" or "cf-disk"
     stable: bool
-    eigenvalues: tuple[complex, ...]
     tags: tuple[Optional[str], ...]
-
-    @property
-    def per_eigenvalue(self) -> tuple[tuple[complex, Optional[str]], ...]:
-        """Each eigenvalue paired with its tag."""
-        return tuple(zip(self.eigenvalues, self.tags))
-
-    def __repr__(self) -> str:
-        return (f"StabilityVerdict(operator={self.operator!r}, stable={self.stable!r}, "
-                f"per_eigenvalue={self.per_eigenvalue!r})")
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,13 +165,13 @@ def _disk(w: complex, alpha: float) -> Optional[str]:
 _REGIONS = {("cone", "disk"): "A", ("cone", None): "B", (None, None): "C", (None, "disk"): "D"}
 
 
-def _verdict(operator: str, eigs: tuple[complex, ...], tags: list) -> StabilityVerdict:
+def _verdict(operator: str, tags: list) -> StabilityVerdict:
     """The verdict from each eigenvalue's tag (None where its test failed).
 
-    Three tags come back as the shared row; other lengths, which are
-    unbounded in number, as a new tuple."""
-    row = _shared(tuple(tags)) if len(tags) == 3 else tuple(tags)
-    return StabilityVerdict(operator, None not in row, eigs, row)
+    A three-eigenvalue verdict comes back as the shared instance; other
+    lengths, which are unbounded in number, as a new verdict."""
+    verdict = StabilityVerdict(operator, None not in tags, tuple(tags))
+    return _shared(verdict) if len(tags) == 3 else verdict
 
 
 def caputo_stable(spectrum: SpectrumLike, order: float) -> StabilityVerdict:
@@ -191,22 +180,19 @@ def caputo_stable(spectrum: SpectrumLike, order: float) -> StabilityVerdict:
     Accepts alpha = 1, where the test is exactly the classical Re(w) < 0.
     """
     alpha = check_order(order)
-    eigs = _eigs(spectrum)
-    return _verdict("caputo", eigs, [_cone(w, alpha) for w in eigs])
+    return _verdict("caputo", [_cone(w, alpha) for w in _eigs(spectrum)])
 
 
 def cf_stable_theorem(spectrum: SpectrumLike, order: float) -> StabilityVerdict:
     """Any-of-four condition test, applied per eigenvalue."""
     alpha = check_order(order, allow_one=False)
-    eigs = _eigs(spectrum)
-    return _verdict("cf-theorem", eigs, [_theorem(w, alpha) for w in eigs])
+    return _verdict("cf-theorem", [_theorem(w, alpha) for w in _eigs(spectrum)])
 
 
 def cf_disk_verdict(spectrum: SpectrumLike, order: float) -> StabilityVerdict:
     """Disk criterion: every eigenvalue strictly outside the closed instability disk."""
     alpha = check_order(order, allow_one=False)
-    eigs = _eigs(spectrum)
-    return _verdict("cf-disk", eigs, [_disk(w, alpha) for w in eigs])
+    return _verdict("cf-disk", [_disk(w, alpha) for w in _eigs(spectrum)])
 
 
 def classify_region(lam: complex, order: float) -> str:
@@ -309,13 +295,12 @@ def equilibrium_report(params: ModelParams, order: float) -> list[EquilibriumRep
     reports = []
     for eq in equilibria(params):
         spectrum = cubic_roots(characteristic_cubic(jacobian(params, eq.point)))
-        eigs = _eigs(spectrum)
         if alpha == 1.0:
-            caputo = _verdict("caputo", eigs, [_cone(w, alpha) for w in eigs])
+            caputo = caputo_stable(spectrum, alpha)
             reports.append(EquilibriumReport(eq, spectrum, caputo, None, None, (), None))
             continue
         cones, theorems, disks, regions = [], [], [], []
-        for w in eigs:
+        for w in _eigs(spectrum):
             cone, disk = _cone(w, alpha), _disk(w, alpha)
             cones.append(cone)
             theorems.append(_theorem(w, alpha))
@@ -324,9 +309,9 @@ def equilibrium_report(params: ModelParams, order: float) -> list[EquilibriumRep
         reports.append(EquilibriumReport(
             equilibrium=eq,
             spectrum=spectrum,
-            caputo=_verdict("caputo", eigs, cones),
-            cf_theorem=_verdict("cf-theorem", eigs, theorems),
-            cf_disk=_verdict("cf-disk", eigs, disks),
+            caputo=_verdict("caputo", cones),
+            cf_theorem=_verdict("cf-theorem", theorems),
+            cf_disk=_verdict("cf-disk", disks),
             table1=_shared(tuple(table1_conditions(params, alpha, eq.kind, spectrum))),
             regions=_shared(tuple(regions)),
         ))

@@ -6,8 +6,15 @@ Each digest is the sha256 of ``repr`` of one batch of results: the
 ``classify_region`` on a grid of the plane at four orders.  ``repr`` spells
 out every float to the bit and every tag, Table 1 row and region, so a change
 that moves any output of the model, spectral or stability layers changes a
-digest.  The digests were captured before the value types became slotted and
-the constant rows shared, and pin that those changes moved nothing.
+digest.
+
+A report is hashed as a plain rendering of its values: the equilibrium, the
+spectrum, ``(operator, stable, tags)`` or None for each verdict, the Table 1
+rows and the regions.  It reads only names that verdicts have had since they
+stored their tags as a row, not the verdict type's own ``repr``, so the
+digest was captured on the code before verdicts became shared values and
+pins that the change moved no report value.  ``REGION_DIGEST`` was captured
+before the value types became slotted and the constant rows shared.
 """
 
 import hashlib
@@ -21,7 +28,7 @@ REPORT_ORDERS = (0.4, 0.66, 0.98, 1.0)
 GRID_ORDERS = (0.3, 0.5, 0.7, 0.9)
 SAMPLES_PER_PRESET = 25
 
-REPORT_DIGEST = "289c78f4391e6714531e31854a88ef5a0c5991148f4dade4f20b1a6dd24129b7"
+REPORT_DIGEST = "87f2135afd526ea4d03a52bddcb6c465f5eef4d4ab7d20adecaa5d5328cee27c"
 REGION_DIGEST = "59f1b1d858c20c757e76e18b8fcaa0eb74458d34caf847b27f08bd6888122d4d"
 
 
@@ -35,9 +42,16 @@ def _digest(results) -> str:
     return hashlib.sha256(repr(results).encode()).hexdigest()
 
 
+def _rendering(rep) -> tuple:
+    verdicts = tuple(None if v is None else (v.operator, v.stable, v.tags)
+                     for v in (rep.caputo, rep.cf_theorem, rep.cf_disk))
+    return (rep.equilibrium, rep.spectrum, verdicts, rep.table1, rep.regions)
+
+
 def report_digest() -> str:
     params = _param_sets()
-    return _digest([[equilibrium_report(p, alpha) for p in params] for alpha in REPORT_ORDERS])
+    return _digest([[[_rendering(rep) for rep in equilibrium_report(p, alpha)] for p in params]
+                    for alpha in REPORT_ORDERS])
 
 
 def region_digest() -> str:

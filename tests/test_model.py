@@ -28,6 +28,9 @@ def test_params_reject_nonpositive():
         ModelParams(3, 0.5, 4, 3, 4, 9, 0.0)
     with pytest.raises(ValueError):
         ModelParams(-1, 0.5, 4, 3, 4, 9, 4)
+    # an infinite coefficient once gave E4 = (1.0, nan, nan) with a y row True
+    with pytest.raises(ValueError, match="coefficient a5 must be positive and finite, got inf"):
+        ModelParams(10, 0.5, 4, 3, math.inf, 9, 1e308)
 
 
 def test_params_hold_python_floats():

@@ -35,10 +35,10 @@ def test_cone_stable_spiral_at_high_order():
 
 def test_positive_real_eigenvalue_never_cone_stable():
     for alpha in (0.05, 0.3, 0.66, 0.98, 1.0):
-        verdict = caputo_stable([15.0, -1.0, -1.0], alpha)
+        spectrum = [15.0, -1.0, -1.0]
+        verdict = caputo_stable(spectrum, alpha)
         assert not verdict.stable
-        tags = dict((w, tag) for w, tag in verdict.per_eigenvalue)
-        assert tags[complex(15.0)] is None
+        assert dict(zip(spectrum, verdict.tags))[15.0] is None
 
 
 def test_cone_interior_example2():
@@ -72,8 +72,8 @@ def test_cone_subnormal_argument_gives_a_verdict():
 def test_verdict_structure():
     verdict = caputo_stable([complex(-1, 2), complex(-1, -2), 3.0], 0.5)
     assert verdict.operator == "caputo"
-    assert verdict.stable == all(tag is not None for _, tag in verdict.per_eigenvalue)
-    assert len(verdict.per_eigenvalue) == 3
+    assert verdict.stable == all(tag is not None for tag in verdict.tags)
+    assert len(verdict.tags) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +86,7 @@ def test_cf_theorem_mixed_conditions():
     # (the conditions overlap), and the verdict records the first match.
     verdict = cf_stable_theorem([-3.0, -3.0, 3.0], 0.6)
     assert verdict.stable
-    tags = [tag for _, tag in verdict.per_eigenvalue]
+    tags = verdict.tags
     assert tags[2] == "1"
     assert tags[0] in ("1", "3") and tags[1] in ("1", "3")
 
@@ -95,7 +95,7 @@ def test_cf_theorem_left_half_plane():
     for alpha in (0.1, 0.5, 0.9):
         verdict = cf_stable_theorem([-1.0, -1.0, -1.0], alpha)
         assert verdict.stable
-        assert all(tag == "3" for _, tag in verdict.per_eigenvalue)
+        assert all(tag == "3" for tag in verdict.tags)
 
 
 def test_cf_theorem_example1_low_order():
@@ -133,7 +133,7 @@ def test_disk_verdict_wraps_spectrum():
     verdict = cf_disk_verdict([6.0, -1.0, complex(1.0, 3.0)], 0.6)
     assert verdict.operator == "cf-disk"
     assert verdict.stable
-    assert all(tag == "disk" for _, tag in verdict.per_eigenvalue)
+    assert all(tag == "disk" for tag in verdict.tags)
 
 
 def test_disk_rejects_order_one():
@@ -174,7 +174,7 @@ def test_modulus_past_the_float_range_is_infinite(lam, region):
     # outside the disk and past the theorem's 1/(1-alpha)
     assert classify_region(lam, 0.5) == region
     assert cf_disk_verdict([lam], 0.5).stable
-    assert cf_stable_theorem([lam], 0.5).per_eigenvalue == ((lam, "1"),)
+    assert cf_stable_theorem([lam], 0.5).tags == ("1",)
 
 
 @given(
@@ -304,7 +304,7 @@ def test_report_structure_and_regions():
             assert set(rep.regions) <= {"A", "B", "C", "D"}
             assert rep.table1
             # disk stability is implied by any theorem pass, per eigenvalue
-            for (w, tag), region in zip(rep.cf_theorem.per_eigenvalue, rep.regions):
+            for tag, region in zip(rep.cf_theorem.tags, rep.regions):
                 if tag is not None:
                     assert region in ("A", "D")
 

@@ -2,16 +2,19 @@
 
 Every public dataclass is a slotted frozen dataclass: no per-instance
 ``__dict__``, assigning or deleting a field raises ``FrozenInstanceError``,
-and ``==`` and ``hash`` are those of its fields.  The constant rows (Table 1 rows
+and ``==`` and ``hash`` are those of its fields.  The constant values (Table 1 rows
 and whole tables, existence conditions with constant labels and the E2 and E3
-condition pairs, three-eigenvalue verdict tag rows, ``regions`` tuples) are the
-entries of one table, ``fraclv.model._SHARED``, which fills as rows are first
-used and which no input grows past its bound.
+condition pairs, three-eigenvalue verdicts, ``regions`` tuples) are the
+entries of one table, ``fraclv.model._SHARED``, which fills as values are
+first used and which no input grows past its bound.  A verdict holds no
+eigenvalue: the spectrum is their one owner, and a report retains little
+beyond its equilibria and spectra.
 """
 
 import dataclasses
 import gc
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -22,10 +25,10 @@ import fraclv.presets
 import fraclv.solvers
 import fraclv.spectral
 import fraclv.stability
-from fraclv.model import ModelParams, equilibria
+from fraclv.model import ModelParams, equilibria, jacobian
 from fraclv.presets import PRESETS, SCENARIOS
 from fraclv.solvers import SolverConfig, integrate_cf
-from fraclv.spectral import CubicCoefficients, cubic_roots
+from fraclv.spectral import CubicCoefficients, characteristic_cubic, cubic_roots
 from fraclv.stability import (
     StabilityVerdict,
     caputo_stable,
@@ -81,13 +84,12 @@ def test_value_types_are_slotted_and_frozen(obj):
         assert hash(twin) == hash(obj)
 
 
-#: How many rows may enter ``model._SHARED``: existence-condition rows (7
+#: How many values may enter ``model._SHARED``: existence-condition rows (7
 #: constant labels, False and True) and the 8 E2/E3 pairs (22 in all), Table 1
 #: rows (18 labels, 36 at most, as E2 and E3 share three labels), whole Table 1s
-#: (2^2 + 2^4 + 2^5 + 2^5 + 2^2 = 88), three-eigenvalue tag rows (8 cone, 8
-#: disk and 125 theorem rows share the all-None row, 139) and ``regions``
-#: tuples (4^3 = 64).
-SHARED_BOUND = 22 + 36 + 88 + 139 + 64
+#: (2^2 + 2^4 + 2^5 + 2^5 + 2^2 = 88), three-eigenvalue verdicts (8 cone, 125
+#: theorem and 8 disk, 141) and ``regions`` tuples (4^3 = 64).
+SHARED_BOUND = 22 + 36 + 88 + 141 + 64
 
 _TAGS = {"cone", "disk", "1", "2", "3", "4", None}
 
@@ -107,8 +109,8 @@ def test_shared_rows_come_from_bounded_tables():
         for row in rep.table1:
             assert shared[row] is row
         for verdict in (rep.caputo, rep.cf_theorem, rep.cf_disk):
-            assert verdict.eigenvalues is rep.spectrum.eigenvalues
-            assert shared[verdict.tags] is verdict.tags
+            assert shared[verdict] is verdict
+            assert verdict.tags not in shared  # the verdict is shared, not its row
         conditions = rep.equilibrium.conditions
         if rep.equilibrium.kind in ("E2", "E3"):
             assert shared[conditions] is conditions
@@ -117,19 +119,22 @@ def test_shared_rows_come_from_bounded_tables():
                 assert row not in shared  # a constant, or E4's z row with its bound
             else:
                 assert shared[row] is row
-    # other lengths are unbounded in number, so they stay new tuples
+    # other lengths are unbounded in number, so they stay new verdicts
     for spectrum in ([-1.0], [-1.0, 2.0], [-1.0, -2.0, -3.0, 4.0, 0.0]):
         for verdict_of in (caputo_stable, cf_stable_theorem, cf_disk_verdict):
-            assert verdict_of(spectrum, 0.6).tags not in shared
+            verdict = verdict_of(spectrum, 0.6)
+            assert verdict not in shared and verdict.tags not in shared
     filled = dict(shared)
     assert len(filled) <= SHARED_BOUND
     _random_reports(6)
     assert shared == filled
-    for row in shared:
-        if all(tag in _TAGS for tag in row):
-            assert len(row) == 3
-        elif isinstance(row[0], str) and isinstance(row[1], bool):
-            assert not row[0].startswith("z >= 0: a4")
+    for key in shared:
+        if isinstance(key, StabilityVerdict):
+            assert len(key.tags) == 3 and set(key.tags) <= _TAGS
+        else:
+            assert not all(tag in _TAGS for tag in key)  # no bare tag row
+            if isinstance(key[0], str) and isinstance(key[1], bool):
+                assert not key[0].startswith("z >= 0: a4")
 
 
 def test_rows_are_shared_across_inputs():
@@ -145,21 +150,11 @@ def test_rows_are_shared_across_inputs():
 def test_equal_tag_patterns_share_one_row():
     first = cf_stable_theorem([-1.0, complex(5.0, 1.0), 0.5], 0.6)
     second = cf_stable_theorem([-0.5, complex(9.0, -2.0), 0.25], 0.6)
-    assert first.tags == ("3", "1", None) and first.tags is second.tags
-    assert caputo_stable([-1.0, -2.0, 3.0], 0.5).tags is caputo_stable([-5.0, -0.5, 1.0], 0.9).tags
-    assert cf_disk_verdict([-1.0, -2.0, 1.0], 0.6).tags is cf_disk_verdict([-4.0, 9.0, 1.0], 0.6).tags
-
-
-@dataclasses.dataclass(frozen=True)
-class _PairedVerdict:
-    """The verdict as it was when it stored (eigenvalue, tag) pairs."""
-
-    operator: str
-    stable: bool
-    per_eigenvalue: tuple
-
-
-_PairedVerdict.__qualname__ = "StabilityVerdict"
+    assert first == StabilityVerdict("cf-theorem", False, ("3", "1", None)) and first is second
+    assert caputo_stable([-1.0, -2.0, 3.0], 0.5) is caputo_stable([-5.0, -0.5, 1.0], 0.9)
+    assert cf_disk_verdict([-1.0, -2.0, 1.0], 0.6) is cf_disk_verdict([-4.0, 9.0, 1.0], 0.6)
+    # equal tags under another operator are another verdict
+    assert cf_disk_verdict([-1.0, -2.0, -3.0], 0.6) is not caputo_stable([-1.0, -2.0, -3.0], 0.6)
 
 
 @pytest.mark.parametrize("spectrum", [
@@ -170,47 +165,74 @@ _PairedVerdict.__qualname__ = "StabilityVerdict"
 @pytest.mark.parametrize("verdict_of", [caputo_stable, cf_stable_theorem, cf_disk_verdict],
                          ids=lambda fn: fn.__name__)
 def test_per_eigenvalue_pairs_eigenvalues_with_tags(spectrum, verdict_of):
+    # the stability command's per_eigenvalue list pairs the spectrum with the tags
     verdict = verdict_of(spectrum, 0.6)
-    assert verdict.eigenvalues == tuple(map(complex, spectrum))
     assert len(verdict.tags) == len(spectrum)
-    assert verdict.per_eigenvalue == tuple(zip(verdict.eigenvalues, verdict.tags))
     assert verdict.stable == (None not in verdict.tags)
-    # repr prints the pairs, as the dataclass repr of a per_eigenvalue field did
-    assert repr(verdict) == repr(_PairedVerdict(verdict.operator, verdict.stable,
-                                                verdict.per_eigenvalue))
+    assert fraclv.cli._verdict_dict(verdict, spectrum)["per_eigenvalue"] == [
+        {"eigenvalue": [complex(w).real, complex(w).imag], "condition": tag}
+        for w, tag in zip(spectrum, verdict.tags)]
+    assert repr(verdict) == (f"StabilityVerdict(operator={verdict.operator!r}, "
+                             f"stable={verdict.stable!r}, tags={verdict.tags!r})")
     twin = verdict_of(list(spectrum), 0.6)
-    assert twin == verdict and twin is not verdict
-    assert hash(twin) == hash(verdict)
+    assert twin == verdict and hash(twin) == hash(verdict)
+    assert (twin is verdict) == (len(spectrum) == 3)
 
 
-def test_verdicts_compare_by_operator_eigenvalues_and_tags():
-    base = StabilityVerdict("caputo", True, (complex(-1.0),), ("cone",))
-    assert base == StabilityVerdict("caputo", True, (complex(-1.0),), ("cone",))
-    assert base != StabilityVerdict("caputo", True, (complex(-2.0),), ("cone",))
-    assert base != StabilityVerdict("cf-disk", True, (complex(-1.0),), ("cone",))
-    assert base != StabilityVerdict("caputo", False, (complex(-1.0),), (None,))
+def test_verdicts_compare_by_operator_stable_and_tags():
+    base = StabilityVerdict("caputo", True, ("cone",))
+    assert base == StabilityVerdict("caputo", True, ("cone",))
+    assert base == caputo_stable([-2.0], 0.5)  # the eigenvalue is not part of the verdict
+    assert base != StabilityVerdict("cf-disk", True, ("cone",))
+    assert base != StabilityVerdict("caputo", False, (None,))
+    assert base != StabilityVerdict("caputo", True, ("cone", "cone"))
 
 
 #: Retained bytes per equilibrium_report at alpha = 0.66 on jittered presets,
-#: measured + 10%.  Measured on CPython 3.11.7: 4,248 B with verdicts holding
-#: the spectrum's eigenvalues and shared tag rows, against 8,064 B with
-#: per-verdict (eigenvalue, tag) pairs and 11,139 B with plain frozen
-#: dataclasses and rows built per call.
-REPORT_BYTES_BOUND = 4_673
+#: measured + 10%.  Measured on CPython 3.11.7: 3,288 B with shared verdicts
+#: that hold no eigenvalues, against 4,248 B with verdicts holding the
+#: spectrum's eigenvalues and shared tag rows, 8,064 B with per-verdict
+#: (eigenvalue, tag) pairs and 11,139 B with plain frozen dataclasses and rows
+#: built per call.
+REPORT_BYTES_BOUND = 3_617
 
 
-def test_retained_bytes_per_report():
+def _jittered_params():
     rng = random.Random(1)
-    params = [ModelParams(*(v * (1.0 + rng.uniform(-0.1, 0.1)) for v in preset.params.as_tuple()))
-              for preset in PRESETS.values() for _ in range(100)]
-    equilibrium_report(params[0], 0.66)  # first-call costs are not retained per report
+    return [ModelParams(*(v * (1.0 + rng.uniform(-0.1, 0.1)) for v in preset.params.as_tuple()))
+            for preset in PRESETS.values() for _ in range(100)]
+
+
+def _retained_per_call(build, params):
+    """Bytes that the results of ``build(p)`` retain, per parameter set."""
+    for p in params:  # first-use costs, such as new shared values, are not retained per call
+        build(p)
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        reports = [equilibrium_report(p, 0.66) for p in params]
+        results = [build(p) for p in params]
         gc.collect()
-        per_report = (tracemalloc.get_traced_memory()[0] - before) / len(reports)
+        return (tracemalloc.get_traced_memory()[0] - before) / len(results)
     finally:
         tracemalloc.stop()
-    assert per_report <= REPORT_BYTES_BOUND
+
+
+def _report(params):
+    return equilibrium_report(params, 0.66)
+
+
+def _equilibria_and_spectra(params):
+    eqs = equilibria(params)
+    return eqs, [cubic_roots(characteristic_cubic(jacobian(params, eq.point))) for eq in eqs]
+
+
+def test_retained_bytes_per_report():
+    assert _retained_per_call(_report, _jittered_params()) <= REPORT_BYTES_BOUND
+
+
+def test_a_report_retains_little_beyond_its_equilibria_and_spectra():
+    # both sides come from this interpreter, so the bound holds whatever its object sizes
+    params = _jittered_params()
+    extra = _retained_per_call(_report, params) - _retained_per_call(_equilibria_and_spectra, params)
+    assert extra <= 5 * sys.getsizeof(_report(params[0])[0])
