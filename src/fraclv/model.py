@@ -25,8 +25,8 @@ it is given.  Every existence-condition row whose label carries no number,
 and each E2 and E3 condition pair, is the one instance that ``_shared`` keeps
 for it, so all equilibria share it; only E4's z row, whose label states its
 bound, is built per call.  Its table ``_SHARED`` is the one sharing table
-of the package: ``fraclv.stability`` shares its rows and verdicts through it
-too.
+of the package: ``fraclv.stability`` shares its rows, Table 1s, verdicts
+and region classes through it too, the last three under plain keys.
 """
 
 from __future__ import annotations
@@ -97,10 +97,12 @@ class Equilibrium:
     conditions: tuple[tuple[str, bool], ...]
 
 
-#: The one instance of each constant value in use, keyed by itself: rows of
-#: this module and of ``fraclv.stability``, and that module's three-eigenvalue
-#: verdicts.  Only values from finite sets enter it, so no input grows it past
-#: a few hundred entries.
+#: The one instance of each constant value in use.  ``_shared`` keys rows of
+#: this module and of ``fraclv.stability`` by themselves; that module finds its
+#: Table 1s, verdicts and region classes under plain tuples of str, bool and
+#: None with ``_SHARED.get(key) or _SHARED.setdefault(key, value)``, which
+#: builds ``value`` on a miss only (every value is truthy).  Only values from
+#: finite sets enter it, so no input grows it past a few hundred entries.
 _SHARED: dict = {}
 
 

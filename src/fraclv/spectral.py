@@ -25,7 +25,7 @@ back.  Above S ~ 2**170 the terms overflow and ValueError is raised.
 The value types are slotted frozen dataclasses: no per-instance ``__dict__``,
 with the fields, ``repr``, ``==`` and ``hash`` of plain frozen dataclasses.
 No row here is constant; the reports that hold a ``Spectrum`` share theirs
-through ``fraclv.model._shared`` (see ``fraclv.stability``, which gives the
+through ``fraclv.model._SHARED`` (see ``fraclv.stability``, which gives the
 memory per report).
 """
 

@@ -26,9 +26,11 @@ Orders are plain floats, checked by ``solvers.check_order``: the Caputo
 functions accept alpha in (0, 1], the CF criteria, ``classify_region`` and
 ``table1_conditions`` only alpha in (0, 1).
 
-Each criterion is one per-eigenvalue test, evaluated once per eigenvalue;
-each function checks the order and the spectrum's finiteness once, and
-``equilibrium_report`` runs all three tests in one pass over each spectrum.
+Each criterion is one per-eigenvalue test, evaluated once per eigenvalue.
+Each function checks the order and the spectrum's finiteness once, and
+computes the order's constants (alpha*pi/2, 1/(1-alpha), c) once, not per
+eigenvalue; ``equilibrium_report`` does both once per call and runs all
+three tests in one pass over each spectrum.
 The region classes come from the cone and disk results: A = stable for both,
 B = Caputo only, C = neither, D = CF only.
 
@@ -38,13 +40,15 @@ B = Caputo only, C = neither, D = CF only.
 The value types are slotted frozen dataclasses (no per-instance ``__dict__``).
 A verdict is its operator, its outcome and one tag per eigenvalue; the
 eigenvalues themselves are the spectrum's.  Constant values are shared, not
-built per call, through ``fraclv.model._shared``, which keeps one instance of
-each value from a finite set: each Table 1 row (two per label), each report's
-Table 1 (one of the 88 possible tuples), each three-eigenvalue verdict (one
-of 8 cone, 125 theorem or 8 disk verdicts) and each ``regions`` tuple (one of
-the 4^3 possible).  The table fills as values are first used, and no input
-grows it past those sets.  A report of five equilibria retains ~3.3 KB
-(CPython 3.11.7), nearly all of it the equilibria and spectra.
+built per call, through the one table ``fraclv.model._SHARED``: each Table 1
+row (two per label) under itself, each Table 1 (one of 88) under
+``(kind, flags)``, each three-eigenvalue verdict (8 cone, 125 theorem or 8
+disk) under ``(operator, tags)`` and each ``regions`` tuple (one of 4^3)
+under its eigenvalues' (cone tags, disk tags).  These keys are tuples of str,
+bool and None, which hash and compare in C, so a warm lookup builds nothing;
+a value is built on its key's first miss only, and no input grows the table
+past those sets.  A report of five equilibria retains ~3.3 KB (CPython
+3.11.7), nearly all of it the equilibria and spectra.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .model import Equilibrium, ModelParams, _shared, equilibria, jacobian
+from .model import _SHARED, Equilibrium, ModelParams, _shared, equilibria, jacobian
 from .spectral import Spectrum, characteristic_cubic, cubic_roots
 from .solvers import check_order
 
@@ -104,34 +108,31 @@ class EquilibriumReport:
     regions: Optional[tuple[str, ...]]
 
 
-# Not folded into _eigs: classify_region's hot path ran 1.3-1.7x slower through it.
-def _eig(lam: complex, spectrum: tuple[complex, ...] = ()) -> complex:
-    """``lam`` as a complex number; ValueError if it is not finite.
-
-    The error names ``spectrum``, the eigenvalues ``lam`` came with, or
-    ``(lam,)`` when it came alone.
-    """
+def _eig(lam: complex) -> complex:
+    """``lam`` as a complex number; ValueError if it is not finite."""
     w = complex(lam)
     if not cmath.isfinite(w):
-        raise ValueError(f"eigenvalues must be finite, got {spectrum or (w,)}")
+        raise ValueError(f"eigenvalues must be finite, got {(w,)}")
     return w
 
 
 def _eigs(spectrum: SpectrumLike) -> tuple[complex, ...]:
-    """The eigenvalues as complex numbers; ValueError if any is not finite."""
+    """The eigenvalues as complex numbers; ValueError, naming them all, if any is not finite."""
     eigs = spectrum.eigenvalues if isinstance(spectrum, Spectrum) else tuple(map(complex, spectrum))
-    for w in eigs:
-        _eig(w, eigs)
+    if not all(map(cmath.isfinite, eigs)):
+        raise ValueError(f"eigenvalues must be finite, got {eigs}")
     return eigs
 
 
-# The per-eigenvalue tests take a checked order and a finite eigenvalue and
-# return the tag of the condition it satisfied, or None.
+# The per-eigenvalue tests take a finite eigenvalue and the constants of a
+# checked order, which each caller computes once with the expressions below:
+# alpha*pi/2 for the cone, and ``_cf_constants`` for the CF tests.  Each
+# returns the tag of the condition the eigenvalue satisfied, or None.
 
 
-def _cone(w: complex, alpha: float) -> Optional[str]:
+def _cone(w: complex, half_angle: float) -> Optional[str]:
     # math.atan2, not cmath.phase: phase raises OverflowError when atan2 underflows (2+5e-324j).
-    return "cone" if w != 0 and abs(math.atan2(w.imag, w.real)) > alpha * math.pi / 2.0 else None
+    return "cone" if w != 0 and abs(math.atan2(w.imag, w.real)) > half_angle else None
 
 
 def _modulus(w: complex) -> float:
@@ -143,21 +144,25 @@ def _modulus(w: complex) -> float:
         return math.inf
 
 
-def _theorem(w: complex, alpha: float) -> Optional[str]:
+def _cf_constants(alpha: float) -> tuple[float, complex, float]:
+    """``(thr, complex(thr, 0), c)`` with thr = 1/(1-alpha) and c = 1/(2(1-alpha)), alpha < 1."""
     thr = 1.0 / (1.0 - alpha)
-    if _modulus(w) >= thr and w != complex(thr, 0.0):
+    return thr, complex(thr, 0.0), 1.0 / (2.0 * (1.0 - alpha))
+
+
+def _theorem(w: complex, thr: float, thr_point: complex, c: float) -> Optional[str]:
+    if _modulus(w) >= thr and w != thr_point:
         return "1"
     if w.real > thr:
         return "2"
     if w.real < 0.0:
         return "3"
-    if abs(w.imag) > thr / 2.0:
+    if abs(w.imag) > c:  # c == thr / 2 bit for bit: halving commutes with rounding
         return "4"
     return None
 
 
-def _disk(w: complex, alpha: float) -> Optional[str]:
-    c = 1.0 / (2.0 * (1.0 - alpha))
+def _disk(w: complex, c: float) -> Optional[str]:
     return "disk" if _modulus(w - c) > c else None
 
 
@@ -165,13 +170,16 @@ def _disk(w: complex, alpha: float) -> Optional[str]:
 _REGIONS = {("cone", "disk"): "A", ("cone", None): "B", (None, None): "C", (None, "disk"): "D"}
 
 
-def _verdict(operator: str, tags: list) -> StabilityVerdict:
+def _verdict(operator: str, tags: tuple[Optional[str], ...]) -> StabilityVerdict:
     """The verdict from each eigenvalue's tag (None where its test failed).
 
-    A three-eigenvalue verdict comes back as the shared instance; other
-    lengths, which are unbounded in number, as a new verdict."""
-    verdict = StabilityVerdict(operator, None not in tags, tuple(tags))
-    return _shared(verdict) if len(tags) == 3 else verdict
+    A three-eigenvalue verdict is the shared one, found under the plain key
+    ``(operator, tags)`` and built on the first miss only; other lengths,
+    which are unbounded in number, give a new verdict."""
+    if len(tags) != 3:
+        return StabilityVerdict(operator, None not in tags, tags)
+    key = (operator, tags)
+    return _SHARED.get(key) or _SHARED.setdefault(key, StabilityVerdict(operator, None not in tags, tags))
 
 
 def caputo_stable(spectrum: SpectrumLike, order: float) -> StabilityVerdict:
@@ -179,20 +187,20 @@ def caputo_stable(spectrum: SpectrumLike, order: float) -> StabilityVerdict:
 
     Accepts alpha = 1, where the test is exactly the classical Re(w) < 0.
     """
-    alpha = check_order(order)
-    return _verdict("caputo", [_cone(w, alpha) for w in _eigs(spectrum)])
+    half_angle = check_order(order) * math.pi / 2.0
+    return _verdict("caputo", tuple([_cone(w, half_angle) for w in _eigs(spectrum)]))
 
 
 def cf_stable_theorem(spectrum: SpectrumLike, order: float) -> StabilityVerdict:
     """Any-of-four condition test, applied per eigenvalue."""
-    alpha = check_order(order, allow_one=False)
-    return _verdict("cf-theorem", [_theorem(w, alpha) for w in _eigs(spectrum)])
+    thr, thr_point, c = _cf_constants(check_order(order, allow_one=False))
+    return _verdict("cf-theorem", tuple([_theorem(w, thr, thr_point, c) for w in _eigs(spectrum)]))
 
 
 def cf_disk_verdict(spectrum: SpectrumLike, order: float) -> StabilityVerdict:
     """Disk criterion: every eigenvalue strictly outside the closed instability disk."""
-    alpha = check_order(order, allow_one=False)
-    return _verdict("cf-disk", [_disk(w, alpha) for w in _eigs(spectrum)])
+    c = _cf_constants(check_order(order, allow_one=False))[2]
+    return _verdict("cf-disk", tuple([_disk(w, c) for w in _eigs(spectrum)]))
 
 
 def classify_region(lam: complex, order: float) -> str:
@@ -201,8 +209,8 @@ def classify_region(lam: complex, order: float) -> str:
     Raises ValueError on a non-finite eigenvalue, which has no region.
     """
     alpha = check_order(order, allow_one=False)
-    w = _eig(lam)
-    return _REGIONS[_cone(w, alpha), _disk(w, alpha)]
+    w = _eig(lam)  # c inline, not through _cf_constants: a region map calls this per point
+    return _REGIONS[_cone(w, alpha * math.pi / 2.0), _disk(w, 1.0 / (2.0 * (1.0 - alpha)))]
 
 
 def _planar_pair(params: ModelParams, a: float, k: float) -> tuple[complex, complex]:
@@ -253,6 +261,14 @@ def table1_conditions(
     expression is complex.
     """
     alpha = check_order(order, allow_one=False)
+    return list(_table1(params, alpha, kind, _eigs(spectrum) if kind == "E4" else ()))
+
+
+def _table1(params: ModelParams, alpha: float, kind: str,
+            eigs: tuple[complex, ...]) -> tuple[tuple[str, bool], ...]:
+    """The shared Table 1 of ``kind`` at the checked order ``alpha`` < 1, found
+    under the plain key ``(kind, flags)`` and built on the first miss only.
+    ``eigs`` are the equilibrium's checked eigenvalues; only E4 reads them."""
     a1, a2, a3, a4, a5, a6, a7 = params.as_tuple()
     thr = 1.0 / (1.0 - alpha)
     ratio = alpha / (1.0 - alpha)
@@ -276,10 +292,12 @@ def table1_conditions(
         w = a4 * (1.0 + a1 * a7 - a5) + (a6 - a2 * a7) * (a3 - 1.0)
         denom = w * (a2 + a4) + a2 * a4 * (a3 - 1.0)
         rh = denom != 0.0 and a6 > a2 * a4 * (a3 - 1.0) * (w + a2 * (a3 - 1.0)) / denom
-        flags = (rh, all(v.real > thr for v in _eigs(spectrum)))
+        flags = (rh, all(v.real > thr for v in eigs))
     else:
         raise ValueError(f"unknown equilibrium kind {kind!r}")
-    return [_shared((label, flag)) for label, flag in zip(_TABLE1_LABELS[kind], flags)]
+    key = (kind, flags)
+    return _SHARED.get(key) or _SHARED.setdefault(
+        key, tuple([_shared((label, flag)) for label, flag in zip(_TABLE1_LABELS[kind], flags)]))
 
 
 def equilibrium_report(params: ModelParams, order: float) -> list[EquilibriumReport]:
@@ -288,31 +306,29 @@ def equilibrium_report(params: ModelParams, order: float) -> list[EquilibriumRep
 
     At alpha = 1 the CF verdicts and region classes are None and the audit
     conditions empty (the CF criteria are undefined there); the Caputo
-    verdict degrades to the classical test.  Below 1 the cone, theorem and
-    disk tests run in one pass over each spectrum.
+    verdict degrades to the classical test.  The order is checked and its
+    constants computed once per call, and the cone, theorem and disk tests
+    run in one pass over each spectrum.
     """
     alpha = check_order(order)
+    half_angle = alpha * math.pi / 2.0
+    if alpha < 1.0:
+        thr, thr_point, c = _cf_constants(alpha)
     reports = []
     for eq in equilibria(params):
         spectrum = cubic_roots(characteristic_cubic(jacobian(params, eq.point)))
+        eigs = w1, w2, w3 = _eigs(spectrum)  # a Spectrum holds exactly three
+        cones = (_cone(w1, half_angle), _cone(w2, half_angle), _cone(w3, half_angle))
         if alpha == 1.0:
-            caputo = caputo_stable(spectrum, alpha)
-            reports.append(EquilibriumReport(eq, spectrum, caputo, None, None, (), None))
+            reports.append(EquilibriumReport(eq, spectrum, _verdict("caputo", cones), None, None, (), None))
             continue
-        cones, theorems, disks, regions = [], [], [], []
-        for w in _eigs(spectrum):
-            cone, disk = _cone(w, alpha), _disk(w, alpha)
-            cones.append(cone)
-            theorems.append(_theorem(w, alpha))
-            disks.append(disk)
-            regions.append(_REGIONS[cone, disk])
+        theorems = (_theorem(w1, thr, thr_point, c), _theorem(w2, thr, thr_point, c),
+                    _theorem(w3, thr, thr_point, c))
+        disks = (_disk(w1, c), _disk(w2, c), _disk(w3, c))
+        key = (cones, disks)  # the region classes follow from these tags
+        regions = _SHARED.get(key) or _SHARED.setdefault(
+            key, tuple(map(_REGIONS.__getitem__, zip(cones, disks))))
         reports.append(EquilibriumReport(
-            equilibrium=eq,
-            spectrum=spectrum,
-            caputo=_verdict("caputo", cones),
-            cf_theorem=_verdict("cf-theorem", theorems),
-            cf_disk=_verdict("cf-disk", disks),
-            table1=_shared(tuple(table1_conditions(params, alpha, eq.kind, spectrum))),
-            regions=_shared(tuple(regions)),
-        ))
+            eq, spectrum, _verdict("caputo", cones), _verdict("cf-theorem", theorems),
+            _verdict("cf-disk", disks), _table1(params, alpha, eq.kind, eigs), regions))
     return reports

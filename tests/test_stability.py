@@ -1,7 +1,9 @@
 """Stability criteria: cone, CF theorem, CF disk, regions and reports."""
 
 import cmath
+import dataclasses
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -342,14 +344,49 @@ def test_report_solves_each_spectrum_once(monkeypatch):
     for name in calls:
         monkeypatch.setattr(fraclv.stability, name, counted(name))
     reports = equilibrium_report(EX2, 0.6)
-    # one order check for the report, plus one in each of the five
-    # table1_conditions calls (E0..E4); one finiteness check per spectrum, plus
-    # E4's CF row reading its spectrum; the verdicts and regions come from the
-    # private tests, not the public functions
-    assert calls == dict(equilibria=1, cubic_roots=5, check_order=6, _eigs=6,
-                         table1_conditions=5, **dict.fromkeys(public, 0))
+    # one order check per report and one finiteness check per spectrum, which
+    # E4's CF row reuses; the verdicts, regions and Table 1s come from the
+    # private tests and _table1, not from the public functions
+    assert calls == dict(equilibria=1, cubic_roots=5, check_order=1, _eigs=5,
+                         table1_conditions=0, **dict.fromkeys(public, 0))
     # the E4 audit rows match the table on E4's spectrum, solved apart
     assert list(reports[4].table1) == table1_conditions(EX2, 0.6, "E4", _spectrum(EX2, "E4"))
+
+
+#: An eigenvalue: any finite complex number, or a point on a boundary of the
+#: tests at alpha = 0.5, where 1/(1-alpha) = 2c = 2 (condition 1's excluded
+#: point and the circle's right end) and 0 is the circle's left end.
+EIGENVALUE = st.complex_numbers(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, 2.0, complex(2.0, 5e-324), complex(2.0, -5e-324), complex(1.7e308, 1.7e308)])
+
+
+@given(alpha=st.floats(0.0, 1.0, exclude_min=True), eigs=st.tuples(*[EIGENVALUE] * 3))
+@settings(max_examples=200)
+@example(alpha=0.6, eigs=(1.0 / (1.0 - 0.6), complex(-1.0, 1.0), complex(-1.0, -1.0)))
+@example(alpha=0.6, eigs=(0.0, 2.0 * (1.0 / (2.0 * (1.0 - 0.6))), -1.0))
+@example(alpha=0.5, eigs=(complex(2.0, 5e-324), complex(2.0, -5e-324), -1.0))
+@example(alpha=math.nextafter(1.0, 0.0), eigs=(1.0 / (1.0 - math.nextafter(1.0, 0.0)),
+                                                complex(-1.0, 1e16), 4e15))
+@example(alpha=1.0, eigs=(0.0, complex(-1.0, 1.0), 2.0))
+# the cone's edge at alpha = 0.5, and |Im(w)| at and just past c = 1 (condition 4)
+@example(alpha=0.5, eigs=(complex(1.0, 1.0), complex(0.5, -1.0), complex(0.5, math.nextafter(1.0, 2.0))))
+def test_report_computes_its_order_constants_as_the_public_functions_do(alpha, eigs):
+    # the report computes each order constant once per call and the public
+    # functions once per verdict; on the same spectrum the results are equal
+    spectrum = dataclasses.replace(_spectrum(EX2, "E4"), eigenvalues=tuple(map(complex, eigs)))
+    with mock.patch.object(fraclv.stability, "cubic_roots", lambda cubic: spectrum):
+        reports = equilibrium_report(EX2, alpha)
+    for rep in reports:
+        assert rep.caputo is caputo_stable(spectrum, alpha)
+        if alpha == 1.0:
+            assert (rep.cf_theorem, rep.cf_disk, rep.table1, rep.regions) == (None, None, (), None)
+            continue
+        assert rep.cf_theorem is cf_stable_theorem(spectrum, alpha)
+        assert rep.cf_disk is cf_disk_verdict(spectrum, alpha)
+        assert list(rep.table1) == table1_conditions(EX2, alpha, rep.equilibrium.kind, spectrum)
+        assert rep.regions == tuple(classify_region(w, alpha) for w in eigs)
+    if alpha < 1.0:  # condition 4 compares |Im(w)| with c, which is (1/(1-alpha))/2 exactly
+        assert 1.0 / (2.0 * (1.0 - alpha)) == (1.0 / (1.0 - alpha)) / 2.0
 
 
 def test_spectrum_like_inputs_accepted():

@@ -5,8 +5,10 @@ Every public dataclass is a slotted frozen dataclass: no per-instance
 and ``==`` and ``hash`` are those of its fields.  The constant values (Table 1 rows
 and whole tables, existence conditions with constant labels and the E2 and E3
 condition pairs, three-eigenvalue verdicts, ``regions`` tuples) are the
-entries of one table, ``fraclv.model._SHARED``, which fills as values are
-first used and which no input grows past its bound.  A verdict holds no
+values of one table, ``fraclv.model._SHARED``, keyed by themselves or, for
+the report's values, by plain tuples from which they are built on a miss
+only.  It fills as values are first used, and no input grows it past its
+bound.  A verdict holds no
 eigenvalue: the spectrum is their one owner, and a report retains little
 beyond its equilibria and spectra.
 """
@@ -87,11 +89,13 @@ def test_value_types_are_slotted_and_frozen(obj):
 #: How many values may enter ``model._SHARED``: existence-condition rows (7
 #: constant labels, False and True) and the 8 E2/E3 pairs (22 in all), Table 1
 #: rows (18 labels, 36 at most, as E2 and E3 share three labels), whole Table 1s
-#: (2^2 + 2^4 + 2^5 + 2^5 + 2^2 = 88), three-eigenvalue verdicts (8 cone, 125
-#: theorem and 8 disk, 141) and ``regions`` tuples (4^3 = 64).
+#: by (kind, flags) (2^2 + 2^4 + 2^5 + 2^5 + 2^2 = 88), three-eigenvalue verdicts
+#: by (operator, tags) (8 cone, 125 theorem and 8 disk, 141) and ``regions``
+#: tuples by (cone tags, disk tags) (4^3 = 64).
 SHARED_BOUND = 22 + 36 + 88 + 141 + 64
 
 _TAGS = {"cone", "disk", "1", "2", "3", "4", None}
+_KINDS = {"E0", "E1", "E2", "E3", "E4"}
 
 
 def _random_reports(seed):
@@ -104,13 +108,16 @@ def _random_reports(seed):
 def test_shared_rows_come_from_bounded_tables():
     shared = fraclv.model._SHARED
     for rep in _random_reports(5):
-        assert shared[rep.regions] is rep.regions
-        assert shared[rep.table1] is rep.table1
+        # a Table 1 is found by (kind, flags), a verdict by (operator, tags) and
+        # the region classes by the cone and disk tags
+        assert shared[rep.equilibrium.kind, tuple(flag for _, flag in rep.table1)] is rep.table1
+        assert shared[rep.caputo.tags, rep.cf_disk.tags] is rep.regions
+        assert rep.table1 not in shared and rep.regions not in shared
         for row in rep.table1:
             assert shared[row] is row
         for verdict in (rep.caputo, rep.cf_theorem, rep.cf_disk):
-            assert shared[verdict] is verdict
-            assert verdict.tags not in shared  # the verdict is shared, not its row
+            assert shared[verdict.operator, verdict.tags] is verdict
+            assert verdict not in shared and verdict.tags not in shared
         conditions = rep.equilibrium.conditions
         if rep.equilibrium.kind in ("E2", "E3"):
             assert shared[conditions] is conditions
@@ -123,18 +130,64 @@ def test_shared_rows_come_from_bounded_tables():
     for spectrum in ([-1.0], [-1.0, 2.0], [-1.0, -2.0, -3.0, 4.0, 0.0]):
         for verdict_of in (caputo_stable, cf_stable_theorem, cf_disk_verdict):
             verdict = verdict_of(spectrum, 0.6)
-            assert verdict not in shared and verdict.tags not in shared
+            assert (verdict.operator, verdict.tags) not in shared and verdict.tags not in shared
     filled = dict(shared)
     assert len(filled) <= SHARED_BOUND
     _random_reports(6)
     assert shared == filled
-    for key in shared:
-        if isinstance(key, StabilityVerdict):
-            assert len(key.tags) == 3 and set(key.tags) <= _TAGS
+    for key, value in shared.items():
+        if isinstance(value, StabilityVerdict):
+            assert key == (value.operator, value.tags)
+            assert len(value.tags) == 3 and set(value.tags) <= _TAGS
+        elif key[0] in _KINDS:
+            assert value == tuple(zip(fraclv.stability._TABLE1_LABELS[key[0]], key[1]))
+        elif set(value) <= {"A", "B", "C", "D"}:
+            cones, disks = key
+            assert value == tuple(fraclv.stability._REGIONS[pair] for pair in zip(cones, disks))
         else:
+            assert key is value
             assert not all(tag in _TAGS for tag in key)  # no bare tag row
             if isinstance(key[0], str) and isinstance(key[1], bool):
                 assert not key[0].startswith("z >= 0: a4")
+
+
+def test_warm_calls_build_no_verdict_and_no_table1(monkeypatch):
+    # StabilityVerdict and tuple are wrapped where fraclv.stability looks them up
+    built = {"verdicts": 0, "tables": 0, "regions": 0}
+    labels = {label for rows in fraclv.stability._TABLE1_LABELS.values() for label in rows}
+
+    def verdict(*args):
+        built["verdicts"] += 1
+        return StabilityVerdict(*args)
+
+    def counted_tuple(*args):
+        value = tuple(*args)
+        if value and all(type(row) is tuple and row[0] in labels for row in value):
+            built["tables"] += 1
+        elif value and set(value) <= {"A", "B", "C", "D"}:
+            built["regions"] += 1
+        return value
+
+    monkeypatch.setattr(fraclv.stability, "StabilityVerdict", verdict)
+    monkeypatch.setattr(fraclv.stability, "tuple", counted_tuple, raising=False)
+    shared = {}  # a cold table, so the first calls build what the second find
+    monkeypatch.setattr(fraclv.model, "_SHARED", shared)
+    monkeypatch.setattr(fraclv.stability, "_SHARED", shared)
+
+    def calls():
+        for params in (PRESETS["example1"].params, PRESETS["example2"].params):
+            for alpha in (0.6, 1.0):
+                equilibrium_report(params, alpha)
+        for spectrum in ([-1.0, complex(0.5, 3.0), complex(0.5, -3.0)],
+                         cubic_roots(CubicCoefficients(1.0, 2.0, 3.0))):
+            for verdict_of in (caputo_stable, cf_stable_theorem, cf_disk_verdict):
+                verdict_of(spectrum, 0.6)
+
+    calls()
+    assert all(built.values())
+    built.update(verdicts=0, tables=0, regions=0)
+    calls()
+    assert built == {"verdicts": 0, "tables": 0, "regions": 0}
 
 
 def test_rows_are_shared_across_inputs():
