@@ -19,14 +19,16 @@ Points and Jacobian rows are tuples of floats, so an ``Equilibrium`` is a
 hashable value.  If ``a7 * a4`` underflows to 0, E4's y and z are IEEE's
 quotients (signed inf, or NaN for 0/0), not a ZeroDivisionError.
 
-The value types are slotted frozen dataclasses (no per-instance
-``__dict__``), and ``ModelParams`` holds Python floats whatever real numbers
-it is given.  Every existence-condition row whose label carries no number,
-and each E2 and E3 condition pair, is the one instance that ``_shared`` keeps
-for it, so all equilibria share it; only E4's z row, whose label states its
-bound, is built per call.  Its table ``_SHARED`` is the one sharing table
-of the package: ``fraclv.stability`` shares its rows, Table 1s, verdicts
-and region classes through it too, the last three under plain keys.
+The value types are slotted frozen dataclasses (no per-instance ``__dict__``).
+``Equilibrium``'s ``__init__``, from ``spectral._value_type``, sets its slots
+through their member descriptors; ``ModelParams``, which converts in
+``__post_init__``, is a plain one and holds Python floats whatever real
+numbers it is given.  Every existence-condition row whose label carries no
+number, and each E2 and E3 condition pair, is the one instance that
+``_shared`` keeps for it, so all equilibria share it; only E4's z row, whose
+label states its bound, is built per call.  Its table ``_SHARED`` is the one
+sharing table of the package: ``fraclv.stability`` shares its rows, Table 1s,
+verdicts and region classes through it too, the last three under plain keys.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from typing import Callable, Hashable, Sequence, TypeVar
 import numpy as np
 
 from .solvers import _as_float
+from .spectral import _value_type
 
 __all__ = [
     "Equilibrium",
@@ -83,7 +86,7 @@ class ModelParams:
         return {f"a{i}": v for i, v in enumerate(self.as_tuple(), start=1)}
 
 
-@dataclass(frozen=True, slots=True)
+@_value_type
 class Equilibrium:
     """One fixed point with its admissibility audit.
 

@@ -37,18 +37,25 @@ B = Caputo only, C = neither, D = CF only.
 ``table1_conditions`` takes the equilibrium's spectrum, which only E4's CF row
 (it has no closed form) reads; no Table 1 row solves a spectrum.
 
-The value types are slotted frozen dataclasses (no per-instance ``__dict__``).
-A verdict is its operator, its outcome and one tag per eigenvalue; the
-eigenvalues themselves are the spectrum's.  Constant values are shared, not
-built per call, through the one table ``fraclv.model._SHARED``: each Table 1
-row (two per label) under itself, each Table 1 (one of 88) under
-``(kind, flags)``, each three-eigenvalue verdict (8 cone, 125 theorem or 8
-disk) under ``(operator, tags)`` and each ``regions`` tuple (one of 4^3)
-under its eigenvalues' (cone tags, disk tags).  These keys are tuples of str,
-bool and None, which hash and compare in C, so a warm lookup builds nothing;
-a value is built on its key's first miss only, and no input grows the table
-past those sets.  A report of five equilibria retains ~3.3 KB (CPython
-3.11.7), nearly all of it the equilibria and spectra.
+A report solves each Jacobian on the float-level path
+``spectral._jacobian_spectrum`` (the Spectrum of
+``cubic_roots(characteristic_cubic(...))``, bit for bit), and gives all its
+Table 1s the ``params.as_tuple()``, 1/(1-alpha) and alpha/(1-alpha) it
+computes once per call.
+
+The value types are slotted frozen dataclasses (no per-instance ``__dict__``);
+``EquilibriumReport``'s ``__init__``, from ``spectral._value_type``, sets its
+seven slots through their member descriptors.  A verdict is its operator, its
+outcome and one tag per eigenvalue; the eigenvalues themselves are the
+spectrum's.  Constant values are shared, not built per call, through the one
+table ``fraclv.model._SHARED``: each Table 1 row (two per label) under itself,
+each Table 1 (one of 88) under ``(kind, flags)``, each three-eigenvalue
+verdict (8 cone, 125 theorem or 8 disk) under ``(operator, tags)`` and each
+``regions`` tuple (one of 4^3) under its eigenvalues' (cone tags, disk tags).
+These keys are tuples of str, bool and None, which hash and compare in C, so a
+warm lookup builds nothing; a value is built on its key's first miss only, and
+no input grows the table past those sets.  A report of five equilibria retains
+~3.3 KB (CPython 3.11.7), nearly all of it the equilibria and spectra.
 """
 
 from __future__ import annotations
@@ -59,7 +66,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .model import _SHARED, Equilibrium, ModelParams, _shared, equilibria, jacobian
-from .spectral import Spectrum, characteristic_cubic, cubic_roots
+# characteristic_cubic and cubic_roots are not called here: a report solves
+# through _jacobian_spectrum.  perfbench/tracing.py still wraps both names here.
+from .spectral import (Spectrum, _jacobian_spectrum, _value_type,  # noqa: F401
+                       characteristic_cubic, cubic_roots)
 from .solvers import check_order
 
 __all__ = [
@@ -91,7 +101,7 @@ class StabilityVerdict:
     tags: tuple[Optional[str], ...]
 
 
-@dataclass(frozen=True, slots=True)
+@_value_type
 class EquilibriumReport:
     """Everything the verdict matrix needs for one equilibrium.
 
@@ -106,14 +116,6 @@ class EquilibriumReport:
     cf_disk: Optional[StabilityVerdict]
     table1: tuple[tuple[str, bool], ...]
     regions: Optional[tuple[str, ...]]
-
-
-def _eig(lam: complex) -> complex:
-    """``lam`` as a complex number; ValueError if it is not finite."""
-    w = complex(lam)
-    if not cmath.isfinite(w):
-        raise ValueError(f"eigenvalues must be finite, got {(w,)}")
-    return w
 
 
 def _eigs(spectrum: SpectrumLike) -> tuple[complex, ...]:
@@ -209,7 +211,10 @@ def classify_region(lam: complex, order: float) -> str:
     Raises ValueError on a non-finite eigenvalue, which has no region.
     """
     alpha = check_order(order, allow_one=False)
-    w = _eig(lam)  # c inline, not through _cf_constants: a region map calls this per point
+    w = complex(lam)
+    if not cmath.isfinite(w):
+        raise ValueError(f"eigenvalues must be finite, got {(w,)}")
+    # c inline, not through _cf_constants: a region map calls this per point
     return _REGIONS[_cone(w, alpha * math.pi / 2.0), _disk(w, 1.0 / (2.0 * (1.0 - alpha)))]
 
 
@@ -261,17 +266,18 @@ def table1_conditions(
     expression is complex.
     """
     alpha = check_order(order, allow_one=False)
-    return list(_table1(params, alpha, kind, _eigs(spectrum) if kind == "E4" else ()))
+    return list(_table1(params, params.as_tuple(), 1.0 / (1.0 - alpha), alpha / (1.0 - alpha),
+                        kind, _eigs(spectrum) if kind == "E4" else ()))
 
 
-def _table1(params: ModelParams, alpha: float, kind: str,
-            eigs: tuple[complex, ...]) -> tuple[tuple[str, bool], ...]:
-    """The shared Table 1 of ``kind`` at the checked order ``alpha`` < 1, found
-    under the plain key ``(kind, flags)`` and built on the first miss only.
-    ``eigs`` are the equilibrium's checked eigenvalues; only E4 reads them."""
-    a1, a2, a3, a4, a5, a6, a7 = params.as_tuple()
-    thr = 1.0 / (1.0 - alpha)
-    ratio = alpha / (1.0 - alpha)
+def _table1(params: ModelParams, coefficients: tuple[float, ...], thr: float, ratio: float,
+            kind: str, eigs: tuple[complex, ...]) -> tuple[tuple[str, bool], ...]:
+    """The shared Table 1 of ``kind``, found under the plain key ``(kind, flags)``
+    and built on the first miss only.  The caller computes once per call
+    ``coefficients = params.as_tuple()`` and, at its checked order alpha < 1,
+    ``thr = 1/(1-alpha)`` and ``ratio = alpha/(1-alpha)``.  ``eigs`` are the
+    equilibrium's checked eigenvalues; only E4 reads them."""
+    a1, a2, a3, a4, a5, a6, a7 = coefficients
 
     if kind == "E0":
         flags = (True, a1 > thr)
@@ -314,9 +320,10 @@ def equilibrium_report(params: ModelParams, order: float) -> list[EquilibriumRep
     half_angle = alpha * math.pi / 2.0
     if alpha < 1.0:
         thr, thr_point, c = _cf_constants(alpha)
+        ratio, coefficients = alpha / (1.0 - alpha), params.as_tuple()
     reports = []
     for eq in equilibria(params):
-        spectrum = cubic_roots(characteristic_cubic(jacobian(params, eq.point)))
+        spectrum = _jacobian_spectrum(jacobian(params, eq.point))
         eigs = w1, w2, w3 = _eigs(spectrum)  # a Spectrum holds exactly three
         cones = (_cone(w1, half_angle), _cone(w2, half_angle), _cone(w3, half_angle))
         if alpha == 1.0:
@@ -330,5 +337,6 @@ def equilibrium_report(params: ModelParams, order: float) -> list[EquilibriumRep
             key, tuple(map(_REGIONS.__getitem__, zip(cones, disks))))
         reports.append(EquilibriumReport(
             eq, spectrum, _verdict("caputo", cones), _verdict("cf-theorem", theorems),
-            _verdict("cf-disk", disks), _table1(params, alpha, eq.kind, eigs), regions))
+            _verdict("cf-disk", disks), _table1(params, coefficients, thr, ratio, eq.kind, eigs),
+            regions))
     return reports

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fraclv.model import equilibria, jacobian
 from fraclv.presets import PRESETS
@@ -18,6 +18,7 @@ from fraclv.spectral import (
     BRANCH_THREE_REAL,
     SAFE_SCALE,
     CubicCoefficients,
+    _jacobian_spectrum,
     characteristic_cubic,
     cubic_roots,
 )
@@ -336,3 +337,55 @@ def test_routh_hurwitz_agrees_with_root_signs():
         checked += 1
         assert routh_hurwitz_cubic(coeffs) == (max_real < 0.0)
     assert checked > 300
+
+
+# ---------------------------------------------------------------------------
+# the float-level solver of equilibrium_report
+
+
+def _diagonal(d0, d1, d2):
+    return ((d0, 0.0, 0.0), (0.0, d1, 0.0), (0.0, 0.0, d2))
+
+
+#: Example matrices for each path of the solver, checked below.
+BELOW_SAFE_SCALE = _diagonal(1e-50, -2e-50, 3e-50)  # scale ~3e-50 < 2^-150, solved rescaled
+REPEATED = _diagonal(1.0, 1.0, -2.0)  # (w-1)^2 (w+2)
+THREE_REAL = _diagonal(-3.0, 0.5, 2.0)
+OVERFLOWING = _diagonal(1e200, 0.0, 0.0)  # a ** 3 overflows
+NON_FINITE = _diagonal(math.inf, 0.0, 0.0)  # inf * 0 makes b and c NaN
+
+
+def _solved(solve, matrix):
+    """The Spectrum, or the ValueError's message."""
+    try:
+        return solve(matrix)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_the_solver_examples_take_their_paths():
+    below = _jacobian_spectrum(BELOW_SAFE_SCALE)
+    assert 0.01 < abs(below.analysis.p) < 1.0  # the rescaled cubic's p (unscaled ~1e-99)
+    assert below.eigenvalues[0] == pytest.approx(-2e-50, rel=1e-12)
+    assert _jacobian_spectrum(REPEATED).analysis.branch == BRANCH_REPEATED
+    assert _jacobian_spectrum(THREE_REAL).analysis.branch == BRANCH_THREE_REAL
+    assert _solved(_jacobian_spectrum, OVERFLOWING) == (
+        "cubic terms overflow the float range for CubicCoefficients(a=-1e+200, b=0.0, c=-0.0)")
+    assert _solved(_jacobian_spectrum, NON_FINITE) == (
+        "cubic coefficients must be finite, got CubicCoefficients(a=-inf, b=nan, c=nan)")
+
+
+ENTRY = st.floats(-1e3, 1e3) | st.floats()  # mostly moderate; huge, tiny and non-finite too
+
+
+@given(matrix=st.tuples(*[st.tuples(ENTRY, ENTRY, ENTRY)] * 3))
+@settings(max_examples=500)
+@example(matrix=BELOW_SAFE_SCALE)
+@example(matrix=REPEATED)
+@example(matrix=THREE_REAL)
+@example(matrix=OVERFLOWING)
+@example(matrix=NON_FINITE)
+def test_the_float_level_solver_is_the_public_path_bit_for_bit(matrix):
+    fast = _solved(_jacobian_spectrum, matrix)
+    slow = _solved(lambda m: cubic_roots(characteristic_cubic(m)), matrix)
+    assert fast == slow and repr(fast) == repr(slow)

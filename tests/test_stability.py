@@ -330,7 +330,7 @@ def test_report_at_order_one_marks_cf_not_applicable():
 
 def test_report_solves_each_spectrum_once(monkeypatch):
     public = ("caputo_stable", "cf_stable_theorem", "cf_disk_verdict", "classify_region")
-    calls = dict.fromkeys(("equilibria", "cubic_roots", "check_order", "_eigs",
+    calls = dict.fromkeys(("equilibria", "_jacobian_spectrum", "check_order", "_eigs",
                            "table1_conditions", *public), 0)
 
     def counted(name):
@@ -344,10 +344,11 @@ def test_report_solves_each_spectrum_once(monkeypatch):
     for name in calls:
         monkeypatch.setattr(fraclv.stability, name, counted(name))
     reports = equilibrium_report(EX2, 0.6)
-    # one order check per report and one finiteness check per spectrum, which
-    # E4's CF row reuses; the verdicts, regions and Table 1s come from the
-    # private tests and _table1, not from the public functions
-    assert calls == dict(equilibria=1, cubic_roots=5, check_order=1, _eigs=5,
+    # one float-level solve per equilibrium, one order check per report and
+    # one finiteness check per spectrum, which E4's CF row reuses; the
+    # verdicts, regions and Table 1s come from the private tests and _table1,
+    # not from the public functions
+    assert calls == dict(equilibria=1, _jacobian_spectrum=5, check_order=1, _eigs=5,
                          table1_conditions=0, **dict.fromkeys(public, 0))
     # the E4 audit rows match the table on E4's spectrum, solved apart
     assert list(reports[4].table1) == table1_conditions(EX2, 0.6, "E4", _spectrum(EX2, "E4"))
@@ -374,7 +375,7 @@ def test_report_computes_its_order_constants_as_the_public_functions_do(alpha, e
     # the report computes each order constant once per call and the public
     # functions once per verdict; on the same spectrum the results are equal
     spectrum = dataclasses.replace(_spectrum(EX2, "E4"), eigenvalues=tuple(map(complex, eigs)))
-    with mock.patch.object(fraclv.stability, "cubic_roots", lambda cubic: spectrum):
+    with mock.patch.object(fraclv.stability, "_jacobian_spectrum", lambda rows: spectrum):
         reports = equilibrium_report(EX2, alpha)
     for rep in reports:
         assert rep.caputo is caputo_stable(spectrum, alpha)
