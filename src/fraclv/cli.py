@@ -313,14 +313,11 @@ def cmd_stability(config_path: str, out_dir=None, alpha=None) -> int:
     }
     for rep in reports:
         entry = _equilibrium_dict(rep.equilibrium)
-        eigs = rep.spectrum.eigenvalues
+        spectrum = rep.spectrum
+        eigs = spectrum.eigenvalues
         entry["eigenvalues"] = [_complex_pair(w) for w in eigs]
-        entry["cubic"] = {
-            "p": rep.spectrum.analysis.p,
-            "q": rep.spectrum.analysis.q,
-            "delta": rep.spectrum.analysis.delta,
-            "branch": rep.spectrum.analysis.branch,
-        }
+        entry["cubic"] = {"p": spectrum.p, "q": spectrum.q, "delta": spectrum.delta,
+                          "branch": spectrum.branch}
         entry["verdicts"] = {
             "caputo": _verdict_dict(rep.caputo, eigs),
             "cf_theorem": _verdict_dict(rep.cf_theorem, eigs) if rep.cf_theorem else "not applicable",

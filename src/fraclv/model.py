@@ -23,12 +23,12 @@ The value types are slotted frozen dataclasses (no per-instance ``__dict__``).
 ``Equilibrium``'s ``__init__``, from ``spectral._value_type``, sets its slots
 through their member descriptors; ``ModelParams``, which converts in
 ``__post_init__``, is a plain one and holds Python floats whatever real
-numbers it is given.  Every existence-condition row whose label carries no
-number, and each E2 and E3 condition pair, is the one instance that
-``_shared`` keeps for it, so all equilibria share it; only E4's z row, whose
-label states its bound, is built per call.  Its table ``_SHARED`` is the one
-sharing table of the package: ``fraclv.stability`` shares its rows, Table 1s,
-verdicts and region classes through it too, the last three under plain keys.
+numbers it is given.  Each E2 and E3 condition pair, and each of E4's rows
+whose label carries no number, is the one instance that ``_shared`` keeps for
+it, so all equilibria share it; a pair is shared whole, not row by row, and
+only E4's z row, whose label states its bound, is built per call.  Its table
+``_SHARED`` is the one sharing table of the package: ``fraclv.stability``
+shares its Table 1s and verdicts through it too, under plain keys.
 """
 
 from __future__ import annotations
@@ -100,11 +100,11 @@ class Equilibrium:
     conditions: tuple[tuple[str, bool], ...]
 
 
-#: The one instance of each constant value in use.  ``_shared`` keys rows of
-#: this module and of ``fraclv.stability`` by themselves; that module finds its
-#: Table 1s, verdicts and region classes under plain tuples of str, bool and
-#: None with ``_SHARED.get(key) or _SHARED.setdefault(key, value)``, which
-#: builds ``value`` on a miss only (every value is truthy).  Only values from
+#: The one instance of each constant value in use.  ``_shared`` keys this
+#: module's condition rows and pairs by themselves; ``fraclv.stability`` finds
+#: its Table 1s and verdicts under plain tuples of str, bool and None with
+#: ``_SHARED.get(key) or _SHARED.setdefault(key, value)``, which builds
+#: ``value`` on a miss only (every value is truthy).  Only values from
 #: finite sets enter it, so no input grows it past a few hundred entries.
 _SHARED: dict = {}
 
@@ -181,11 +181,9 @@ def equilibria(params: ModelParams) -> list[Equilibrium]:
         ("E0", (0.0, 0.0, 0.0), always),
         ("E1", (a1 / a2, 0.0, 0.0), always),
         ("E2", ((a5 - 1.0) / a6, 0.0, (a1 * a6 - a2 * (a5 - 1.0)) / a6),
-         _shared((_shared(("a5 >= 1", a5 >= 1.0)),
-                  _shared(("a1*a6 >= a2*(a5 - 1)", a1 * a6 >= a2 * (a5 - 1.0)))))),
+         _shared((("a5 >= 1", a5 >= 1.0), ("a1*a6 >= a2*(a5 - 1)", a1 * a6 >= a2 * (a5 - 1.0))))),
         ("E3", ((a3 - 1.0) / a4, (a1 * a4 - a2 * (a3 - 1.0)) / a4, 0.0),
-         _shared((_shared(("a3 >= 1", a3 >= 1.0)),
-                  _shared(("a1*a4 >= a2*(a3 - 1)", a1 * a4 >= a2 * (a3 - 1.0)))))),
+         _shared((("a3 >= 1", a3 >= 1.0), ("a1*a4 >= a2*(a3 - 1)", a1 * a4 >= a2 * (a3 - 1.0))))),
         ("E4", (
             (a3 - 1.0) / a4,
             _quotient(a4 * (a5 - 1.0) - a6 * (a3 - 1.0), a74),

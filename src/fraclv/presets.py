@@ -38,7 +38,8 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class Preset:
-    name: str
+    """One bundled coefficient set; its ``PRESETS`` key is its name."""
+
     params: ModelParams
     initial: tuple[float, float, float]
     alphas: tuple[float, ...]
@@ -61,19 +62,16 @@ class Scenario:
 
 PRESETS: dict[str, Preset] = {
     "example1": Preset(
-        name="example1",
         params=ModelParams(3.0, 0.5, 4.0, 3.0, 4.0, 9.0, 4.0),
         initial=(0.5, 0.9, 0.1),
         alphas=(0.98, 0.66),
     ),
     "example2": Preset(
-        name="example2",
         params=ModelParams(3.0, 0.5, 4.0, 3.0, 14.0, 9.0, 4.0),
         initial=(2.0, 2.0, 3.0),
         alphas=(0.6,),
     ),
     "example3": Preset(
-        name="example3",
         params=ModelParams(8.0, 0.05, 4.0, 1.0, 7.0, 9.0, 4.0),
         initial=(0.5, 0.1, 5.0),
         alphas=(0.4,),

@@ -32,10 +32,11 @@ that name ``CubicCoefficients(a=..., b=..., c=...)`` as the public path's do.
 
 The value types are slotted frozen dataclasses: no per-instance ``__dict__``,
 with the fields, ``repr``, ``==`` and ``hash`` of plain frozen dataclasses.
-``CubicAnalysis``, ``Spectrum``, ``model.Equilibrium`` and
-``stability.EquilibriumReport``, which every report builds, are made by
-``_value_type``, whose ``__init__`` sets each slot through its member
-descriptor.  The reports share their constant rows through
+``Spectrum``, ``model.Equilibrium`` and ``stability.EquilibriumReport``,
+which every report builds, are made by ``_value_type``, whose ``__init__``
+sets each slot through its member descriptor.  A Spectrum holds its
+eigenvalues together with the depressed-cubic terms and branch they come
+from.  The reports share their constant values through
 ``fraclv.model._SHARED`` (see ``fraclv.stability`` for the memory per report).
 """
 
@@ -52,7 +53,6 @@ __all__ = [
     "BRANCH_THREE_REAL",
     "REPEATED_TOLERANCE_FACTOR",
     "SAFE_SCALE",
-    "CubicAnalysis",
     "CubicCoefficients",
     "Spectrum",
     "characteristic_cubic",
@@ -125,26 +125,20 @@ class CubicCoefficients:
 
 
 @_value_type
-class CubicAnalysis:
-    """Depressed-cubic terms and the branch the roots come from.
+class Spectrum:
+    """Exactly three eigenvalues, sorted by (real, imaginary), with the
+    depressed-cubic terms p, q and delta and the branch the roots come from.
 
     For a cubic rescaled below ``SAFE_SCALE``, p, q and delta are those of
     the cubic in u = w / 2**k that was solved (the unscaled terms underflow);
     the branch is that of both cubics.
     """
 
+    eigenvalues: tuple[complex, complex, complex]
     p: float
     q: float
     delta: float
     branch: str
-
-
-@_value_type
-class Spectrum:
-    """Exactly three eigenvalues, sorted by (real, imaginary)."""
-
-    eigenvalues: tuple[complex, complex, complex]
-    analysis: CubicAnalysis
 
 
 def _coefficients(m00: float, m01: float, m02: float, m10: float, m11: float, m12: float,
@@ -262,4 +256,4 @@ def _roots(a0: float, b0: float, c0: float) -> Spectrum:
         r1, r2 = r2, r1
         if _before(r1, r0):
             r0, r1 = r1, r0
-    return Spectrum((r0, r1, r2), CubicAnalysis(p, q, delta, branch))
+    return Spectrum((r0, r1, r2), p, q, delta, branch)

@@ -32,7 +32,8 @@ computes the order's constants (alpha*pi/2, 1/(1-alpha), c) once, not per
 eigenvalue; ``equilibrium_report`` does both once per call and runs all
 three tests in one pass over each spectrum.
 The region classes come from the cone and disk results: A = stable for both,
-B = Caputo only, C = neither, D = CF only.
+B = Caputo only, C = neither, D = CF only.  A report's ``regions`` are read
+off its Caputo and disk verdicts' tags, not stored.
 
 ``table1_conditions`` takes the equilibrium's spectrum, which only E4's CF row
 (it has no closed form) reads; no Table 1 row solves a spectrum.
@@ -45,17 +46,16 @@ computes once per call.
 
 The value types are slotted frozen dataclasses (no per-instance ``__dict__``);
 ``EquilibriumReport``'s ``__init__``, from ``spectral._value_type``, sets its
-seven slots through their member descriptors.  A verdict is its operator, its
+six slots through their member descriptors.  A verdict is its operator, its
 outcome and one tag per eigenvalue; the eigenvalues themselves are the
-spectrum's.  Constant values are shared, not built per call, through the one
-table ``fraclv.model._SHARED``: each Table 1 row (two per label) under itself,
-each Table 1 (one of 88) under ``(kind, flags)``, each three-eigenvalue
-verdict (8 cone, 125 theorem or 8 disk) under ``(operator, tags)`` and each
-``regions`` tuple (one of 4^3) under its eigenvalues' (cone tags, disk tags).
-These keys are tuples of str, bool and None, which hash and compare in C, so a
-warm lookup builds nothing; a value is built on its key's first miss only, and
-no input grows the table past those sets.  A report of five equilibria retains
-~3.3 KB (CPython 3.11.7), nearly all of it the equilibria and spectra.
+spectrum's.  Constant values are shared whole, not built per call, through the
+one table ``fraclv.model._SHARED``: each Table 1 (one of 88) under
+``(kind, flags)`` and each three-eigenvalue verdict (8 cone, 125 theorem or
+8 disk) under ``(operator, tags)``.  These keys are tuples of str, bool and
+None, which hash and compare in C, so a warm lookup builds nothing; a value is
+built on its key's first miss only, and no input grows the table past those
+sets.  A report of five equilibria retains ~3.0 KB (CPython 3.11.7), nearly
+all of it the equilibria and spectra.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .model import _SHARED, Equilibrium, ModelParams, _shared, equilibria, jacobian
+from .model import _SHARED, Equilibrium, ModelParams, equilibria, jacobian
 # characteristic_cubic and cubic_roots are not called here: a report solves
 # through _jacobian_spectrum.  perfbench/tracing.py still wraps both names here.
 from .spectral import (Spectrum, _jacobian_spectrum, _value_type,  # noqa: F401
@@ -92,7 +92,7 @@ class StabilityVerdict:
 
     ``tags[i]`` is the identifier of the condition the spectrum's i-th
     eigenvalue satisfied ("cone", "1".."4", "disk") or None.  A verdict over
-    three eigenvalues is the one shared instance of ``fraclv.model._shared``
+    three eigenvalues is the one shared instance in ``fraclv.model._SHARED``
     for its operator and tags.
     """
 
@@ -105,8 +105,8 @@ class StabilityVerdict:
 class EquilibriumReport:
     """Everything the verdict matrix needs for one equilibrium.
 
-    ``cf_theorem``, ``cf_disk`` and ``regions`` are None at alpha = 1, where
-    the CF criteria are undefined.
+    ``cf_theorem``, ``cf_disk`` and the derived ``regions`` are None at
+    alpha = 1, where the CF criteria are undefined.
     """
 
     equilibrium: Equilibrium
@@ -115,7 +115,13 @@ class EquilibriumReport:
     cf_theorem: Optional[StabilityVerdict]
     cf_disk: Optional[StabilityVerdict]
     table1: tuple[tuple[str, bool], ...]
-    regions: Optional[tuple[str, ...]]
+
+    @property
+    def regions(self) -> Optional[tuple[str, ...]]:
+        """The region class of each eigenvalue, from its cone and disk tags."""
+        if self.cf_disk is None:
+            return None
+        return tuple(map(_REGIONS.__getitem__, zip(self.caputo.tags, self.cf_disk.tags)))
 
 
 def _eigs(spectrum: SpectrumLike) -> tuple[complex, ...]:
@@ -302,8 +308,7 @@ def _table1(params: ModelParams, coefficients: tuple[float, ...], thr: float, ra
     else:
         raise ValueError(f"unknown equilibrium kind {kind!r}")
     key = (kind, flags)
-    return _SHARED.get(key) or _SHARED.setdefault(
-        key, tuple([_shared((label, flag)) for label, flag in zip(_TABLE1_LABELS[kind], flags)]))
+    return _SHARED.get(key) or _SHARED.setdefault(key, tuple(zip(_TABLE1_LABELS[kind], flags)))
 
 
 def equilibrium_report(params: ModelParams, order: float) -> list[EquilibriumReport]:
@@ -327,16 +332,12 @@ def equilibrium_report(params: ModelParams, order: float) -> list[EquilibriumRep
         eigs = w1, w2, w3 = _eigs(spectrum)  # a Spectrum holds exactly three
         cones = (_cone(w1, half_angle), _cone(w2, half_angle), _cone(w3, half_angle))
         if alpha == 1.0:
-            reports.append(EquilibriumReport(eq, spectrum, _verdict("caputo", cones), None, None, (), None))
+            reports.append(EquilibriumReport(eq, spectrum, _verdict("caputo", cones), None, None, ()))
             continue
         theorems = (_theorem(w1, thr, thr_point, c), _theorem(w2, thr, thr_point, c),
                     _theorem(w3, thr, thr_point, c))
         disks = (_disk(w1, c), _disk(w2, c), _disk(w3, c))
-        key = (cones, disks)  # the region classes follow from these tags
-        regions = _SHARED.get(key) or _SHARED.setdefault(
-            key, tuple(map(_REGIONS.__getitem__, zip(cones, disks))))
         reports.append(EquilibriumReport(
             eq, spectrum, _verdict("caputo", cones), _verdict("cf-theorem", theorems),
-            _verdict("cf-disk", disks), _table1(params, coefficients, thr, ratio, eq.kind, eigs),
-            regions))
+            _verdict("cf-disk", disks), _table1(params, coefficients, thr, ratio, eq.kind, eigs)))
     return reports

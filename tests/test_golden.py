@@ -13,8 +13,11 @@ spectrum, ``(operator, stable, tags)`` or None for each verdict, the Table 1
 rows and the regions.  It reads only names that verdicts have had since they
 stored their tags as a row, not the verdict type's own ``repr``, so the
 digest was captured on the code before verdicts became shared values and
-pins that the change moved no report value.  ``REGION_DIGEST`` was captured
-before the value types became slotted and the constant rows shared.
+pins that the change moved no report value.  The spectrum is rendered the
+same way, as the text of its ``repr`` from when the cubic terms sat in a
+separate ``CubicAnalysis`` value, which every float's repr fills in bit for
+bit.  ``REGION_DIGEST`` was captured before the value types became slotted
+and the constant rows shared.
 """
 
 import hashlib
@@ -42,10 +45,22 @@ def _digest(results) -> str:
     return hashlib.sha256(repr(results).encode()).hexdigest()
 
 
+class _Text(str):
+    """Text whose ``repr`` is itself, so that it hashes as the value it spells."""
+
+    def __repr__(self) -> str:
+        return str(self)
+
+
+def _spectrum_text(spec) -> _Text:
+    return _Text(f"Spectrum(eigenvalues={spec.eigenvalues!r}, analysis=CubicAnalysis("
+                 f"p={spec.p!r}, q={spec.q!r}, delta={spec.delta!r}, branch={spec.branch!r}))")
+
+
 def _rendering(rep) -> tuple:
     verdicts = tuple(None if v is None else (v.operator, v.stable, v.tags)
                      for v in (rep.caputo, rep.cf_theorem, rep.cf_disk))
-    return (rep.equilibrium, rep.spectrum, verdicts, rep.table1, rep.regions)
+    return (rep.equilibrium, _spectrum_text(rep.spectrum), verdicts, rep.table1, rep.regions)
 
 
 def report_digest() -> str:

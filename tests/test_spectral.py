@@ -159,7 +159,7 @@ def test_tiny_cubic_roots_match_the_mpmath_reference():
     for w, r in zip(spec.eigenvalues, ref):
         assert abs(w - r) <= 1e-9 * abs(r)
         assert abs(abs(w) - modulus) <= 1e-9 * modulus
-    assert spec.analysis.branch == BRANCH_ONE_REAL_PAIR
+    assert spec.branch == BRANCH_ONE_REAL_PAIR
     assert spec.eigenvalues[1] == spec.eigenvalues[2].conjugate()
 
 
@@ -185,35 +185,34 @@ def test_cubics_below_the_safe_scale_are_solved_rescaled(roots, k):
 
 
 def test_safe_scale_boundary():
-    # at SAFE_SCALE the cubic is solved as given: its analysis has p = -a^2/3
-    # of the given a; just below it the analysis is that of the rescaled cubic
-    at = cubic_roots(CubicCoefficients(SAFE_SCALE, 0.0, 0.0)).analysis
+    # at SAFE_SCALE the cubic is solved as given: its spectrum has p = -a^2/3
+    # of the given a; just below it p is that of the rescaled cubic
+    at = cubic_roots(CubicCoefficients(SAFE_SCALE, 0.0, 0.0))
     assert at.p == -SAFE_SCALE ** 2 / 3.0
-    below = cubic_roots(CubicCoefficients(SAFE_SCALE / 2.0, 0.0, 0.0)).analysis
+    below = cubic_roots(CubicCoefficients(SAFE_SCALE / 2.0, 0.0, 0.0))
     assert 0.01 < abs(below.p) < 1.0
-    spec = cubic_roots(CubicCoefficients(SAFE_SCALE / 2.0, 0.0, 0.0))
-    assert spec.eigenvalues[0] == -SAFE_SCALE / 2.0
+    assert below.eigenvalues[0] == -SAFE_SCALE / 2.0
 
 
 def test_analysis_repeated_example():
-    an = cubic_roots(CubicCoefficients(0.0, -3.0, 2.0)).analysis  # (w-1)^2 (w+2)
-    assert (an.p, an.q) == (-3.0, 2.0)
-    assert abs(an.delta) < 1e-15
-    assert an.branch == BRANCH_REPEATED
+    spec = cubic_roots(CubicCoefficients(0.0, -3.0, 2.0))  # (w-1)^2 (w+2)
+    assert (spec.p, spec.q) == (-3.0, 2.0)
+    assert abs(spec.delta) < 1e-15
+    assert spec.branch == BRANCH_REPEATED
 
 
 def test_analysis_one_real_pair_example():
-    an = cubic_roots(CubicCoefficients(0.0, 0.0, -1.0)).analysis  # w^3 = 1
-    assert (an.p, an.q) == (0.0, -1.0)
-    assert an.delta == pytest.approx(0.25)
-    assert an.branch == BRANCH_ONE_REAL_PAIR
+    spec = cubic_roots(CubicCoefficients(0.0, 0.0, -1.0))  # w^3 = 1
+    assert (spec.p, spec.q) == (0.0, -1.0)
+    assert spec.delta == pytest.approx(0.25)
+    assert spec.branch == BRANCH_ONE_REAL_PAIR
 
 
 def test_analysis_three_real_example():
-    an = cubic_roots(CubicCoefficients(0.0, -1.0, 0.0)).analysis  # w^3 = w
-    assert (an.p, an.q) == (-1.0, 0.0)
-    assert an.delta == pytest.approx(-1.0 / 27.0)
-    assert an.branch == BRANCH_THREE_REAL
+    spec = cubic_roots(CubicCoefficients(0.0, -1.0, 0.0))  # w^3 = w
+    assert (spec.p, spec.q) == (-1.0, 0.0)
+    assert spec.delta == pytest.approx(-1.0 / 27.0)
+    assert spec.branch == BRANCH_THREE_REAL
 
 
 # ---------------------------------------------------------------------------
@@ -365,10 +364,10 @@ def _solved(solve, matrix):
 
 def test_the_solver_examples_take_their_paths():
     below = _jacobian_spectrum(BELOW_SAFE_SCALE)
-    assert 0.01 < abs(below.analysis.p) < 1.0  # the rescaled cubic's p (unscaled ~1e-99)
+    assert 0.01 < abs(below.p) < 1.0  # the rescaled cubic's p (unscaled ~1e-99)
     assert below.eigenvalues[0] == pytest.approx(-2e-50, rel=1e-12)
-    assert _jacobian_spectrum(REPEATED).analysis.branch == BRANCH_REPEATED
-    assert _jacobian_spectrum(THREE_REAL).analysis.branch == BRANCH_THREE_REAL
+    assert _jacobian_spectrum(REPEATED).branch == BRANCH_REPEATED
+    assert _jacobian_spectrum(THREE_REAL).branch == BRANCH_THREE_REAL
     assert _solved(_jacobian_spectrum, OVERFLOWING) == (
         "cubic terms overflow the float range for CubicCoefficients(a=-1e+200, b=0.0, c=-0.0)")
     assert _solved(_jacobian_spectrum, NON_FINITE) == (

@@ -346,8 +346,8 @@ def test_report_solves_each_spectrum_once(monkeypatch):
     reports = equilibrium_report(EX2, 0.6)
     # one float-level solve per equilibrium, one order check per report and
     # one finiteness check per spectrum, which E4's CF row reuses; the
-    # verdicts, regions and Table 1s come from the private tests and _table1,
-    # not from the public functions
+    # verdicts and Table 1s come from the private tests and _table1, not from
+    # the public functions, and the regions from the verdicts' tags
     assert calls == dict(equilibria=1, _jacobian_spectrum=5, check_order=1, _eigs=5,
                          table1_conditions=0, **dict.fromkeys(public, 0))
     # the E4 audit rows match the table on E4's spectrum, solved apart

@@ -2,15 +2,16 @@
 
 Every public dataclass is a slotted frozen dataclass: no per-instance
 ``__dict__``, assigning or deleting a field raises ``FrozenInstanceError``,
-and ``==`` and ``hash`` are those of its fields.  The constant values (Table 1 rows
-and whole tables, existence conditions with constant labels and the E2 and E3
-condition pairs, three-eigenvalue verdicts, ``regions`` tuples) are the
-values of one table, ``fraclv.model._SHARED``, keyed by themselves or, for
-the report's values, by plain tuples from which they are built on a miss
-only.  It fills as values are first used, and no input grows it past its
-bound.  A verdict holds no
-eigenvalue: the spectrum is their one owner, and a report retains little
-beyond its equilibria and spectra.
+and ``==`` and ``hash`` are those of its fields.  The constant values (E4's
+existence conditions with constant labels, the E2 and E3 condition pairs,
+whole Table 1s and three-eigenvalue verdicts) are the values of one table,
+``fraclv.model._SHARED``, keyed by themselves or, for the report's values, by
+plain tuples from which they are built on a miss only.  A pair or a Table 1
+is shared whole, its rows are not entered one by one, and a report's
+``regions`` are derived from its verdicts' tags, so they enter no table.  The
+table fills as values are first used, and no input grows it past its bound.
+A verdict holds no eigenvalue: the spectrum is their one owner, and a report
+retains little beyond its equilibria and spectra.
 """
 
 import dataclasses
@@ -51,7 +52,7 @@ def _instances():
         "operator": "cf", "alpha": 0.6, "params": PRESETS["example1"].params.as_dict(),
         "initial": [1.0, 1.0, 1.0], "horizon": 0.1, "step": 0.01})
     return [
-        report, report.caputo, report.equilibrium, report.spectrum.analysis, spectrum,
+        report, report.caputo, report.equilibrium, spectrum,
         CubicCoefficients(1.0, 2.0, 3.0), PRESETS["example1"], PRESETS["example1"].params,
         SCENARIOS["example1-cf"], SolverConfig(step=0.01, horizon=0.1), config,
         integrate_cf(lambda t, x: -x, [1.0], 0.6, SolverConfig(step=0.01, horizon=0.1)),
@@ -86,13 +87,12 @@ def test_value_types_are_slotted_and_frozen(obj):
         assert hash(twin) == hash(obj)
 
 
-#: How many values may enter ``model._SHARED``: existence-condition rows (7
-#: constant labels, False and True) and the 8 E2/E3 pairs (22 in all), Table 1
-#: rows (18 labels, 36 at most, as E2 and E3 share three labels), whole Table 1s
-#: by (kind, flags) (2^2 + 2^4 + 2^5 + 2^5 + 2^2 = 88), three-eigenvalue verdicts
-#: by (operator, tags) (8 cone, 125 theorem and 8 disk, 141) and ``regions``
-#: tuples by (cone tags, disk tags) (4^3 = 64).
-SHARED_BOUND = 22 + 36 + 88 + 141 + 64
+#: How many values may enter ``model._SHARED``: E4's existence-condition rows
+#: with constant labels (3 labels, False and True, 6), the E2/E3 condition
+#: pairs (2^2 each, 8), whole Table 1s by (kind, flags)
+#: (2^2 + 2^4 + 2^5 + 2^5 + 2^2 = 88) and three-eigenvalue verdicts by
+#: (operator, tags) (8 cone, 125 theorem and 8 disk, 141).
+SHARED_BOUND = 6 + 8 + 88 + 141
 
 _TAGS = {"cone", "disk", "1", "2", "3", "4", None}
 _KINDS = {"E0", "E1", "E2", "E3", "E4"}
@@ -108,24 +108,27 @@ def _random_reports(seed):
 def test_shared_rows_come_from_bounded_tables():
     shared = fraclv.model._SHARED
     for rep in _random_reports(5):
-        # a Table 1 is found by (kind, flags), a verdict by (operator, tags) and
-        # the region classes by the cone and disk tags
+        # a Table 1 is found whole by (kind, flags) and a verdict by
+        # (operator, tags); the region classes follow from the cone and disk
+        # tags and are not shared
         assert shared[rep.equilibrium.kind, tuple(flag for _, flag in rep.table1)] is rep.table1
-        assert shared[rep.caputo.tags, rep.cf_disk.tags] is rep.regions
+        assert rep.regions == tuple(fraclv.stability._REGIONS[pair]
+                                    for pair in zip(rep.caputo.tags, rep.cf_disk.tags))
+        assert (rep.caputo.tags, rep.cf_disk.tags) not in shared
         assert rep.table1 not in shared and rep.regions not in shared
         for row in rep.table1:
-            assert shared[row] is row
+            assert row not in shared
         for verdict in (rep.caputo, rep.cf_theorem, rep.cf_disk):
             assert shared[verdict.operator, verdict.tags] is verdict
             assert verdict not in shared and verdict.tags not in shared
         conditions = rep.equilibrium.conditions
         if rep.equilibrium.kind in ("E2", "E3"):
-            assert shared[conditions] is conditions
+            assert shared[conditions] is conditions  # the pair, shared whole
         for row in conditions:
-            if row[0] == "always exists" or row[0].startswith("z >= 0: a4"):
-                assert row not in shared  # a constant, or E4's z row with its bound
-            else:
+            if rep.equilibrium.kind == "E4" and not row[0].startswith("z >= 0: a4"):
                 assert shared[row] is row
+            else:  # a constant, a row of a shared pair, or E4's z row with its bound
+                assert row not in shared
     # other lengths are unbounded in number, so they stay new verdicts
     for spectrum in ([-1.0], [-1.0, 2.0], [-1.0, -2.0, -3.0, 4.0, 0.0]):
         for verdict_of in (caputo_stable, cf_stable_theorem, cf_disk_verdict):
@@ -141,19 +144,16 @@ def test_shared_rows_come_from_bounded_tables():
             assert len(value.tags) == 3 and set(value.tags) <= _TAGS
         elif key[0] in _KINDS:
             assert value == tuple(zip(fraclv.stability._TABLE1_LABELS[key[0]], key[1]))
-        elif set(value) <= {"A", "B", "C", "D"}:
-            cones, disks = key
-            assert value == tuple(fraclv.stability._REGIONS[pair] for pair in zip(cones, disks))
-        else:
+        else:  # an E2/E3 pair or one of E4's rows: no region key, no bare tag row
             assert key is value
-            assert not all(tag in _TAGS for tag in key)  # no bare tag row
-            if isinstance(key[0], str) and isinstance(key[1], bool):
-                assert not key[0].startswith("z >= 0: a4")
+            for row in value if type(value[0]) is tuple else (value,):
+                assert len(row) == 2 and type(row[0]) is str and type(row[1]) is bool
+                assert row[0] not in _TAGS and not row[0].startswith("z >= 0: a4")
 
 
 def test_warm_calls_build_no_verdict_and_no_table1(monkeypatch):
     # StabilityVerdict and tuple are wrapped where fraclv.stability looks them up
-    built = {"verdicts": 0, "tables": 0, "regions": 0}
+    built = {"verdicts": 0, "tables": 0}
     labels = {label for rows in fraclv.stability._TABLE1_LABELS.values() for label in rows}
 
     def verdict(*args):
@@ -164,8 +164,6 @@ def test_warm_calls_build_no_verdict_and_no_table1(monkeypatch):
         value = tuple(*args)
         if value and all(type(row) is tuple and row[0] in labels for row in value):
             built["tables"] += 1
-        elif value and set(value) <= {"A", "B", "C", "D"}:
-            built["regions"] += 1
         return value
 
     monkeypatch.setattr(fraclv.stability, "StabilityVerdict", verdict)
@@ -185,16 +183,17 @@ def test_warm_calls_build_no_verdict_and_no_table1(monkeypatch):
 
     calls()
     assert all(built.values())
-    built.update(verdicts=0, tables=0, regions=0)
+    built.update(verdicts=0, tables=0)
     calls()
-    assert built == {"verdicts": 0, "tables": 0, "regions": 0}
+    assert built == {"verdicts": 0, "tables": 0}
 
 
 def test_rows_are_shared_across_inputs():
     ex1, ex2 = equilibria(PRESETS["example1"].params), equilibria(PRESETS["example2"].params)
-    assert ex1[2].conditions[0] is ex2[2].conditions[0]  # "a5 >= 1", True for both
-    assert ex1[4].conditions[2] is not ex2[4].conditions[2]  # E4's z row carries its bound
+    assert ex1[2].conditions is ex2[2].conditions  # E2's pair, (True, True) for both
     assert ex1[3].conditions is ex2[3].conditions  # E3's pair, (True, True) for both
+    assert ex1[4].conditions[0] is ex2[4].conditions[0]  # "x >= 0: a3 >= 1", True for both
+    assert ex1[4].conditions[2] is not ex2[4].conditions[2]  # E4's z row carries its bound
     rep1, rep2 = equilibrium_report(PRESETS["example1"].params, 0.6), equilibrium_report(
         PRESETS["example2"].params, 0.5)
     assert rep1[0].table1 is rep2[0].table1  # E0: saddle, a1 = 3 above 1/(1-alpha)
@@ -242,12 +241,13 @@ def test_verdicts_compare_by_operator_stable_and_tags():
 
 
 #: Retained bytes per equilibrium_report at alpha = 0.66 on jittered presets,
-#: measured + 10%.  Measured on CPython 3.11.7: 3,288 B with shared verdicts
-#: that hold no eigenvalues, against 4,248 B with verdicts holding the
-#: spectrum's eigenvalues and shared tag rows, 8,064 B with per-verdict
-#: (eigenvalue, tag) pairs and 11,139 B with plain frozen dataclasses and rows
-#: built per call.
-REPORT_BYTES_BOUND = 3_617
+#: measured + 10%.  Measured on CPython 3.11.7: 3,048 B with the cubic terms
+#: held by the spectrum and the region classes derived, against 3,288 B with a
+#: separate CubicAnalysis per spectrum and a stored ``regions`` per report,
+#: 4,248 B with verdicts holding the spectrum's eigenvalues and shared tag
+#: rows, 8,064 B with per-verdict (eigenvalue, tag) pairs and 11,139 B with
+#: plain frozen dataclasses and rows built per call.
+REPORT_BYTES_BOUND = 3_353
 
 
 def _jittered_params():
