@@ -350,9 +350,9 @@ def cmd_classify(lam_real: float, lam_imag: float, alpha: float) -> int:
 
 
 def _multiset_distance(computed, printed) -> float:
-    xs = sorted(computed, key=lambda w: (w.real, w.imag))
+    """``computed`` is a Spectrum's eigenvalues, already sorted by (real, imaginary)."""
     ys = sorted((complex(v) for v in printed), key=lambda w: (w.real, w.imag))
-    return max(abs(u - v) for u, v in zip(xs, ys))
+    return max(abs(u - v) for u, v in zip(computed, ys))
 
 
 def cmd_reproduce_table2() -> int:

@@ -249,11 +249,11 @@ def _roots(a0: float, b0: float, c0: float) -> Spectrum:
                       complex(math.ldexp(r1.real, k), math.ldexp(r1.imag, k)),
                       complex(math.ldexp(r2.real, k), math.ldexp(r2.imag, k)))
 
-    # a stable sort of three by (real, imaginary), as list.sort with that key
+    # a stable sort of three by (real, imaginary), as list.sort with that key:
+    # every branch gives r1 <= r2 (the shift and the exact scaling keep order),
+    # so two compare-and-swaps place all three
     if _before(r1, r0):
         r0, r1 = r1, r0
     if _before(r2, r1):
         r1, r2 = r2, r1
-        if _before(r1, r0):
-            r0, r1 = r1, r0
     return Spectrum((r0, r1, r2), p, q, delta, branch)

@@ -9,9 +9,10 @@ Caputo-Fabrizio (exponential kernel), two equivalent-in-practice views:
 
 * theorem form: an eigenvalue passes if any of
     (1) |w| >= 1/(1-alpha) and w != 1/(1-alpha)
-    (2) Re(w) > 1/(1-alpha)
+    (2) Re(w) > 1/(1-alpha)   [implies (1), as |w| >= Re(w): never decides]
     (3) Re(w) < 0
     (4) |Im(w)| > 1/(2(1-alpha))
+  tested as (1), (3), (4) in that order; the tags are "1", "3" and "4".
 * disk form (``cf_disk_verdict``): the unstable region is the closed disk of
   radius c = 1/(2(1-alpha)) centered at c on the real axis; an eigenvalue
   passes iff it lies strictly outside.  Every theorem pass implies a disk
@@ -50,7 +51,7 @@ six slots through their member descriptors.  A verdict is its operator, its
 outcome and one tag per eigenvalue; the eigenvalues themselves are the
 spectrum's.  Constant values are shared whole, not built per call, through the
 one table ``fraclv.model._SHARED``: each Table 1 (one of 88) under
-``(kind, flags)`` and each three-eigenvalue verdict (8 cone, 125 theorem or
+``(kind, flags)`` and each three-eigenvalue verdict (8 cone, 64 theorem or
 8 disk) under ``(operator, tags)``.  These keys are tuples of str, bool and
 None, which hash and compare in C, so a warm lookup builds nothing; a value is
 built on its key's first miss only, and no input grows the table past those
@@ -91,9 +92,9 @@ class StabilityVerdict:
     """Per-operator verdict; stable iff every eigenvalue satisfied a condition.
 
     ``tags[i]`` is the identifier of the condition the spectrum's i-th
-    eigenvalue satisfied ("cone", "1".."4", "disk") or None.  A verdict over
-    three eigenvalues is the one shared instance in ``fraclv.model._SHARED``
-    for its operator and tags.
+    eigenvalue satisfied ("cone"; "1", "3" or "4"; "disk") or None.  A
+    verdict over three eigenvalues is the one shared instance in
+    ``fraclv.model._SHARED`` for its operator and tags.
     """
 
     operator: str  # "caputo", "cf-theorem" or "cf-disk"
@@ -152,17 +153,15 @@ def _modulus(w: complex) -> float:
         return math.inf
 
 
-def _cf_constants(alpha: float) -> tuple[float, complex, float]:
-    """``(thr, complex(thr, 0), c)`` with thr = 1/(1-alpha) and c = 1/(2(1-alpha)), alpha < 1."""
-    thr = 1.0 / (1.0 - alpha)
-    return thr, complex(thr, 0.0), 1.0 / (2.0 * (1.0 - alpha))
+def _cf_constants(alpha: float) -> tuple[float, float]:
+    """``(thr, c)`` with thr = 1/(1-alpha) and c = 1/(2(1-alpha)), alpha < 1."""
+    return 1.0 / (1.0 - alpha), 1.0 / (2.0 * (1.0 - alpha))
 
 
-def _theorem(w: complex, thr: float, thr_point: complex, c: float) -> Optional[str]:
-    if _modulus(w) >= thr and w != thr_point:
+def _theorem(w: complex, thr: float, c: float) -> Optional[str]:
+    # no test of (2) Re(w) > thr: it implies (1), which comes first
+    if _modulus(w) >= thr and w != thr:
         return "1"
-    if w.real > thr:
-        return "2"
     if w.real < 0.0:
         return "3"
     if abs(w.imag) > c:  # c == thr / 2 bit for bit: halving commutes with rounding
@@ -201,13 +200,13 @@ def caputo_stable(spectrum: SpectrumLike, order: float) -> StabilityVerdict:
 
 def cf_stable_theorem(spectrum: SpectrumLike, order: float) -> StabilityVerdict:
     """Any-of-four condition test, applied per eigenvalue."""
-    thr, thr_point, c = _cf_constants(check_order(order, allow_one=False))
-    return _verdict("cf-theorem", tuple([_theorem(w, thr, thr_point, c) for w in _eigs(spectrum)]))
+    thr, c = _cf_constants(check_order(order, allow_one=False))
+    return _verdict("cf-theorem", tuple([_theorem(w, thr, c) for w in _eigs(spectrum)]))
 
 
 def cf_disk_verdict(spectrum: SpectrumLike, order: float) -> StabilityVerdict:
     """Disk criterion: every eigenvalue strictly outside the closed instability disk."""
-    c = _cf_constants(check_order(order, allow_one=False))[2]
+    c = _cf_constants(check_order(order, allow_one=False))[1]
     return _verdict("cf-disk", tuple([_disk(w, c) for w in _eigs(spectrum)]))
 
 
@@ -324,7 +323,7 @@ def equilibrium_report(params: ModelParams, order: float) -> list[EquilibriumRep
     alpha = check_order(order)
     half_angle = alpha * math.pi / 2.0
     if alpha < 1.0:
-        thr, thr_point, c = _cf_constants(alpha)
+        thr, c = _cf_constants(alpha)
         ratio, coefficients = alpha / (1.0 - alpha), params.as_tuple()
     reports = []
     for eq in equilibria(params):
@@ -334,8 +333,7 @@ def equilibrium_report(params: ModelParams, order: float) -> list[EquilibriumRep
         if alpha == 1.0:
             reports.append(EquilibriumReport(eq, spectrum, _verdict("caputo", cones), None, None, ()))
             continue
-        theorems = (_theorem(w1, thr, thr_point, c), _theorem(w2, thr, thr_point, c),
-                    _theorem(w3, thr, thr_point, c))
+        theorems = (_theorem(w1, thr, c), _theorem(w2, thr, c), _theorem(w3, thr, c))
         disks = (_disk(w1, c), _disk(w2, c), _disk(w3, c))
         reports.append(EquilibriumReport(
             eq, spectrum, _verdict("caputo", cones), _verdict("cf-theorem", theorems),

@@ -26,7 +26,8 @@ like ``pece_direct`` it is a self-contained numpy loop with its own
 divergence guard and field-length check, sharing no step code with the
 integrators it checks.  ``rhs`` is the model's right-hand side written out
 as a numpy array, and ``routh_hurwitz_cubic`` the Routh-Hurwitz test on the
-characteristic cubic.
+characteristic cubic.  ``cf_theorem_tag`` is the CF stability theorem's
+per-eigenvalue test with all four printed conditions, in the paper's order.
 
 ``mp_cubic_roots`` solves a cubic in mpmath at any exponent range, for
 cubics too small or too large for the companion matrix in doubles.
@@ -73,6 +74,32 @@ def routh_hurwitz_cubic(coeffs) -> bool:
     """True iff every root of the monic cubic w^3 + a w^2 + b w + c has negative real part."""
     a, b, c = coeffs.a, coeffs.b, coeffs.c
     return a > 0.0 and c > 0.0 and a * b > c
+
+
+def cf_theorem_tag(w: complex, alpha: float):
+    """The first of the CF theorem's four conditions, as printed, that the
+    finite eigenvalue ``w`` satisfies at order ``alpha`` < 1, or None:
+
+        (1) |w| >= 1/(1-alpha) and w != 1/(1-alpha)
+        (2) Re(w) > 1/(1-alpha)
+        (3) Re(w) < 0
+        (4) |Im(w)| > 1/(2(1-alpha))
+
+    |w| is the rounded complex modulus, and inf where it passes the float range.
+    """
+    w = complex(w)
+    bound = 1.0 / (1.0 - alpha)
+    try:
+        modulus = abs(w)
+    except OverflowError:
+        modulus = math.inf
+    conditions = (
+        ("1", modulus >= bound and not (w.real == bound and w.imag == 0.0)),
+        ("2", w.real > bound),
+        ("3", w.real < 0.0),
+        ("4", abs(w.imag) > bound / 2.0),
+    )
+    return next((tag for tag, holds in conditions if holds), None)
 
 
 def rhs(params, state: Sequence[float]) -> np.ndarray:

@@ -354,6 +354,13 @@ def test_divergence_raises_with_step_index():
     assert str(err.step_index) in str(err)
 
 
+@pytest.mark.parametrize("integrate", [integrate_caputo, integrate_cf])
+@pytest.mark.parametrize("initial", [[[1.0, 2.0, 3.0]], []], ids=["2-d", "empty"])
+def test_initial_state_must_be_a_non_empty_vector(integrate, initial):
+    with pytest.raises(ValueError, match="non-empty 1-d"):
+        integrate(decay, initial, 0.6, SolverConfig(step=0.1, horizon=1.0))
+
+
 @pytest.mark.parametrize("integrate", [
     lambda f, x0, c: integrate_caputo(f, x0, 0.6, c),
     lambda f, x0, c: integrate_cf(f, x0, 0.6, c),

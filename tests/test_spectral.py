@@ -281,15 +281,24 @@ def test_diagonal_spectrum():
 coeff = st.floats(min_value=-100.0, max_value=100.0)
 
 
-@given(a=coeff, b=coeff, c=coeff)
+@given(a=coeff, b=coeff, c=coeff, seed=st.integers(0, 2 ** 32 - 1), k=st.sampled_from([0, 200]))
 @settings(max_examples=300)
-def test_root_residual_and_ordering(a, b, c):
-    spec = cubic_roots(CubicCoefficients(a, b, c))
-    scale = max(1.0, abs(a), abs(b), abs(c))
-    for w in spec.eigenvalues:
-        assert abs(cubic_value(a, b, c, w)) <= 1e-9 * scale
-    keys = [(w.real, w.imag) for w in spec.eigenvalues]
-    assert keys == sorted(keys)
+def test_root_residual_and_ordering(a, b, c, seed, k):
+    # the drawn cubic, and one cubic of each random_cubic family (three real,
+    # one real and a pair, repeated) scaled exactly by 2^-k: at k = 200 its
+    # scale is below SAFE_SCALE and it is solved rescaled.  Each root w of a
+    # scaled cubic is 2^-k times a root of the unscaled one.
+    rng = np.random.default_rng(seed)
+    cubics = [(a, b, c, 0)] + [(*random_cubic(rng, mode), k) for mode in range(3)]
+    for a0, b0, c0, j in cubics:
+        spec = cubic_roots(CubicCoefficients(math.ldexp(a0, -j), math.ldexp(b0, -2 * j),
+                                             math.ldexp(c0, -3 * j)))
+        scale = max(1.0, abs(a0), abs(b0), abs(c0))
+        for w in spec.eigenvalues:
+            w = complex(math.ldexp(w.real, j), math.ldexp(w.imag, j))
+            assert abs(cubic_value(a0, b0, c0, w)) <= 1e-9 * scale
+        keys = [(w.real, w.imag) for w in spec.eigenvalues]
+        assert keys == sorted(keys)
 
 
 @given(a=coeff, b=coeff, c=coeff)

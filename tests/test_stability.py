@@ -21,6 +21,8 @@ from fraclv.stability import (
     table1_conditions,
 )
 
+from oracles import cf_theorem_tag
+
 EX1 = PRESETS["example1"].params
 EX2 = PRESETS["example2"].params
 EX3 = PRESETS["example3"].params
@@ -117,6 +119,43 @@ def test_cf_theorem_excludes_threshold_point():
     alpha = 0.5  # threshold exactly 2
     verdict = cf_stable_theorem([2.0, -1.0, -1.0], alpha)
     assert not verdict.stable
+
+
+@st.composite
+def _theorem_points(draw):
+    """(w, alpha): any finite w, w = 1/(1-alpha) or one of its float
+    neighbours, or Re(w) > 1/(1-alpha) with any Im(w)."""
+    alpha = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    thr = 1.0 / (1.0 - alpha)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    kind = draw(st.sampled_from(("any", "threshold", "right")))
+    if kind == "any":
+        return draw(st.complex_numbers(allow_nan=False, allow_infinity=False)), alpha
+    if kind == "threshold":
+        re = thr
+        steps = draw(st.integers(-3, 3))
+        for _ in range(abs(steps)):
+            re = math.nextafter(re, math.copysign(math.inf, steps))
+        return complex(re, draw(st.sampled_from((0.0, -0.0)) | finite)), alpha
+    return complex(draw(st.floats(min_value=thr, exclude_min=True, allow_infinity=False)),
+                   draw(finite)), alpha
+
+
+@given(point=_theorem_points())
+@settings(max_examples=1000)
+@example(point=(complex(2.0, 0.0), 0.5))
+@example(point=(complex(math.nextafter(2.0, math.inf), 0.0), 0.5))
+@example(point=(complex(2.5, 1e-300), 0.5))
+@example(point=(complex(1.7e308, 1.7e308), 0.5))
+@example(point=(complex(1.7e308, -5.0), 0.99))
+@example(point=(complex(-1.7e308, 1.7e308), 0.5))
+def test_cf_theorem_tag_matches_the_printed_conditions(point):
+    # the oracle tests all four conditions in the paper's order; (2) implies
+    # (1), so it never decides, and the verdict never carries its tag
+    w, alpha = point
+    tag = cf_stable_theorem([w], alpha).tags[0]
+    assert tag == cf_theorem_tag(w, alpha)
+    assert tag != "2"
 
 
 # ---------------------------------------------------------------------------

@@ -91,10 +91,11 @@ def test_value_types_are_slotted_and_frozen(obj):
 #: with constant labels (3 labels, False and True, 6), the E2/E3 condition
 #: pairs (2^2 each, 8), whole Table 1s by (kind, flags)
 #: (2^2 + 2^4 + 2^5 + 2^5 + 2^2 = 88) and three-eigenvalue verdicts by
-#: (operator, tags) (8 cone, 125 theorem and 8 disk, 141).
-SHARED_BOUND = 6 + 8 + 88 + 141
+#: (operator, tags) (8 cone, 4^3 = 64 theorem and 8 disk, 80).
+SHARED_BOUND = 6 + 8 + 88 + (8 + 64 + 8)
 
-_TAGS = {"cone", "disk", "1", "2", "3", "4", None}
+#: The theorem's condition (2) implies (1), which is tested first, so "2" is no tag.
+_TAGS = {"cone", "disk", "1", "3", "4", None}
 _KINDS = {"E0", "E1", "E2", "E3", "E4"}
 
 
