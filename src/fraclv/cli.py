@@ -36,12 +36,14 @@ The CF operator is taken with M(alpha) = 1, as in the stability criteria.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
 import time
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -220,23 +222,34 @@ def _json(payload) -> str:
         raise ValueError(f"{path} is {value}; JSON cannot carry a non-finite number") from None
 
 
-def _write_atomic(path: str, text: str) -> None:
+def _write_atomic(path: str, chunks: Iterable[bytes]) -> None:
+    """Write the byte ``chunks`` to a temporary file, then move it onto ``path``."""
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    with open(tmp, "wb") as fh:
+        fh.writelines(chunks)
     os.replace(tmp, path)
 
 
-def _trajectory_csv(traj: Trajectory) -> str:
-    # 17 significant digits: parses back to the exact same double.  Formatting
-    # Python floats a block of rows at a time is faster than formatting numpy
-    # scalars row by row; blocks keep the live float objects few.
+def _trajectory_csv(traj: Trajectory) -> Iterator[bytes]:
+    """trajectory.csv as ASCII chunks: the header, then one per block of rows.
+
+    17 significant digits parse back to the exact same double.  A block is
+    formatted in numpy by ``fraclv._csv``, which gives the exact bytes of
+    ``%.16e``; a block with a value outside its range (nonzero below 1e-11
+    or from 2^51 in magnitude, or not finite) goes through ``%`` on Python
+    floats.
+    """
+    from ._csv import format_block  # loaded by the first CSV written, not by import
+
     table = np.column_stack((traj.times, traj.states))
-    chunks = ["t,x,y,z\n"]
+    yield b"t,x,y,z\n"
     for start in range(0, len(table), _CSV_BLOCK_ROWS):
         block = table[start : start + _CSV_BLOCK_ROWS]
-        chunks.append(("%.16e,%.16e,%.16e,%.16e\n" * len(block)) % tuple(block.ravel().tolist()))
-    return "".join(chunks)
+        text = format_block(block)
+        if text is None:
+            text = (("%.16e,%.16e,%.16e,%.16e\n" * len(block))
+                    % tuple(block.ravel().tolist())).encode("ascii")
+        yield text
 
 
 def _complex_pair(w: complex) -> list[float]:
@@ -292,7 +305,7 @@ def cmd_simulate(config_path: str, out_dir: str, alpha=None, cf_mode=None) -> in
         "diverged": diverged_at is not None,
         "divergence_step": diverged_at,
     }
-    _write_atomic(os.path.join(out_dir, "manifest.json"), _json(manifest) + "\n")
+    _write_atomic(os.path.join(out_dir, "manifest.json"), [(_json(manifest) + "\n").encode()])
     return 2 if diverged_at is not None else 0
 
 
@@ -329,7 +342,7 @@ def cmd_stability(config_path: str, out_dir=None, alpha=None) -> int:
     text = _json(payload)
     if out_dir:  # written first, so a bad --out leaves stdout empty
         os.makedirs(out_dir, exist_ok=True)
-        _write_atomic(os.path.join(out_dir, "stability_report.json"), text + "\n")
+        _write_atomic(os.path.join(out_dir, "stability_report.json"), [(text + "\n").encode()])
     print(text)
     return 0
 
@@ -413,6 +426,7 @@ def cmd_reproduce_table2() -> int:
 # argument parsing
 
 
+@functools.cache  # built once per process: each ``main`` call parses with the same parser
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fraclv",

@@ -30,11 +30,13 @@ order-1 weights are all ``h`` (predictor) and ``h/2, h, ..., h, h/2``
 a run O(N).  The Caputo kernel is singular, so every step sums the whole
 field history g_0..g_k, once with the predictor and once with the corrector
 weights.  ``integrate_caputo`` splits the history into blocks of
-``HISTORY_BLOCK`` = B steps.  For step k in the block that starts at K, both
-sums over the near history g_K..g_k are one matrix product against the
-weight table that ``_caputo_tables`` builds once per run, for N rounded up to
-whole blocks, at O(B) per step.  Both sums over the far history g_0..g_{K-1}
-are convolutions, taken for all B steps of the block at once by FFT of size
+``HISTORY_BLOCK`` = B steps and takes the steps of a block in pairs k, k+1,
+k at an even offset from the block start K.  For a pair, both sums of step k
+and both sums of step k+1 over the near history g_K..g_k are one matrix
+product against the weight table that ``_pair_table`` builds once per run,
+for N rounded up to whole blocks, at O(B) per pair; step k+1 adds its lag-0
+term in g_{k+1}.  Both sums over the far history g_0..g_{K-1} are
+convolutions, taken for all B steps of the block at once by FFT of size
 K + B at the block start (``_far_sums``).  A run of N steps costs O(N B) for
 the near sums and O((N^2 / B) log N) for the far ones, and a run of at most B
 steps takes no FFT.  In a sweep of B from 128 to 4096 on 2 vCPUs, 1024 was
@@ -45,8 +47,10 @@ full-history evaluation of the weight formulas (one dot product over all of
 g_0..g_k per step), and the Caputo far sums carry the FFT's rounding, so
 results match that evaluation to rounding, not bit for bit: on the bundled
 scenarios the two agree to 1e-12 (max abs), and the test suite holds them to
-that tolerance.  A lag's weight does not depend on the table's length, so a
-shorter run of either integrator is bit for bit the prefix of a longer one.
+that tolerance.  A lag's weight does not depend on the table's length, and
+Caputo pairs start at even offsets from a block start whatever the run's
+length, so a shorter run of either integrator is bit for bit the prefix of a
+longer one.
 
 Field contract.  A field is called as ``field(t, state)`` with ``t`` a float
 and ``state`` a fresh 1-d float64 ndarray of the initial state's length d; it
@@ -61,13 +65,14 @@ Per-step arithmetic.  For d = 3 a step costs fixed interpreter overhead
 more than arithmetic, so the predictor, the corrector, the corrected-mode
 term, the CF running sum and the divergence guard run on Python floats, and
 the steps pass the field lists.  numpy holds the weight tables, the Caputo
-history with its one matrix product per step and its FFTs per block, and the
-``states`` array, which takes the accepted rows in one store per block.
+history with its one matrix product per two steps and its FFTs per block, and
+the ``states`` array, which takes the accepted rows in one store per block.
 Python and numpy float ``+ - *`` are the same IEEE operations, so the
 trajectories are bit for bit those of an all-numpy step, and Python float
 ``+ - *`` overflows to inf (which the guard catches) rather than raising.
-Untraced time per step on the bundled scenarios, field calls included (2
-vCPUs, Python 3.11): CF ~3-4 us and Caputo ~7-9 us at 5k-10k steps.
+Untraced time per step on the bundled scenarios, field calls included
+(Intel Xeon, 2 vCPUs, Python 3.11, numpy 2.4.6; minimum of 15 runs): CF
+~2.8-3.2 us and Caputo ~5.4-5.8 us at 5k-10k steps.
 
 Runs are strictly sequential and deterministic; all returned objects are
 immutable value containers.
@@ -78,7 +83,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NoReturn, Sequence
 
 import numpy as np
 
@@ -227,23 +232,37 @@ def _caputo_tables(num: int, alpha: float, step: float):
     return lagged, first - lagged[::-1, 1], new
 
 
-def _far_sums(hist: np.ndarray, lagged: np.ndarray, start: int) -> np.ndarray:
+def _pair_table(num: int, alpha: float, step: float):
+    """The Caputo weights of an N-step run (N = ``num``, even) laid out for pairs of steps.
+
+    Returns ``(table, c0, new)``.  ``table`` is a contiguous (4, N) array whose
+    column N-1-m holds the predictor and corrector weights of lag m (rows 0
+    and 1) and of lag m+1 (rows 2 and 3), so ``table[:, N-n:]`` pairs with
+    the n history values g_K..g_k (n = k-K+1) and one matrix product gives
+    both sums of step k and both sums of step k+1 over them.  ``c0`` and
+    ``new`` are those of ``_caputo_tables``.
+    """
+    lagged, c0, new = _caputo_tables(num + 1, alpha, step)
+    return np.concatenate((lagged[1:].T, lagged[:-1].T)), c0[:num], new
+
+
+def _far_sums(hist: np.ndarray, table: np.ndarray, start: int) -> np.ndarray:
     """Both history sums over g_0..g_{K-1} (K = ``start``) for steps K..K+B-1.
 
-    Returns a (B, d, 2) array, B = HISTORY_BLOCK: entry [j, c] holds the
-    predictor and corrector sums of component c at step K+j.  Each is a
-    linear convolution of g_0..g_{K-1} with the weights of lags 1..K+B-1,
-    taken by FFT of size K+B, at which no needed term wraps around; ``lagged``
-    has at least K+B rows, so the weights need no zero-padding.  One
-    component at a time keeps the buffers small.
+    Returns a (B, 2, d) array, B = HISTORY_BLOCK: entry [j, 0, c] holds the
+    predictor and [j, 1, c] the corrector sum of component c at step K+j.
+    Each is a linear convolution of g_0..g_{K-1} with the weights of lags
+    1..K+B-1, taken by FFT of size K+B, at which no needed term wraps around;
+    ``table`` (of ``_pair_table``) has at least K+B columns, so the weights
+    need no zero-padding.  One component at a time keeps the buffers small.
     """
     size = start + HISTORY_BLOCK
-    weights = [np.fft.rfft(w, size) for w in lagged[::-1][:size].T]  # lags 0..K+B-1, ascending
-    far = np.empty((HISTORY_BLOCK, len(hist), 2))
-    for c, row in enumerate(hist[:, :start]):
+    weights = [np.fft.rfft(w, size) for w in table[:2, ::-1][:, :size]]  # lags 0..K+B-1
+    far = np.empty((HISTORY_BLOCK, 2, hist.shape[1]))
+    for c, row in enumerate(hist[:start].T):
         spectrum = np.fft.rfft(row, size)
         for j, w in enumerate(weights):
-            far[:, c, j] = np.fft.irfft(spectrum * w, size)[start:]
+            far[:, j, c] = np.fft.irfft(spectrum * w, size)[start:]
     return far
 
 
@@ -269,26 +288,20 @@ def _start(field: VectorField, initial: Sequence[float]) -> tuple[list[float], l
     return x0.tolist(), g0.tolist(), step
 
 
-def _evaluate(field: Callable, t: float, x: list[float], d: int) -> Sequence[float]:
-    """The field at (t, x); the length of its value is checked."""
-    g = field(t, x)
-    if len(g) != d:
-        raise ValueError(f"field returned {len(g)} components at t = {t:g}, expected {d}")
-    return g
+def _wrong_length(g: Sequence[float], t: float, d: int) -> NoReturn:
+    """The field's value at time t has a length other than d: ValueError."""
+    raise ValueError(f"field returned {len(g)} components at t = {t:g}, expected {d}")
 
 
-def _accept(x, k, times, states, rows) -> None:
-    """Divergence guard for the state ``x`` (floats) of step k+1, then added to ``rows``.
+def _diverged(k: int, times: np.ndarray, states: np.ndarray, rows: list[float]) -> NoReturn:
+    """The state of step k+1 failed the divergence guard: store the accepted
+    ``rows`` and raise DivergenceError with the trajectory up to step k.
 
-    Each component must satisfy ``-L <= v <= L`` with L = DIVERGENCE_LIMIT;
+    The guard is ``-L <= v <= L`` on each component, L = DIVERGENCE_LIMIT;
     NaN fails both comparisons, so it trips the guard, and so does inf.
     """
-    for v in x:
-        if not -DIVERGENCE_LIMIT <= v <= DIVERGENCE_LIMIT:
-            _store(states, rows, k + 1)
-            partial = Trajectory(times[: k + 1], states[: k + 1].copy())
-            raise DivergenceError(k + 1, times[k + 1], partial)
-    rows += x
+    _store(states, rows, k + 1)
+    raise DivergenceError(k + 1, times[k + 1], Trajectory(times[: k + 1], states[: k + 1].copy()))
 
 
 def _store(states: np.ndarray, rows: list[float], end: int) -> None:
@@ -335,6 +348,7 @@ def integrate_cf(
     ch = alpha * config.step
     ch2 = ch / 2.0
     cf_coeff = 1.0 - alpha if config.cf_mode == "corrected" else 0.0
+    lim = DIVERGENCE_LIMIT
     total = g = g0
     with np.errstate(over="ignore", invalid="ignore"):  # for fields that return ndarrays
         for start in range(0, len(times) - 1, HISTORY_BLOCK):  # rows are stored per block
@@ -344,14 +358,21 @@ def integrate_cf(
                     xp = [a + ch * s + cf_coeff * (b - c) for a, s, b, c in zip(x0, total, g, g0)]
                 else:
                     xp = [a + ch * s for a, s in zip(x0, total)]
-                gp = _evaluate(field, t, xp, d)
+                gp = field(t, xp)
+                if len(gp) != d:
+                    _wrong_length(gp, t, d)
                 if cf_coeff:
                     xc = [a + ch2 * (2.0 * s - c + p) + cf_coeff * (p - c)
                           for a, s, c, p in zip(x0, total, g0, gp)]
                 else:
                     xc = [a + ch2 * (2.0 * s - c + p) for a, s, c, p in zip(x0, total, g0, gp)]
-                _accept(xc, k, times, states, rows)
-                g = _evaluate(field, t, xc, d)
+                for v in xc:
+                    if not -lim <= v <= lim:
+                        _diverged(k, times, states, rows)
+                rows += xc
+                g = field(t, xc)
+                if len(g) != d:
+                    _wrong_length(g, t, d)
                 total = [s + b for s, b in zip(total, g)]
             _store(states, rows, k + 2)
     return Trajectory(times, states)
@@ -369,36 +390,65 @@ def integrate_caputo(
     real order alpha and the corrector prefactor is ``h^a / Gamma(a+2)``
     (equivalently ``1/Gamma(a)`` applied to the shared weight form).
 
-    The field history g_0..g_N is held component-major and read in blocks of
-    B = ``HISTORY_BLOCK`` steps.  In the block that starts at K, step k gets
-    both history sums over g_K..g_k from one matrix product with the tail
-    ``lagged[last-k+K:]`` of the table of ``_caputo_tables`` (whole blocks,
-    last row ``last``), adds the sums over g_0..g_{K-1} that ``_far_sums``
-    computed by FFT at the block start, and adds ``c0[k] g_0`` for the rest
-    of the weight of g_0.
+    The field history g_0..g_N is held row-major, one row per step, and read
+    in blocks of B = ``HISTORY_BLOCK`` steps.  At each block start K, x0, the
+    sums over g_0..g_{K-1} that ``_far_sums`` computes by FFT, and
+    ``c0[k] g_0`` (the rest of the weight of g_0) are added into one base
+    per step.  The steps then go in pairs k, k+1 from K: one matrix product
+    of the tail ``table[:, last-n:]`` of ``_pair_table`` with g_K..g_k
+    (n = k-K+1 rows), plus the pair's base, gives both sums of both steps;
+    step k+1 adds the lag-0 weights times g_{k+1} in Python floats.  The two
+    new field values are written to the history together.
     """
     alpha = check_order(order)
     x0, g0, field = _start(field, initial)
     d = len(x0)
     times, states, rows = _grid(x0, config)
     num = len(times) - 1
-    hist = np.empty((d, num + 1))
-    hist[:, 0] = g0
-    lagged, c0, new = _caputo_tables(-(-num // HISTORY_BLOCK) * HISTORY_BLOCK, alpha, config.step)
-    last = len(lagged) - 1
-    far = np.zeros((min(HISTORY_BLOCK, num), d, 2))
+    hist = np.empty((num + 1, d))
+    hist[0] = g0
+    table, c0, new = _pair_table(-(-num // HISTORY_BLOCK) * HISTORY_BLOCK, alpha, config.step)
+    last = table.shape[1]
+    lag0, lag0_c = table[:2, -1].tolist()  # the weights of lag 0, for step k+1's g_{k+1}
+    lim = DIVERGENCE_LIMIT
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, num, HISTORY_BLOCK):
-            if start:
-                far = _far_sums(hist, lagged, start)
-            for k in range(start, min(start + HISTORY_BLOCK, num)):
+            end = min(start + HISTORY_BLOCK, num)
+            base = _far_sums(hist, table, start) if start else np.zeros((HISTORY_BLOCK, 2, d))
+            base[:, 1] += np.multiply.outer(c0[start : start + HISTORY_BLOCK], g0)
+            base += x0
+            base = base.reshape(HISTORY_BLOCK // 2, 4, d)  # [pred k, corr k, pred k+1, corr k+1]
+            for k in range(start, end, 2):
+                pk, ck, pk1, ck1 = (table[:, last - 1 - k + start :] @ hist[start : k + 1]
+                                    + base[(k - start) >> 1]).tolist()
                 t = times.item(k + 1)
-                sums = (hist[:, start : k + 1] @ lagged[last - k + start :] + far[k - start]).tolist()
-                xp = [a + s[0] for a, s in zip(x0, sums)]
-                gp = _evaluate(field, t, xp, d)
-                f = c0.item(k)
-                xc = [a + (s[1] + f * c + new * p) for a, s, c, p in zip(x0, sums, g0, gp)]
-                _accept(xc, k, times, states, rows)
-                hist[:, k + 1] = _evaluate(field, t, xc, d)
-            _store(states, rows, k + 2)
+                gp = field(t, pk)
+                if len(gp) != d:
+                    _wrong_length(gp, t, d)
+                xc = [s + new * p for s, p in zip(ck, gp)]
+                for v in xc:
+                    if not -lim <= v <= lim:
+                        _diverged(k, times, states, rows)
+                rows += xc
+                g1 = field(t, xc)
+                if len(g1) != d:
+                    _wrong_length(g1, t, d)
+                if k + 1 == end:
+                    hist[k + 1] = g1
+                    break
+                t = times.item(k + 2)
+                xp = [s + lag0 * g for s, g in zip(pk1, g1)]
+                gp = field(t, xp)
+                if len(gp) != d:
+                    _wrong_length(gp, t, d)
+                xc = [s + lag0_c * g + new * p for s, g, p in zip(ck1, g1, gp)]
+                for v in xc:
+                    if not -lim <= v <= lim:
+                        _diverged(k + 1, times, states, rows)
+                rows += xc
+                g2 = field(t, xc)
+                if len(g2) != d:
+                    _wrong_length(g2, t, d)
+                hist[k + 1 : k + 3] = (g1, g2)
+            _store(states, rows, end + 1)
     return Trajectory(times, states)

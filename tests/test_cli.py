@@ -9,8 +9,10 @@ import re
 import numpy as np
 import pytest
 
+import fraclv._csv
 import fraclv.cli
 import fraclv.stability
+from fraclv._csv import format_block
 from fraclv.cli import ConfigError, _trajectory_csv, load_config, main, parse_config
 from fraclv.presets import PRESETS, SCENARIOS
 from fraclv.solvers import Trajectory
@@ -149,6 +151,21 @@ def test_step_count_too_large_to_allocate_is_one_error_line(tmp_path, capsys, ho
 
 def test_usage_error_exits_1():
     assert main(["simulate"]) == 1  # missing required flags
+
+
+def test_parser_built_once_keeps_no_state_between_calls(tmp_path, capsys):
+    # main parses every call with the one parser of the process: an override or
+    # a usage error of one call must not reach the next
+    path = _write_config(tmp_path, _base_config(operator="cf"))
+    out = tmp_path / "out"
+    alphas = []
+    for extra in (["--alpha", "0.9"], []):
+        assert main(["simulate", "--config", path, "--out", str(out), *extra]) == 0
+        alphas.append(json.loads((out / "manifest.json").read_text())["config"]["alpha"])
+    assert alphas == [0.9, 0.98]
+    assert main(["simulate", "--config", path]) == 1
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+    assert fraclv.cli._build_parser() is fraclv.cli._build_parser()
 
 
 @pytest.mark.parametrize("command", ["simulate", "stability"])
@@ -309,24 +326,35 @@ def test_cf_scenario_trajectory_bytes_are_pinned(tmp_path, name, extra, digest):
     assert hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest() == digest
 
 
-def test_trajectory_csv_matches_row_by_row_formatting():
-    # reference: .16e on the numpy scalars of each row, one f-string per row;
-    # 2,500 rows span several formatting blocks
+def test_trajectory_csv_matches_row_by_row_formatting(monkeypatch):
+    # reference: .16e on the numpy scalars of each row, one f-string per row.
+    # 4,000 rows are four formatting blocks: the first three hold values
+    # outside the numpy kernel's range and go through %, the last one the kernel
     special = np.array([
         [0.5, -0.9, 0.0],
         [-0.0, 5e-324, -2.2250738585072014e-308],
         [1e300, -1.7976931348623157e308, 1.0 / 3.0],
         [2.0 ** -1074 * 3, -123.456, 7e-310],
     ])
-    states = np.random.default_rng(3).normal(size=(2500, 3))
-    states[::500] = special[0]
-    states[1::700] = special[1]
+    states = np.random.default_rng(3).normal(size=(4000, 3))
+    states[:2500:500] = special[0]
+    states[1:2500:700] = special[1]
     states[1023:1026] = special[1:]
-    traj = Trajectory(0.01 * np.arange(2500), states)
+    traj = Trajectory(0.01 * np.arange(4000), states)
     lines = ["t,x,y,z"]
     for t, row in zip(traj.times, traj.states):
         lines.append(f"{t:.16e},{row[0]:.16e},{row[1]:.16e},{row[2]:.16e}")
-    assert _trajectory_csv(traj) == "\n".join(lines) + "\n"
+    refused = []  # per block: did the kernel refuse it?
+
+    def spy(block):
+        text = format_block(block)
+        refused.append(text is None)
+        return text
+
+    monkeypatch.setattr(fraclv._csv, "format_block", spy)
+    chunks = list(_trajectory_csv(traj))
+    assert b"".join(chunks).decode("ascii") == "\n".join(lines) + "\n"
+    assert len(chunks) == 5 and refused == [True, True, True, False]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -186,12 +187,14 @@ def test_fft_history_matches_direct_engine(alpha, h, field, initial):
 
 def test_numpy_fft_is_not_loaded_by_import_or_a_one_block_run():
     # integrate_caputo reaches np.fft at call time, so start-up, the analysis
-    # commands and runs of at most HISTORY_BLOCK steps never load it
+    # commands and runs of at most HISTORY_BLOCK steps never load it; likewise
+    # the CSV kernel fraclv._csv is loaded by the first trajectory.csv written
     src = os.path.dirname(os.path.dirname(fraclv.solvers.__file__))
     code = ("import sys, fraclv.cli\n"
+            "assert 'fraclv._csv' not in sys.modules\n"
             "from fraclv.solvers import HISTORY_BLOCK, SolverConfig, integrate_caputo\n"
             "integrate_caputo(lambda t, x: -x, [1.0], 0.5, SolverConfig(1.0, HISTORY_BLOCK))\n"
-            "assert 'numpy.fft' not in sys.modules\n")
+            "assert 'numpy.fft' not in sys.modules and 'fraclv._csv' not in sys.modules\n")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": path})
 
@@ -496,23 +499,31 @@ def test_float_and_adapter_paths_agree_bitwise(name):
 
 @pytest.mark.parametrize("path", ["floats", "adapter"])
 @pytest.mark.parametrize("integrate", [integrate_caputo, integrate_cf])
-@pytest.mark.parametrize("h,initial,later", [(0.01, [-0.01, 0.9, 0.1], False),
-                                             (0.004, [-1e-6, 0.9, 0.1], True)],
+@pytest.mark.parametrize("h,starts,later", [(0.01, (-0.01, -0.012), False),
+                                            (0.004, (-1e-6, -1.1e-6), True)],
                          ids=["first-block", "later-block"])
 def test_divergence_partial_equals_the_run_cut_before_it(monkeypatch, integrate, path, h,
-                                                         initial, later):
-    # np.empty filled with NaN: a row of ``states`` left unwritten would show
+                                                         starts, later):
+    # np.empty filled with NaN: a row of ``states`` left unwritten would show.
+    # The two starts of x trip the guard on the first and on the second step
+    # of a Caputo pair (an even and an odd offset from the block start).
     monkeypatch.setattr(fraclv.solvers.np, "empty", lambda shape: np.full(shape, np.nan))
-    with pytest.raises(DivergenceError) as excinfo:  # x runs off to -inf
-        integrate(_both_paths(EX1)[path], initial, 0.9, SolverConfig(step=h, horizon=50.0))
-    k = excinfo.value.step_index - 1
-    assert (k > HISTORY_BLOCK) == later
-    partial = excinfo.value.partial
-    cut = integrate(_both_paths(EX1)[path], initial, 0.9, SolverConfig(step=h, horizon=k * h))
-    assert partial.states.shape == (k + 1, 3)
-    assert np.all(np.isfinite(partial.states))
-    assert np.array_equal(partial.times, cut.times)
-    assert partial.states.tobytes() == cut.states.tobytes()
+    offsets = set()
+    for x in starts:
+        initial = [x, 0.9, 0.1]
+        with pytest.raises(DivergenceError) as excinfo:  # x runs off to -inf
+            integrate(_both_paths(EX1)[path], initial, 0.9, SolverConfig(step=h, horizon=50.0))
+        k = excinfo.value.step_index - 1
+        assert (k > HISTORY_BLOCK) == later
+        offsets.add(k % HISTORY_BLOCK % 2)
+        partial = excinfo.value.partial
+        cut = integrate(_both_paths(EX1)[path], initial, 0.9, SolverConfig(step=h, horizon=k * h))
+        assert partial.states.shape == (k + 1, 3)
+        assert np.all(np.isfinite(partial.states))
+        assert np.array_equal(partial.times, cut.times)
+        assert partial.states.tobytes() == cut.states.tobytes()
+    if integrate is integrate_caputo:
+        assert offsets == {0, 1}
 
 
 @pytest.mark.parametrize("name", ["example1-caputo", "example2-caputo"])
@@ -543,12 +554,34 @@ def test_tuple_list_and_ndarray_returns_agree_bitwise(mode):
         assert tuple_run.tobytes() == list_run.tobytes() == array_run.tobytes()
 
 
+def _shrinks_at(call):
+    """A zero field of three components that returns two on its ``call``-th call
+    (from 0) only, so only the check at that call site can catch it."""
+    calls = iter(range(call + 2))
+
+    def field(t, x):
+        return (0.0, 0.0) if next(calls, None) == call else (0.0, 0.0, 0.0)
+
+    return field
+
+
 @pytest.mark.parametrize("name", sorted(GUARDED))
 def test_field_output_length_change_is_rejected(name):
     run, h, _ = GUARDED[name]
     shrinking = lambda t, x: (0.0, 0.0, 0.0) if t < 1.0 else (0.0, 0.0)
     with pytest.raises(ValueError, match="field returned 2 components"):
         run(shrinking, [1.0, 2.0, 3.0], SolverConfig(step=h, horizon=10 * h))
+    if name == "rk4":
+        return
+    # every call site of the integrators: step k makes call 2k+1 (predictor) and
+    # call 2k+2 (corrector), on the first and second step of a Caputo pair, in
+    # the first block and in a later one
+    config = SolverConfig(step=h, horizon=(HISTORY_BLOCK + 2) * h)
+    for k in (0, 1, HISTORY_BLOCK, HISTORY_BLOCK + 1):
+        for call in (2 * k + 1, 2 * k + 2):
+            message = f"field returned 2 components at t = {(k + 1) * h:g}, expected 3"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                run(_shrinks_at(call), [1.0, 2.0, 3.0], config)
 
 
 def test_cf_corrected_explicit_instability_is_caught():
