@@ -5,8 +5,9 @@
     (("%.16e," * (cols - 1) + "%.16e\\n") * rows) % tuple(block.ravel().tolist())
 
 for a (rows, cols) float64 block, or None if a value lies outside the fast
-range: every value must be +-0.0, or finite with 1e-11 < |x| < 2^51.  The
-caller formats such a block with ``%`` instead.  (The double nearest 1e-11
+range: every value must be +-0.0, or finite with 1e-11 < |x| < 2^51.
+``rows_in_range(block)`` tells which rows lie wholly in it, so that the
+caller formats only the other rows with ``%``.  (The double nearest 1e-11
 lies just below 10^-11, where the exponent k below would be 28, so it is
 left out.  The divergence guard keeps states within 1e12, and only times of
 absurd horizons reach 2^51 ~ 2.25e15.)
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["format_block"]
+__all__ = ["format_block", "rows_in_range"]
 
 _PAD = 0  # a sign slot of a value that is not negative; deleted at the end
 _TEN3, _TEN7, _TEN11, _TEN15, _TEN16, _TEN17 = (np.uint64(10**i) for i in (3, 7, 11, 15, 16, 17))
@@ -80,14 +81,24 @@ def _scaled(mant: np.ndarray, b: np.ndarray, d: np.ndarray):
     return (hi << (np.uint64(64) - s)) | (low >> s), low & ((unit << _ONE) - _ONE), unit
 
 
+def _fast(a: np.ndarray) -> np.ndarray:
+    """Which magnitudes ``a`` lie in the fast range; NaN fails both compares."""
+    return (a == 0.0) | ((a > 1e-11) & (a < _HIGH))
+
+
+def rows_in_range(block: np.ndarray) -> np.ndarray:
+    """Per row of a 2-d float64 block: do all its values lie in the fast range?"""
+    return _fast(np.abs(block)).all(axis=1)
+
+
 def format_block(block: np.ndarray) -> bytes | None:
     """The ``%.16e`` text of a 2-d float64 block, comma-separated rows, or None."""
     rows, cols = block.shape
     v = block.ravel()
     a = np.abs(v)
-    zero = a == 0.0
-    if not np.all(zero | ((a > 1e-11) & (a < _HIGH))):  # NaN fails both
+    if not _fast(a).all():
         return None
+    zero = a == 0.0
     a = np.where(zero, 1.0, a)
     frac, e = np.frexp(a)
     mant = (frac * 2.0 ** 53).astype(np.uint64)

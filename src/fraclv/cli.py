@@ -235,11 +235,12 @@ def _trajectory_csv(traj: Trajectory) -> Iterator[bytes]:
 
     17 significant digits parse back to the exact same double.  A block is
     formatted in numpy by ``fraclv._csv``, which gives the exact bytes of
-    ``%.16e``; a block with a value outside its range (nonzero below 1e-11
-    or from 2^51 in magnitude, or not finite) goes through ``%`` on Python
-    floats.
+    ``%.16e``.  In a block with a value outside its range (nonzero below
+    1e-11 or from 2^51 in magnitude, or not finite), each run of rows
+    holding such values goes through ``%`` on Python floats, and each run of
+    the other rows through ``fraclv._csv``.
     """
-    from ._csv import format_block  # loaded by the first CSV written, not by import
+    from ._csv import format_block, rows_in_range  # loaded by the first CSV written, not by import
 
     table = np.column_stack((traj.times, traj.states))
     yield b"t,x,y,z\n"
@@ -247,9 +248,17 @@ def _trajectory_csv(traj: Trajectory) -> Iterator[bytes]:
         block = table[start : start + _CSV_BLOCK_ROWS]
         text = format_block(block)
         if text is None:
-            text = (("%.16e,%.16e,%.16e,%.16e\n" * len(block))
-                    % tuple(block.ravel().tolist())).encode("ascii")
+            fast = rows_in_range(block)
+            edges = [0, *(np.flatnonzero(fast[1:] != fast[:-1]) + 1).tolist(), len(block)]
+            text = b"".join(format_block(block[i:j]) if fast[i] else _percent(block[i:j])
+                            for i, j in zip(edges, edges[1:]))
         yield text
+
+
+def _percent(rows: np.ndarray) -> bytes:
+    """trajectory.csv rows formatted by ``%`` on Python floats."""
+    line = "%.16e,%.16e,%.16e,%.16e\n"
+    return ((line * len(rows)) % tuple(rows.ravel().tolist())).encode("ascii")
 
 
 def _complex_pair(w: complex) -> list[float]:

@@ -61,18 +61,22 @@ length raises ValueError, and so does an initial state with a component
 outside the divergence guard's range.  Each integrator calls the field, or
 its float-level form, 2N + 1 times for N steps.
 
-Per-step arithmetic.  For d = 3 a step costs fixed interpreter overhead
-more than arithmetic, so the predictor, the corrector, the corrected-mode
-term, the CF running sum and the divergence guard run on Python floats, and
-the steps pass the field lists.  numpy holds the weight tables, the Caputo
-history with its one matrix product per two steps and its FFTs per block, and
-the ``states`` array, which takes the accepted rows in one store per block.
-Python and numpy float ``+ - *`` are the same IEEE operations, so the
-trajectories are bit for bit those of an all-numpy step, and Python float
-``+ - *`` overflows to inf (which the guard catches) rather than raising.
-Untraced time per step on the bundled scenarios, field calls included
-(Intel Xeon, 2 vCPUs, Python 3.11, numpy 2.4.6; minimum of 15 runs): CF
-~2.8-3.2 us and Caputo ~5.4-5.8 us at 5k-10k steps.
+Per-step arithmetic.  For d = 3 a step costs fixed interpreter overhead more
+than arithmetic, so the predictor, the corrector, the corrected-mode term,
+the CF running sum and the divergence guard run on Python floats, in a step
+loop generated once per operator, CF mode and d (``_step_loop``, on the
+first run that needs it): each component is a scalar local and each
+per-component line is written out d times, so a step builds no lists but the
+states it passes to the field.  Generating a loop costs ~0.5 ms at d = 3,
+and grows with d (~0.2 s per 1,000 components).  numpy holds the weight
+tables, the Caputo history with its one matrix product per two steps and its
+FFTs per block, and the ``states`` array, which takes the accepted rows in
+one store per block.  Python and numpy float ``+ - *`` are the same IEEE
+operations, so the trajectories are bit for bit those of an all-numpy step,
+and Python float ``+ - *`` overflows to inf (which the guard catches) rather
+than raising.  Untraced time per step on the bundled scenarios, field calls
+included (Intel Xeon, 2 vCPUs, Python 3.11, numpy 2.4.6; minimum of 15
+runs): CF ~1.0-1.4 us and Caputo ~3.6-4.2 us at 5k-10k steps.
 
 Runs are strictly sequential and deterministic; all returned objects are
 immutable value containers.
@@ -80,6 +84,7 @@ immutable value containers.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -322,6 +327,100 @@ def _grid(x0: list[float], config: SolverConfig) -> tuple[np.ndarray, np.ndarray
     return config.step * np.arange(num + 1), states, x0[:]  # rows yet to store: x0, flat
 
 
+# The step loops, as source text.  A loop runs the steps k = start..end-1 of
+# one block; ``_step_loop`` writes each line that names a component ``{i}``
+# out once per component, so every component is a scalar local.  ``_STEP``
+# is one PECE step at time t_{k+lag}: the field at the predictor, the
+# corrector, the divergence guard on it, and the field at the corrector, in
+# ``g`` and its components b0, b1, ...  It computes t as h (k + lag), which is
+# bit for bit ``times[k + lag]``.
+_STEP = """\
+        t = h * (k + {lag})
+        gp = field(t, {predictor})
+        if len(gp) != {d}:
+            _wrong_length(gp, t, {d})
+        [{p}] = gp
+        {corrector}
+        if not ({guard}):
+            _diverged({k}, times, states, rows)
+        xc = [{v}]
+        rows += xc
+        g = field(t, xc)
+        if len(g) != {d}:
+            _wrong_length(g, t, {d})
+        [{b}] = g
+"""
+
+# CF: x0 in a0, a1, ..., g_0 in c0, c1, ..., and the running sum S_k in s0, s1, ...
+_CF_LOOP = """\
+def cf_steps(field, times, states, rows, start, end, h, lim, x0, g0, s, g, ch, ch2, cf):
+    [{a}] = x0
+    [{c}] = g0
+    [{s}] = s
+    [{b}] = g
+    for k in range(start, end):
+{step}\
+        {total}
+    return [{s}], g
+"""
+
+# Caputo: steps k and k+1 of a pair; the matrix product gives the sums of
+# step k in pk (predictor) and c0, c1, ... (corrector), and those of step k+1
+# but for its lag-0 term in q0, q1, ... and e0, e1, ...
+_CAPUTO_LOOP = """\
+def caputo_steps(field, times, states, rows, start, end, h, lim, hist, table, last, base,
+                 new, lag0, lag0_c):
+    for k in range(start, end, 2):
+        pk, [{c}], [{q}], [{e}] = (table[:, last - 1 - k + start :] @ hist[start : k + 1]
+                                   + base[(k - start) >> 1]).tolist()
+{step1}\
+        hist[k + 1] = g
+        if k + 1 == end:
+            break
+{step2}\
+        hist[k + 2] = g
+"""
+
+
+@functools.cache
+def _step_loop(operator: str, cf_mode: str | None, d: int) -> Callable:
+    """The step loop of ``operator`` ("cf" in ``cf_mode``, or "caputo") for
+    states of d components, generated on first use from the templates above.
+
+    Each component is computed by the same expression, with the same order
+    of operations, whatever d is, and the guard checks the components in
+    order.  The loops of a process are kept: there is one per key.
+    """
+
+    def each(expr: str, sep: str = ", ") -> str:
+        return sep.join(expr.format(i=i) for i in range(d))
+
+    def step(lag: int, predictor: str, corrector: str) -> str:
+        return _STEP.format(
+            lag=lag, k="k" if lag == 1 else f"k + {lag - 1}", d=d, predictor=predictor,
+            p=each("p{i}"), corrector=each(f"v{{i}} = {corrector}", "\n        "),
+            guard=each("-lim <= v{i} <= lim", " and "), v=each("v{i}"), b=each("b{i}"))
+
+    if operator == "cf":
+        lagged = predicted = ""
+        if cf_mode == "corrected":  # the term (1-a)(g - g0) at the lagged and predicted g
+            lagged, predicted = " + cf * (b{i} - c{i})", " + cf * (p{i} - c{i})"
+        source = _CF_LOOP.format(
+            a=each("a{i}"), c=each("c{i}"), s=each("s{i}"), b=each("b{i}"),
+            step=step(1, "[" + each("a{i} + ch * s{i}" + lagged) + "]",
+                      "a{i} + ch2 * (2.0 * s{i} - c{i} + p{i})" + predicted),
+            total=each("s{i} += b{i}", "\n        "))
+    else:
+        source = _CAPUTO_LOOP.format(
+            c=each("c{i}"), q=each("q{i}"), e=each("e{i}"),
+            step1=step(1, "pk", "c{i} + new * p{i}"),
+            step2=step(2, "[" + each("q{i} + lag0 * b{i}") + "]",
+                       "e{i} + lag0_c * b{i} + new * p{i}"))
+    namespace = {"_wrong_length": _wrong_length, "_diverged": _diverged}
+    exec(compile(source, f"<fraclv.solvers step loop {(operator, cf_mode, d)}>", "exec"), namespace)
+    return namespace[f"{operator}_steps"]
+
+
 def integrate_cf(
     field: VectorField,
     initial: Sequence[float],
@@ -339,42 +438,23 @@ def integrate_cf(
     In ``corrected`` mode the non-integral term ``(1-a)(g - g0)`` is added
     to both, at the lagged and at the predicted field value.  Its explicit
     treatment requires ``(1-a) * L < 1`` for a local Lipschitz constant L,
-    otherwise the run is aborted by the divergence guard.
+    otherwise the run is aborted by the divergence guard.  At a = 1 the term
+    is zero and the run is a ``paper`` mode run.
     """
     alpha = check_order(order)
     x0, g0, field = _start(field, initial)
-    d = len(x0)
     times, states, rows = _grid(x0, config)
-    ch = alpha * config.step
-    ch2 = ch / 2.0
+    num = len(times) - 1
     cf_coeff = 1.0 - alpha if config.cf_mode == "corrected" else 0.0
-    lim = DIVERGENCE_LIMIT
+    steps = _step_loop("cf", "corrected" if cf_coeff else "paper", len(x0))
+    ch = alpha * config.step
     total = g = g0
     with np.errstate(over="ignore", invalid="ignore"):  # for fields that return ndarrays
-        for start in range(0, len(times) - 1, HISTORY_BLOCK):  # rows are stored per block
-            for k in range(start, min(start + HISTORY_BLOCK, len(times) - 1)):
-                t = times.item(k + 1)
-                if cf_coeff:
-                    xp = [a + ch * s + cf_coeff * (b - c) for a, s, b, c in zip(x0, total, g, g0)]
-                else:
-                    xp = [a + ch * s for a, s in zip(x0, total)]
-                gp = field(t, xp)
-                if len(gp) != d:
-                    _wrong_length(gp, t, d)
-                if cf_coeff:
-                    xc = [a + ch2 * (2.0 * s - c + p) + cf_coeff * (p - c)
-                          for a, s, c, p in zip(x0, total, g0, gp)]
-                else:
-                    xc = [a + ch2 * (2.0 * s - c + p) for a, s, c, p in zip(x0, total, g0, gp)]
-                for v in xc:
-                    if not -lim <= v <= lim:
-                        _diverged(k, times, states, rows)
-                rows += xc
-                g = field(t, xc)
-                if len(g) != d:
-                    _wrong_length(g, t, d)
-                total = [s + b for s, b in zip(total, g)]
-            _store(states, rows, k + 2)
+        for start in range(0, num, HISTORY_BLOCK):  # rows are stored per block
+            end = min(start + HISTORY_BLOCK, num)
+            total, g = steps(field, times, states, rows, start, end, config.step, DIVERGENCE_LIMIT,
+                             x0, g0, total, g, ch, ch / 2.0, cf_coeff)
+            _store(states, rows, end + 1)
     return Trajectory(times, states)
 
 
@@ -397,8 +477,8 @@ def integrate_caputo(
     per step.  The steps then go in pairs k, k+1 from K: one matrix product
     of the tail ``table[:, last-n:]`` of ``_pair_table`` with g_K..g_k
     (n = k-K+1 rows), plus the pair's base, gives both sums of both steps;
-    step k+1 adds the lag-0 weights times g_{k+1} in Python floats.  The two
-    new field values are written to the history together.
+    step k+1 adds the lag-0 weights times g_{k+1} in Python floats.  Each new
+    field value is written to the history as it is computed.
     """
     alpha = check_order(order)
     x0, g0, field = _start(field, initial)
@@ -408,9 +488,8 @@ def integrate_caputo(
     hist = np.empty((num + 1, d))
     hist[0] = g0
     table, c0, new = _pair_table(-(-num // HISTORY_BLOCK) * HISTORY_BLOCK, alpha, config.step)
-    last = table.shape[1]
     lag0, lag0_c = table[:2, -1].tolist()  # the weights of lag 0, for step k+1's g_{k+1}
-    lim = DIVERGENCE_LIMIT
+    steps = _step_loop("caputo", None, d)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, num, HISTORY_BLOCK):
             end = min(start + HISTORY_BLOCK, num)
@@ -418,37 +497,7 @@ def integrate_caputo(
             base[:, 1] += np.multiply.outer(c0[start : start + HISTORY_BLOCK], g0)
             base += x0
             base = base.reshape(HISTORY_BLOCK // 2, 4, d)  # [pred k, corr k, pred k+1, corr k+1]
-            for k in range(start, end, 2):
-                pk, ck, pk1, ck1 = (table[:, last - 1 - k + start :] @ hist[start : k + 1]
-                                    + base[(k - start) >> 1]).tolist()
-                t = times.item(k + 1)
-                gp = field(t, pk)
-                if len(gp) != d:
-                    _wrong_length(gp, t, d)
-                xc = [s + new * p for s, p in zip(ck, gp)]
-                for v in xc:
-                    if not -lim <= v <= lim:
-                        _diverged(k, times, states, rows)
-                rows += xc
-                g1 = field(t, xc)
-                if len(g1) != d:
-                    _wrong_length(g1, t, d)
-                if k + 1 == end:
-                    hist[k + 1] = g1
-                    break
-                t = times.item(k + 2)
-                xp = [s + lag0 * g for s, g in zip(pk1, g1)]
-                gp = field(t, xp)
-                if len(gp) != d:
-                    _wrong_length(gp, t, d)
-                xc = [s + lag0_c * g + new * p for s, g, p in zip(ck1, g1, gp)]
-                for v in xc:
-                    if not -lim <= v <= lim:
-                        _diverged(k + 1, times, states, rows)
-                rows += xc
-                g2 = field(t, xc)
-                if len(g2) != d:
-                    _wrong_length(g2, t, d)
-                hist[k + 1 : k + 3] = (g1, g2)
+            steps(field, times, states, rows, start, end, config.step, DIVERGENCE_LIMIT,
+                  hist, table, table.shape[1], base, new, lag0, lag0_c)
             _store(states, rows, end + 1)
     return Trajectory(times, states)

@@ -328,8 +328,10 @@ def test_cf_scenario_trajectory_bytes_are_pinned(tmp_path, name, extra, digest):
 
 def test_trajectory_csv_matches_row_by_row_formatting(monkeypatch):
     # reference: .16e on the numpy scalars of each row, one f-string per row.
-    # 4,000 rows are four formatting blocks: the first three hold values
-    # outside the numpy kernel's range and go through %, the last one the kernel
+    # 4,000 rows are four formatting blocks: the first three hold rows with
+    # values outside the numpy kernel's range, which go through % (the last
+    # row of block 0, the first two of block 1 and rows in the middle), and
+    # every other row goes through the kernel
     special = np.array([
         [0.5, -0.9, 0.0],
         [-0.0, 5e-324, -2.2250738585072014e-308],
@@ -344,17 +346,24 @@ def test_trajectory_csv_matches_row_by_row_formatting(monkeypatch):
     lines = ["t,x,y,z"]
     for t, row in zip(traj.times, traj.states):
         lines.append(f"{t:.16e},{row[0]:.16e},{row[1]:.16e},{row[2]:.16e}")
-    refused = []  # per block: did the kernel refuse it?
+    calls = []  # per kernel call: did it refuse the rows, and which rows
 
     def spy(block):
         text = format_block(block)
-        refused.append(text is None)
+        calls.append((text is None, block.copy()))
         return text
 
     monkeypatch.setattr(fraclv._csv, "format_block", spy)
     chunks = list(_trajectory_csv(traj))
     assert b"".join(chunks).decode("ascii") == "\n".join(lines) + "\n"
-    assert len(chunks) == 5 and refused == [True, True, True, False]
+    assert len(chunks) == 5
+    assert [len(rows) for refused, rows in calls if refused] == [1024, 1024, 1024]
+    table = np.column_stack((traj.times, traj.states))
+    a = np.abs(table)
+    fast = ((a == 0.0) | ((a > 1e-11) & (a < 2.0 ** 51))).all(axis=1)
+    assert np.flatnonzero(~fast).tolist() == [1, 701, 1023, 1024, 1025, 1401, 2101]
+    kernel_rows = np.concatenate([rows for refused, rows in calls if not refused])
+    assert kernel_rows.tobytes() == table[fast].tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fraclv._csv import format_block
+import fraclv._csv
+from fraclv._csv import format_block, rows_in_range
 from fraclv.cli import _CSV_BLOCK_ROWS, _trajectory_csv
 from fraclv.solvers import Trajectory
 
@@ -147,3 +148,34 @@ def test_trajectory_with_a_non_finite_row_goes_through_percent():
     assert b"nan" in chunks[1] and b"inf" in chunks[3] and b"n" not in chunks[2]
     assert [format_block(table[i : i + _CSV_BLOCK_ROWS]) is None
             for i in range(0, len(table), _CSV_BLOCK_ROWS)] == [True, False, True]
+
+
+LAST = _CSV_BLOCK_ROWS - 1
+
+
+@pytest.mark.parametrize("bad", [[0], [500], [LAST], [300, 301], [0, 300, 301, 500, LAST]],
+                         ids=["first", "middle", "last", "adjacent", "all"])
+def test_only_the_rows_out_of_range_go_through_percent(monkeypatch, bad):
+    # example1-cf's y falls to 2.6e-12 in one block; that block's other rows
+    # still go through the kernel, and only the whole block is refused
+    states = np.random.default_rng(6).uniform(0.1, 2.0, (2 * _CSV_BLOCK_ROWS, 3))
+    for row, value in zip(bad, [2.6e-12, -1e300, math.nan, 5e-324, math.inf]):
+        states[row, row % 3] = value
+    traj = Trajectory(0.01 * np.arange(len(states)), states)
+    table = np.column_stack((traj.times, traj.states))
+    fast = rows_in_range(table)
+    assert np.flatnonzero(~fast).tolist() == bad
+    assert fast.tolist() == [all(in_range(x) for x in row) for row in table.tolist()]
+    calls = []  # per kernel call: did it refuse the rows, and which rows
+
+    def spy(block):
+        text = format_block(block)
+        calls.append((text is None, block.copy()))
+        return text
+
+    monkeypatch.setattr(fraclv._csv, "format_block", spy)
+    chunks = list(_trajectory_csv(traj))
+    assert chunks[1:] == [reference(table[:_CSV_BLOCK_ROWS]), reference(table[_CSV_BLOCK_ROWS:])]
+    assert [len(rows) for refused, rows in calls if refused] == [_CSV_BLOCK_ROWS]
+    kernel_rows = np.concatenate([rows for refused, rows in calls if not refused])
+    assert kernel_rows.tobytes() == table[fast].tobytes()

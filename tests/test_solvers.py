@@ -185,16 +185,55 @@ def test_fft_history_matches_direct_engine(alpha, h, field, initial):
     assert np.max(np.abs(traj.states - ref.states)) <= 1e-12 * scale
 
 
+def coupled(d):
+    """D^a x = A x with A = -I plus a ring coupling, d components: a plain
+    field (taken through the ndarray adapter) and one with a float-level form
+    that returns the same values as Python floats."""
+    eye = np.eye(d)
+    matrix = -eye + 0.3 * np.roll(eye, 1, axis=1) - 0.2 * np.roll(eye, -1, axis=1)
+    field = lambda t, x: matrix @ x
+    floats = lambda t, x: None
+    floats.floats = lambda t, xs: (matrix @ np.array(xs)).tolist()
+    return {"adapter": field, "floats": floats}
+
+
+@pytest.mark.parametrize("run", ["caputo", "cf-paper", "cf-corrected"])
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_each_dimension_matches_direct_engine(d, run):
+    # each d has a step loop of its own; 2B + 3 steps give an odd N, so
+    # Caputo blocks end on both pair parities, and cross a block boundary
+    operator, _, mode = run.partition("-")
+    integrate, direct = {"caputo": (integrate_caputo, caputo_direct),
+                         "cf": (integrate_cf, cf_direct)}[operator]
+    steps = 2 * HISTORY_BLOCK + 3
+    config = SolverConfig(step=0.01, horizon=0.01 * steps, cf_mode=mode or "paper")
+    assert config.num_steps == steps
+    initial = [1.0, -0.5, 0.25, 2.0][:d]
+    runs = {path: integrate(field, initial, 0.8, config).states
+            for path, field in coupled(d).items()}
+    assert runs["floats"].tobytes() == runs["adapter"].tobytes()
+    ref = direct(coupled(d)["adapter"], initial, 0.8, config)
+    assert np.max(np.abs(runs["floats"] - ref.states)) <= 1e-12
+
+
 def test_numpy_fft_is_not_loaded_by_import_or_a_one_block_run():
     # integrate_caputo reaches np.fft at call time, so start-up, the analysis
     # commands and runs of at most HISTORY_BLOCK steps never load it; likewise
-    # the CSV kernel fraclv._csv is loaded by the first trajectory.csv written
+    # the CSV kernel fraclv._csv is loaded by the first trajectory.csv written,
+    # and a step loop is generated by the first run that needs it, so neither
+    # start-up nor an analysis command generates one
     src = os.path.dirname(os.path.dirname(fraclv.solvers.__file__))
-    code = ("import sys, fraclv.cli\n"
+    code = ("import contextlib, io, sys, fraclv.cli\n"
+            "from fraclv.solvers import _step_loop\n"
             "assert 'fraclv._csv' not in sys.modules\n"
+            "assert _step_loop.cache_info().currsize == 0\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert fraclv.cli.main(['reproduce-table2']) == 0\n"
+            "assert _step_loop.cache_info().currsize == 0\n"
             "from fraclv.solvers import HISTORY_BLOCK, SolverConfig, integrate_caputo\n"
             "integrate_caputo(lambda t, x: -x, [1.0], 0.5, SolverConfig(1.0, HISTORY_BLOCK))\n"
-            "assert 'numpy.fft' not in sys.modules and 'fraclv._csv' not in sys.modules\n")
+            "assert 'numpy.fft' not in sys.modules and 'fraclv._csv' not in sys.modules\n"
+            "assert _step_loop.cache_info().currsize == 1\n")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": path})
 
@@ -404,20 +443,22 @@ def test_guard_passes_a_component_of_exactly_the_limit(name):
                                    -math.nextafter(DIVERGENCE_LIMIT, math.inf),
                                    math.inf, -math.inf, math.nan])
 def test_guard_trips_beyond_the_limit(name, component, value):
+    # in d = 3 on components 1 and 2, and in d = 2 on components 0 and 1
     run, h, gain = GUARDED[name]
-    kick = [0.0, 0.0, 0.0]
-    kick[component] = value / gain
+    for d in (3, 2):
+        kick = [0.0] * d
+        kick[component + d - 3] = value / gain
 
-    def switched(t, x):
-        return tuple(kick) if t >= 3.0 else (0.0, 0.0, 0.0)
+        def switched(t, x):
+            return tuple(kick) if t >= 3.0 else (0.0,) * d
 
-    with pytest.raises(DivergenceError) as excinfo:
-        run(switched, [0.0, 0.0, 0.0], SolverConfig(step=h, horizon=20 * h))
-    err = excinfo.value
-    step = round(3.0 / h)  # the first state built from the kick
-    assert err.step_index == step
-    assert np.array_equal(err.partial.times, h * np.arange(step))
-    assert np.array_equal(err.partial.states, np.zeros((step, 3)))
+        with pytest.raises(DivergenceError) as excinfo:
+            run(switched, [0.0] * d, SolverConfig(step=h, horizon=20 * h))
+        err = excinfo.value
+        step = round(3.0 / h)  # the first state built from the kick
+        assert err.step_index == step
+        assert np.array_equal(err.partial.times, h * np.arange(step))
+        assert np.array_equal(err.partial.states, np.zeros((step, d)))
 
 
 @pytest.mark.parametrize("name", sorted(GUARDED))
@@ -554,13 +595,13 @@ def test_tuple_list_and_ndarray_returns_agree_bitwise(mode):
         assert tuple_run.tobytes() == list_run.tobytes() == array_run.tobytes()
 
 
-def _shrinks_at(call):
-    """A zero field of three components that returns two on its ``call``-th call
+def _shrinks_at(call, d=3):
+    """A zero field of d components that returns d - 1 on its ``call``-th call
     (from 0) only, so only the check at that call site can catch it."""
     calls = iter(range(call + 2))
 
     def field(t, x):
-        return (0.0, 0.0) if next(calls, None) == call else (0.0, 0.0, 0.0)
+        return (0.0,) * (d - 1) if next(calls, None) == call else (0.0,) * d
 
     return field
 
@@ -575,13 +616,15 @@ def test_field_output_length_change_is_rejected(name):
         return
     # every call site of the integrators: step k makes call 2k+1 (predictor) and
     # call 2k+2 (corrector), on the first and second step of a Caputo pair, in
-    # the first block and in a later one
+    # the first block and in a later one, in the step loops of d = 3 and d = 2
     config = SolverConfig(step=h, horizon=(HISTORY_BLOCK + 2) * h)
-    for k in (0, 1, HISTORY_BLOCK, HISTORY_BLOCK + 1):
-        for call in (2 * k + 1, 2 * k + 2):
-            message = f"field returned 2 components at t = {(k + 1) * h:g}, expected 3"
-            with pytest.raises(ValueError, match=re.escape(message)):
-                run(_shrinks_at(call), [1.0, 2.0, 3.0], config)
+    for initial in ([1.0, 2.0, 3.0], [1.0, 2.0]):
+        d = len(initial)
+        for k in (0, 1, HISTORY_BLOCK, HISTORY_BLOCK + 1):
+            for call in (2 * k + 1, 2 * k + 2):
+                message = f"field returned {d - 1} components at t = {(k + 1) * h:g}, expected {d}"
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    run(_shrinks_at(call, d), initial, config)
 
 
 def test_cf_corrected_explicit_instability_is_caught():
