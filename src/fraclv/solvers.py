@@ -30,25 +30,37 @@ order-1 weights are all ``h`` (predictor) and ``h/2, h, ..., h, h/2``
 a run O(N).  The Caputo kernel is singular, so every step sums the whole
 field history g_0..g_k, once with the predictor and once with the corrector
 weights.  ``integrate_caputo`` splits the history into blocks of
-``HISTORY_BLOCK`` = B steps and takes the steps of a block in pairs k, k+1,
-k at an even offset from the block start K.  For a pair, both sums of step k
-and both sums of step k+1 over the near history g_K..g_k are one matrix
-product against the weight table that ``_pair_table`` builds once per run,
-for N rounded up to whole blocks, at O(B) per pair; step k+1 adds its lag-0
-term in g_{k+1}.  Both sums over the far history g_0..g_{K-1} are
-convolutions, taken for all B steps of the block at once by FFT of size
-K + B at the block start (``_far_sums``).  A run of N steps costs O(N B) for
-the near sums and O((N^2 / B) log N) for the far ones, and a run of at most B
-steps takes no FFT.  In a sweep of B from 128 to 4096 on 2 vCPUs, 1024 was
-the fastest or within the host's noise of it from 5k to 50k steps.
+``HISTORY_BLOCK`` = B steps and takes the steps of a block in groups of
+``_GROUP`` = G, each at a multiple of G from the block start K.  For a group
+k..k+G-1, the sums of all G steps over the near history g_K..g_k are one
+matrix product against a (2G, B) weight table, at O(B) per group; step k+j
+adds the j lags of g_{k+1}..g_{k+j} in Python floats.  The sums over the far
+history g_0..g_{K-1} are taken for all B steps of the block at once by
+uniformly partitioned convolution (Gardner 1995, J. Audio Eng. Soc. 43(3),
+the one-level form of Hairer, Lubich & Schlichte 1985, SIAM J. Sci. Stat.
+Comput. 6): at the start of block m, the block before it is transformed once
+(rfft of size 2B) and its spectrum X_{m-1} stored, and so is the spectrum
+W_m of the weight segment of lags (m-1)B..(m+1)B-1; the block's far sums are
+one irfft of sum_{s=1..m} W_s X_{m-s}, one batched matrix product over the
+stored spectra, taken on their real and imaginary parts as reals: at these
+small per-frequency shapes numpy's batched complex product costs 1.6-3x
+as much, from 390 blocks down to 2.  No transform grows with K and none is
+taken twice, so a run of N steps costs O(N B) for the near products,
+O(N^2 / B) spectral multiply-adds and O(N log B) for the transforms, and a
+run of at most B steps takes no FFT.  B and G come from a sweep over
+{512, 1024} x {4, 8} at 5k-200k steps (``tools/caputo_sweep.py``; Intel Xeon,
+2 vCPUs): at G = 4, B = 512 was 7-11% faster than B = 1024 at every length;
+G = 8 was 2-6% faster than G = 4, but doubles the cost of generating the
+step loop and its in-group terms grow as G^2 d, so G = 4 is kept.
 
 Both integrators sum the history in a different order from a direct
 full-history evaluation of the weight formulas (one dot product over all of
 g_0..g_k per step), and the Caputo far sums carry the FFT's rounding, so
 results match that evaluation to rounding, not bit for bit: on the bundled
 scenarios the two agree to 1e-12 (max abs), and the test suite holds them to
-that tolerance.  A lag's weight does not depend on the table's length, and
-Caputo pairs start at even offsets from a block start whatever the run's
+that tolerance.  A lag's weight does not depend on the table's length,
+Caputo groups start at multiples of G from a block start, and a block's far
+sums read the same weight segments and block spectra, whatever the run's
 length, so a shorter run of either integrator is bit for bit the prefix of a
 longer one.
 
@@ -67,16 +79,17 @@ the CF running sum and the divergence guard run on Python floats, in a step
 loop generated once per operator, CF mode and d (``_step_loop``, on the
 first run that needs it): each component is a scalar local and each
 per-component line is written out d times, so a step builds no lists but the
-states it passes to the field.  Generating a loop costs ~0.5 ms at d = 3,
-and grows with d (~0.2 s per 1,000 components).  numpy holds the weight
-tables, the Caputo history with its one matrix product per two steps and its
-FFTs per block, and the ``states`` array, which takes the accepted rows in
-one store per block.  Python and numpy float ``+ - *`` are the same IEEE
-operations, so the trajectories are bit for bit those of an all-numpy step,
-and Python float ``+ - *`` overflows to inf (which the guard catches) rather
-than raising.  Untraced time per step on the bundled scenarios, field calls
-included (Intel Xeon, 2 vCPUs, Python 3.11, numpy 2.4.6; minimum of 15
-runs): CF ~1.0-1.4 us and Caputo ~3.6-4.2 us at 5k-10k steps.
+states it passes to the field.  Generating a loop costs ~0.6 ms (CF) and
+~1.5-1.8 ms (Caputo) at d = 3, and grows with d (~0.07-0.1 s and ~0.3 s per
+1,000 components).  numpy holds the weight tables, the Caputo history with
+its one matrix product per group of steps and its transforms per block, and
+the ``states`` array, which takes the accepted rows in one store per block.
+Python and numpy float ``+ - *`` are the same IEEE operations, so the
+trajectories are bit for bit those of an all-numpy step, and Python float
+``+ - *`` overflows to inf (which the guard catches) rather than raising.
+Untraced time per step on the bundled scenarios, field calls included (Intel
+Xeon, 2 vCPUs, Python 3.11, numpy 2.4.6; minimum of 15 runs): CF ~1.0-1.3 us
+and Caputo ~2.6-3.0 us at 5k-10k steps.
 
 Runs are strictly sequential and deterministic; all returned objects are
 immutable value containers.
@@ -106,9 +119,14 @@ __all__ = [
 DIVERGENCE_LIMIT = 1e12
 
 #: Steps per block of the Caputo history: within a block the history since
-#: its start is summed directly, and the history before it once by FFT at
-#: the block start.  Both integrators store their accepted rows once a block.
-HISTORY_BLOCK = 1024
+#: its start is summed directly, and the history before it at the block start,
+#: from the stored spectra of the blocks before.  Both integrators store their
+#: accepted rows once a block.
+HISTORY_BLOCK = 512
+
+#: Steps per group of the Caputo near history: one matrix product gives the
+#: sums of a group's steps over the history since the block start.
+_GROUP = 4
 
 VectorField = Callable[[float, np.ndarray], Sequence[float]]
 
@@ -237,38 +255,24 @@ def _caputo_tables(num: int, alpha: float, step: float):
     return lagged, first - lagged[::-1, 1], new
 
 
-def _pair_table(num: int, alpha: float, step: float):
-    """The Caputo weights of an N-step run (N = ``num``, even) laid out for pairs of steps.
+def _group_weights(num: int, alpha: float, step: float):
+    """The Caputo weights of an N-step run (N = ``num``) laid out for groups of steps.
 
-    Returns ``(table, c0, new)``.  ``table`` is a contiguous (4, N) array whose
-    column N-1-m holds the predictor and corrector weights of lag m (rows 0
-    and 1) and of lag m+1 (rows 2 and 3), so ``table[:, N-n:]`` pairs with
-    the n history values g_K..g_k (n = k-K+1) and one matrix product gives
-    both sums of step k and both sums of step k+1 over them.  ``c0`` and
-    ``new`` are those of ``_caputo_tables``.
+    Returns ``(table, lags, c0, new)``, G = ``_GROUP``, B = HISTORY_BLOCK.
+    ``table`` is a contiguous (2G, B) array whose column B-1-m holds the
+    predictor and corrector weights of lag m+j in rows 2j and 2j+1
+    (j = 0..G-1), so ``table[:, B-n:]`` pairs with the n history values
+    g_K..g_k (n = k-K+1) and one matrix product gives both sums of each of
+    the steps k..k+G-1 over them.  ``lags`` is a (L, 2) array whose row m
+    holds the predictor and corrector weights of lag m, for every lag of the
+    run's whole blocks.  ``c0`` and ``new`` are those of ``_caputo_tables``,
+    for every step of the run's whole blocks.
     """
-    lagged, c0, new = _caputo_tables(num + 1, alpha, step)
-    return np.concatenate((lagged[1:].T, lagged[:-1].T)), c0[:num], new
-
-
-def _far_sums(hist: np.ndarray, table: np.ndarray, start: int) -> np.ndarray:
-    """Both history sums over g_0..g_{K-1} (K = ``start``) for steps K..K+B-1.
-
-    Returns a (B, 2, d) array, B = HISTORY_BLOCK: entry [j, 0, c] holds the
-    predictor and [j, 1, c] the corrector sum of component c at step K+j.
-    Each is a linear convolution of g_0..g_{K-1} with the weights of lags
-    1..K+B-1, taken by FFT of size K+B, at which no needed term wraps around;
-    ``table`` (of ``_pair_table``) has at least K+B columns, so the weights
-    need no zero-padding.  One component at a time keeps the buffers small.
-    """
-    size = start + HISTORY_BLOCK
-    weights = [np.fft.rfft(w, size) for w in table[:2, ::-1][:, :size]]  # lags 0..K+B-1
-    far = np.empty((HISTORY_BLOCK, 2, hist.shape[1]))
-    for c, row in enumerate(hist[:start].T):
-        spectrum = np.fft.rfft(row, size)
-        for j, w in enumerate(weights):
-            far[:, j, c] = np.fft.irfft(spectrum * w, size)[start:]
-    return far
+    lagged, c0, new = _caputo_tables(-(-num // HISTORY_BLOCK) * HISTORY_BLOCK + _GROUP - 1,
+                                     alpha, step)
+    lags = lagged[::-1]
+    table = np.concatenate([lags[j : j + HISTORY_BLOCK][::-1].T for j in range(_GROUP)])
+    return table, lags, c0, new
 
 
 def _start(field: VectorField, initial: Sequence[float]) -> tuple[list[float], list[float], Callable]:
@@ -332,8 +336,8 @@ def _grid(x0: list[float], config: SolverConfig) -> tuple[np.ndarray, np.ndarray
 # out once per component, so every component is a scalar local.  ``_STEP``
 # is one PECE step at time t_{k+lag}: the field at the predictor, the
 # corrector, the divergence guard on it, and the field at the corrector, in
-# ``g`` and its components b0, b1, ...  It computes t as h (k + lag), which is
-# bit for bit ``times[k + lag]``.
+# ``g`` and its components ``{b}`` (b0, b1, ... in CF).  It computes t as
+# h (k + lag), which is bit for bit ``times[k + lag]``.
 _STEP = """\
         t = h * (k + {lag})
         gp = field(t, {predictor})
@@ -364,21 +368,23 @@ def cf_steps(field, times, states, rows, start, end, h, lim, x0, g0, s, g, ch, c
     return [{s}], g
 """
 
-# Caputo: steps k and k+1 of a pair; the matrix product gives the sums of
-# step k in pk (predictor) and c0, c1, ... (corrector), and those of step k+1
-# but for its lag-0 term in q0, q1, ... and e0, e1, ...
+# Caputo: the G steps k..k+G-1 of a group.  The matrix product gives the sums
+# of step k+j over g_K..g_k: the predictor's in q{j}_0, q{j}_1, ... (for j = 0
+# the list pk) and the corrector's in e{j}_0, e{j}_1, ...  Step k+j then adds
+# the lags of g_{k+1}..g_{k+j}, the field values b0_*..b{j-1}_* of the
+# group's earlier steps, with the lag weights u0, u1, ... (predictor) and w0,
+# w1, ... (corrector), and the group's G field values go into the history,
+# through its flat view, in one slice assignment.
 _CAPUTO_LOOP = """\
-def caputo_steps(field, times, states, rows, start, end, h, lim, hist, table, last, base,
-                 new, lag0, lag0_c):
-    for k in range(start, end, 2):
-        pk, [{c}], [{q}], [{e}] = (table[:, last - 1 - k + start :] @ hist[start : k + 1]
-                                   + base[(k - start) >> 1]).tolist()
-{step1}\
-        hist[k + 1] = g
-        if k + 1 == end:
-            break
-{step2}\
-        hist[k + 2] = g
+def caputo_steps(field, times, states, rows, start, end, h, lim, hist, table, base, new, lagw):
+    [{w}] = lagw
+    flat = hist.reshape(-1)
+    last = start + {B} - 1
+    for k in range(start, end, {G}):
+        pk, {sums} = (dot(table[:, last - k :], hist[start : k + 1])
+                      + base[(k - start) // {G}]).tolist()
+{steps}\
+        flat[{d} * k + {d} : {d} * k + {end}] = {values}
 """
 
 
@@ -395,11 +401,11 @@ def _step_loop(operator: str, cf_mode: str | None, d: int) -> Callable:
     def each(expr: str, sep: str = ", ") -> str:
         return sep.join(expr.format(i=i) for i in range(d))
 
-    def step(lag: int, predictor: str, corrector: str) -> str:
+    def step(lag: int, predictor: str, corrector: str, b: str = "b{i}") -> str:
         return _STEP.format(
             lag=lag, k="k" if lag == 1 else f"k + {lag - 1}", d=d, predictor=predictor,
             p=each("p{i}"), corrector=each(f"v{{i}} = {corrector}", "\n        "),
-            guard=each("-lim <= v{i} <= lim", " and "), v=each("v{i}"), b=each("b{i}"))
+            guard=each("-lim <= v{i} <= lim", " and "), v=each("v{i}"), b=each(b))
 
     if operator == "cf":
         lagged = predicted = ""
@@ -411,12 +417,24 @@ def _step_loop(operator: str, cf_mode: str | None, d: int) -> Callable:
                       "a{i} + ch2 * (2.0 * s{i} - c{i} + p{i})" + predicted),
             total=each("s{i} += b{i}", "\n        "))
     else:
+        def in_group(weight: str, j: int) -> str:  # step k+j's terms: g_{k+1+l} at lag j-1-l
+            return "".join(f" + {weight}{j - 1 - l} * b{l}_{{i}}" for l in range(j))
+
+        def row(name: str, j: int) -> str:
+            return "[" + each(f"{name}{j}_{{i}}") + "]"
+
+        steps = [step(1, "pk", "e0_{i} + new * p{i}", "b0_{i}")]
+        for j in range(1, _GROUP):
+            steps += [f"        if k + {j} == end:\n            break\n",
+                      step(j + 1, "[" + each(f"q{j}_{{i}}" + in_group("u", j)) + "]",
+                           f"e{j}_{{i}}" + in_group("w", j) + " + new * p{i}", f"b{j}_{{i}}")]
         source = _CAPUTO_LOOP.format(
-            c=each("c{i}"), q=each("q{i}"), e=each("e{i}"),
-            step1=step(1, "pk", "c{i} + new * p{i}"),
-            step2=step(2, "[" + each("q{i} + lag0 * b{i}") + "]",
-                       "e{i} + lag0_c * b{i} + new * p{i}"))
-    namespace = {"_wrong_length": _wrong_length, "_diverged": _diverged}
+            w=", ".join(f"u{l}, w{l}" for l in range(_GROUP - 1)), B=HISTORY_BLOCK, G=_GROUP,
+            sums=", ".join([row("e", 0)] + [row("q", j) + ", " + row("e", j)
+                                            for j in range(1, _GROUP)]),
+            steps="".join(steps), d=d, end=d * (_GROUP + 1),
+            values="(" + ", ".join(each(f"b{j}_{{i}}") for j in range(_GROUP)) + ")")
+    namespace = {"_wrong_length": _wrong_length, "_diverged": _diverged, "dot": np.dot}
     exec(compile(source, f"<fraclv.solvers step loop {(operator, cf_mode, d)}>", "exec"), namespace)
     return namespace[f"{operator}_steps"]
 
@@ -471,14 +489,15 @@ def integrate_caputo(
     (equivalently ``1/Gamma(a)`` applied to the shared weight form).
 
     The field history g_0..g_N is held row-major, one row per step, and read
-    in blocks of B = ``HISTORY_BLOCK`` steps.  At each block start K, x0, the
-    sums over g_0..g_{K-1} that ``_far_sums`` computes by FFT, and
-    ``c0[k] g_0`` (the rest of the weight of g_0) are added into one base
-    per step.  The steps then go in pairs k, k+1 from K: one matrix product
-    of the tail ``table[:, last-n:]`` of ``_pair_table`` with g_K..g_k
-    (n = k-K+1 rows), plus the pair's base, gives both sums of both steps;
-    step k+1 adds the lag-0 weights times g_{k+1} in Python floats.  Each new
-    field value is written to the history as it is computed.
+    in blocks of B = ``HISTORY_BLOCK`` steps.  At the start K = mB of block
+    m, x0, the far sums over g_0..g_{K-1} (one irfft of the blocks' stored
+    spectra times the weight segments'), and ``c0[k] g_0`` (the rest of the
+    weight of g_0) are added into one base per step.  The steps then go in
+    groups of G = ``_GROUP`` from K: one matrix product of the tail
+    ``table[:, B-n:]`` of ``_group_weights``' table with g_K..g_k (n = k-K+1
+    rows), plus the group's bases, gives both sums of each step of the group
+    but for its in-group lags, which step k+j adds in Python floats.  The G
+    new field values go into the history at the end of the group.
     """
     alpha = check_order(order)
     x0, g0, field = _start(field, initial)
@@ -487,17 +506,33 @@ def integrate_caputo(
     num = len(times) - 1
     hist = np.empty((num + 1, d))
     hist[0] = g0
-    table, c0, new = _pair_table(-(-num // HISTORY_BLOCK) * HISTORY_BLOCK, alpha, config.step)
-    lag0, lag0_c = table[:2, -1].tolist()  # the weights of lag 0, for step k+1's g_{k+1}
+    table, lags, c0, new = _group_weights(num, alpha, config.step)
+    lagw = lags[: _GROUP - 1].ravel().tolist()  # lags 0..G-2, for the in-group terms
+    blocks = -(-num // HISTORY_BLOCK)
+    if blocks > 1:  # the spectra, as reals: of the weight segments, last first, and of blocks
+        weights = np.zeros((HISTORY_BLOCK + 1, 4, blocks - 1))  # Re pred, Re corr, Im pred, Im corr
+        spectra = np.zeros((HISTORY_BLOCK + 1, blocks - 1, 2 * d))  # Re, Im of each component
     steps = _step_loop("caputo", None, d)
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, num, HISTORY_BLOCK):
+        for m, start in enumerate(range(0, num, HISTORY_BLOCK)):
             end = min(start + HISTORY_BLOCK, num)
-            base = _far_sums(hist, table, start) if start else np.zeros((HISTORY_BLOCK, 2, d))
+            if m:  # numpy.fft is loaded by the first run longer than one block
+                w = np.fft.rfft(lags[start - HISTORY_BLOCK : start + HISTORY_BLOCK], axis=0)
+                weights[:, :, blocks - 1 - m] = np.concatenate((w.real, w.imag), axis=1)
+                spectra.view(complex)[:, m - 1] = np.fft.rfft(hist[start - HISTORY_BLOCK : start],
+                                                              2 * HISTORY_BLOCK, axis=0)
+                # one batched matrix product over the stored spectra, in real form: its rows
+                # are Re W and Im W, its columns Re X and Im X, so W X = RR - II + i (RI + IR)
+                prod = weights[:, :, blocks - 1 - m :] @ spectra[:, :m]
+                rr, ri = prod[:, :2, ::2], prod[:, :2, 1::2]
+                ir, ii = prod[:, 2:, ::2], prod[:, 2:, 1::2]
+                base = np.fft.irfft(rr - ii + 1j * (ri + ir), 2 * HISTORY_BLOCK,
+                                    axis=0)[HISTORY_BLOCK:]
+            else:
+                base = np.zeros((HISTORY_BLOCK, 2, d))
             base[:, 1] += np.multiply.outer(c0[start : start + HISTORY_BLOCK], g0)
             base += x0
-            base = base.reshape(HISTORY_BLOCK // 2, 4, d)  # [pred k, corr k, pred k+1, corr k+1]
-            steps(field, times, states, rows, start, end, config.step, DIVERGENCE_LIMIT,
-                  hist, table, table.shape[1], base, new, lag0, lag0_c)
+            steps(field, times, states, rows, start, end, config.step, DIVERGENCE_LIMIT, hist,
+                  table, base.reshape(HISTORY_BLOCK // _GROUP, 2 * _GROUP, d), new, lagw)
             _store(states, rows, end + 1)
     return Trajectory(times, states)

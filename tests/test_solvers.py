@@ -13,6 +13,7 @@ import fraclv.solvers
 from fraclv.model import vector_field
 from fraclv.presets import PRESETS, SCENARIOS
 from fraclv.solvers import (
+    _GROUP,
     DIVERGENCE_LIMIT,
     HISTORY_BLOCK,
     DivergenceError,
@@ -167,15 +168,13 @@ def test_steppers_match_direct_engine_on_scenarios(name):
     ids=["example1-0.3", "example1-0.6", "example1-1.0", "transient-0.9"],
 )
 def test_fft_history_matches_direct_engine(alpha, h, field, initial):
-    # 3B + 17 steps: three block starts take the far history by FFT, and the
-    # last block is partial.  An FFT convolution's rounding scales with the
-    # norm of the whole history, so the bound is 1e-12 of the initial scale.
-    # example1: measured max difference 8.9e-15, 1.8e-14 and 2.0e-13.  The
-    # transient falls from 1e6 to ~48 (E_0.9(-100 t^0.9)); measured 3.3e-8,
-    # i.e. 3.3e-14 of the scale and 6.7e-10 relative on the last states.  A
-    # long-double run of the same scheme puts the blocked engine closer to it
-    # than the direct one (9.7e-11 against 6.4e-10 relative), so that gap is
-    # mostly the direct engine's own rounding.
+    # 3B + 17 steps: three block starts take the far history from the block
+    # spectra, and the last block is partial.  An FFT convolution's rounding
+    # scales with the norm of the history it transforms, so the bound is 1e-12
+    # of the initial scale.  example1: measured max difference 6.7e-15, 9.8e-15
+    # and 3.2e-13.  The transient falls from 1e6 to ~89 (E_0.9(-100 t^0.9));
+    # measured 2.6e-8, i.e. 2.6e-14 of the scale and 2.9e-11 relative on the
+    # last states.
     steps = 3 * HISTORY_BLOCK + 17
     config = SolverConfig(step=h, horizon=h * steps)
     assert config.num_steps == steps
@@ -200,20 +199,36 @@ def coupled(d):
 @pytest.mark.parametrize("run", ["caputo", "cf-paper", "cf-corrected"])
 @pytest.mark.parametrize("d", [1, 2, 4])
 def test_each_dimension_matches_direct_engine(d, run):
-    # each d has a step loop of its own; 2B + 3 steps give an odd N, so
-    # Caputo blocks end on both pair parities, and cross a block boundary
+    # each d has a step loop of its own; 2B + 1 + last steps cross two block
+    # boundaries, and the run's last step k = 2B + last ends it at each offset
+    # ``last`` within a Caputo group of G steps
     operator, _, mode = run.partition("-")
     integrate, direct = {"caputo": (integrate_caputo, caputo_direct),
                          "cf": (integrate_cf, cf_direct)}[operator]
-    steps = 2 * HISTORY_BLOCK + 3
-    config = SolverConfig(step=0.01, horizon=0.01 * steps, cf_mode=mode or "paper")
-    assert config.num_steps == steps
     initial = [1.0, -0.5, 0.25, 2.0][:d]
-    runs = {path: integrate(field, initial, 0.8, config).states
-            for path, field in coupled(d).items()}
-    assert runs["floats"].tobytes() == runs["adapter"].tobytes()
-    ref = direct(coupled(d)["adapter"], initial, 0.8, config)
-    assert np.max(np.abs(runs["floats"] - ref.states)) <= 1e-12
+    for last in range(_GROUP):
+        steps = 2 * HISTORY_BLOCK + 1 + last
+        config = SolverConfig(step=0.01, horizon=0.01 * steps, cf_mode=mode or "paper")
+        assert config.num_steps == steps
+        runs = {path: integrate(field, initial, 0.8, config).states
+                for path, field in coupled(d).items()}
+        assert runs["floats"].tobytes() == runs["adapter"].tobytes()
+        ref = direct(coupled(d)["adapter"], initial, 0.8, config)
+        assert np.max(np.abs(runs["floats"] - ref.states)) <= 1e-12, last
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_far_sums_over_many_segments_match_direct_engine(d):
+    # 8B + 129 steps: the last block's far sums add up the spectra of 8 blocks
+    # against 8 weight segments, and the run ends within a block and a group;
+    # measured max difference 6.1e-15 (d = 1) and 2.1e-14 (d = 3)
+    steps = 8 * HISTORY_BLOCK + 129
+    config = SolverConfig(step=0.01, horizon=0.01 * steps)
+    assert config.num_steps == steps
+    field, initial = {1: (decay, [1.0]), 3: (vector_field(EX1), [0.5, 0.9, 0.1])}[d]
+    traj = integrate_caputo(field, initial, 0.7, config)
+    ref = caputo_direct(field, initial, 0.7, config)
+    assert np.max(np.abs(traj.states - ref.states)) <= 1e-12
 
 
 def test_numpy_fft_is_not_loaded_by_import_or_a_one_block_run():
@@ -250,7 +265,7 @@ def test_late_divergence_matches_direct_engine():
     fast, direct = errors
     assert fast.step_index == direct.step_index > HISTORY_BLOCK
     assert np.array_equal(fast.partial.times, direct.partial.times)
-    # the prefix grows to ~1e12; measured max relative difference 8.0e-15
+    # the prefix grows to ~1e12; measured max relative difference 7.6e-15
     np.testing.assert_allclose(fast.partial.states, direct.partial.states, rtol=1e-12, atol=0.0)
 
 
@@ -540,14 +555,15 @@ def test_float_and_adapter_paths_agree_bitwise(name):
 
 @pytest.mark.parametrize("path", ["floats", "adapter"])
 @pytest.mark.parametrize("integrate", [integrate_caputo, integrate_cf])
-@pytest.mark.parametrize("h,starts,later", [(0.01, (-0.01, -0.012), False),
-                                            (0.004, (-1e-6, -1.1e-6), True)],
+@pytest.mark.parametrize("h,starts,later",
+                         [(0.01, (-0.01, -0.013, -0.011, -0.012), False),
+                          (0.004, (-1.1e-6, -1.2e-6, -1.25e-6, -1e-6), True)],
                          ids=["first-block", "later-block"])
 def test_divergence_partial_equals_the_run_cut_before_it(monkeypatch, integrate, path, h,
                                                          starts, later):
     # np.empty filled with NaN: a row of ``states`` left unwritten would show.
-    # The two starts of x trip the guard on the first and on the second step
-    # of a Caputo pair (an even and an odd offset from the block start).
+    # The four starts of x trip the guard on the first, second, third and
+    # fourth step of a Caputo group (offsets 0..3 from the block start, mod G).
     monkeypatch.setattr(fraclv.solvers.np, "empty", lambda shape: np.full(shape, np.nan))
     offsets = set()
     for x in starts:
@@ -556,7 +572,7 @@ def test_divergence_partial_equals_the_run_cut_before_it(monkeypatch, integrate,
             integrate(_both_paths(EX1)[path], initial, 0.9, SolverConfig(step=h, horizon=50.0))
         k = excinfo.value.step_index - 1
         assert (k > HISTORY_BLOCK) == later
-        offsets.add(k % HISTORY_BLOCK % 2)
+        offsets.add(k % HISTORY_BLOCK % _GROUP)
         partial = excinfo.value.partial
         cut = integrate(_both_paths(EX1)[path], initial, 0.9, SolverConfig(step=h, horizon=k * h))
         assert partial.states.shape == (k + 1, 3)
@@ -564,21 +580,27 @@ def test_divergence_partial_equals_the_run_cut_before_it(monkeypatch, integrate,
         assert np.array_equal(partial.times, cut.times)
         assert partial.states.tobytes() == cut.states.tobytes()
     if integrate is integrate_caputo:
-        assert offsets == {0, 1}
+        assert offsets == set(range(_GROUP))
 
 
 @pytest.mark.parametrize("name", ["example1-caputo", "example2-caputo"])
 def test_caputo_run_is_the_prefix_of_a_longer_run(name):
     # a run's last block reads the same lag weights, full blocks' worth, as a
-    # longer run's, so cutting the horizon inside a block moves no row
+    # longer run's, and its far sums the same weight segments, so cutting the
+    # horizon inside a block moves no row; the cuts end the run's last step at
+    # each offset within a Caputo group, and one ends the run on a block end
     sc = SCENARIOS[name]
     field = vector_field(PRESETS[sc.preset].params)
-    run = lambda horizon: integrate_caputo(field, sc.initial, sc.alpha,
-                                           SolverConfig(step=sc.step, horizon=horizon)).states
-    full = run(50.0)
-    for horizon in (11.0, 15.0, 25.0, 30.0, 41.0):
-        cut = run(horizon)
-        assert cut.tobytes() == full[: len(cut)].tobytes(), horizon
+    run = lambda steps: integrate_caputo(field, sc.initial, sc.alpha,
+                                         SolverConfig(step=sc.step, horizon=steps * sc.step)).states
+    full = run(5000)
+    assert len(full) == 5001
+    cuts = [1100 + last for last in range(1, _GROUP + 1)] + [4 * HISTORY_BLOCK, 2500, 4100]
+    assert sorted((steps - 1) % _GROUP for steps in cuts[:_GROUP]) == list(range(_GROUP))
+    for steps in cuts:
+        cut = run(steps)
+        assert len(cut) == steps + 1
+        assert cut.tobytes() == full[: len(cut)].tobytes(), steps
 
 
 @pytest.mark.parametrize("mode", ["paper", "corrected"])
@@ -615,12 +637,12 @@ def test_field_output_length_change_is_rejected(name):
     if name == "rk4":
         return
     # every call site of the integrators: step k makes call 2k+1 (predictor) and
-    # call 2k+2 (corrector), on the first and second step of a Caputo pair, in
-    # the first block and in a later one, in the step loops of d = 3 and d = 2
-    config = SolverConfig(step=h, horizon=(HISTORY_BLOCK + 2) * h)
+    # call 2k+2 (corrector), on each step of a Caputo group of G, in the first
+    # block and in a later one, in the step loops of d = 3 and d = 2
+    config = SolverConfig(step=h, horizon=(HISTORY_BLOCK + _GROUP) * h)
     for initial in ([1.0, 2.0, 3.0], [1.0, 2.0]):
         d = len(initial)
-        for k in (0, 1, HISTORY_BLOCK, HISTORY_BLOCK + 1):
+        for k in [*range(_GROUP), *range(HISTORY_BLOCK, HISTORY_BLOCK + _GROUP)]:
             for call in (2 * k + 1, 2 * k + 2):
                 message = f"field returned {d - 1} components at t = {(k + 1) * h:g}, expected {d}"
                 with pytest.raises(ValueError, match=re.escape(message)):
