@@ -29,13 +29,15 @@ order-1 weights are all ``h`` (predictor) and ``h/2, h, ..., h, h/2``
 (corrector), and the history sum is a running sum.  A CF step costs O(1) and
 a run O(N).  The Caputo kernel is singular, so every step sums the whole
 field history g_0..g_k, once with the predictor and once with the corrector
-weights.  ``integrate_caputo`` splits the history into blocks of
-``HISTORY_BLOCK`` = B steps and takes the steps of a block in groups of
-``_GROUP`` = G, each at a multiple of G from the block start K.  For a group
-k..k+G-1, the sums of all G steps over the near history g_K..g_k are one
-matrix product against a (2G, B) weight table, at O(B) per group; step k+j
-adds the j lags of g_{k+1}..g_{k+j} in Python floats.  The sums over the far
-history g_0..g_{K-1} are taken for all B steps of the block at once by
+weights, which ``_caputo_weights`` builds once per run in lag order (row m
+of its table holds the two weights of lag m).  ``integrate_caputo`` splits
+the history into blocks of ``HISTORY_BLOCK`` = B steps and takes the steps
+of a block in groups of ``_GROUP`` = G, each at a multiple of G from the
+block start K.  For a group k..k+G-1, the sums of all G steps over the
+near history g_K..g_k are one matrix product against a (2G, B) weight
+table, at O(B) per group; step k+j adds the j lags of g_{k+1}..g_{k+j} in
+Python floats.  The sums over the far history g_0..g_{K-1} are taken for
+all B steps of the block at once by
 uniformly partitioned convolution (Gardner 1995, J. Audio Eng. Soc. 43(3),
 the one-level form of Hairer, Lubich & Schlichte 1985, SIAM J. Sci. Stat.
 Comput. 6): at the start of block m, the block before it is transformed once
@@ -181,8 +183,10 @@ class SolverConfig:
 
     @property
     def num_steps(self) -> int:
-        # small slack so horizons like 50.0 with h=0.01 do not lose a step
-        return int(math.floor(self.horizon / self.step + 1e-9))
+        # slack so horizons like 50.0 with h=0.01 do not lose a step; past ~2^24
+        # steps the quotient's rounding exceeds 1e-9, so the slack is 4 ulp there
+        q = self.horizon / self.step
+        return int(math.floor(q + max(1e-9, 4.0 * math.ulp(q))))
 
 
 @dataclass(frozen=True, slots=True)
@@ -217,8 +221,8 @@ class DivergenceError(RuntimeError):
         self.partial = partial
 
 
-def _caputo_tables(num: int, alpha: float, step: float):
-    """The Caputo ABM weights of an N-step run (N = ``num``), with 1/Gamma(a) folded in.
+def _caputo_weights(num: int, alpha: float, step: float):
+    """The Caputo ABM weights of lags 0..N-1 (N = ``num``), with 1/Gamma(a) folded in.
 
     With the prefactors P = h^a / (a Gamma(a)) and C = h^a / Gamma(a+2), the
     weights of step k (k = 0..N-1, history index i = 0..k) depend on i only
@@ -226,53 +230,30 @@ def _caputo_tables(num: int, alpha: float, step: float):
 
         predictor       P [(m+1)^a - m^a]                                i = 0..k
         corrector i>=1  C [(m+2)^(a+1) - 2 (m+1)^(a+1) + m^(a+1)]        i = 1..k
-        corrector i=0   C [k^(a+1) - (k-a) (k+1)^a]  (``first[k]``)
+        corrector i=0   C [k^(a+1) - (k-a) (k+1)^a]
         predicted value C                             (``new``)
 
-    Returns ``(lagged, c0, new)``.  ``lagged`` is an (N, 2) table whose row
-    N-1-m holds the predictor and the corrector weight of lag m, so
-    ``lagged[N-1-k:]`` pairs with g_0..g_k and one matrix product gives both
-    history sums of step k.  That product weighs g_0 with the lag-k corrector
-    formula, so ``c0[k] = first[k] - lagged[N-1-k, 1]`` is the rest of the
-    weight of g_0.  At a = 1 the weights are h, h, h/2 and h/2 (trapezoid
-    PECE), and c0 is -h/2.
+    Returns ``(lags, c0, new)``.  ``lags`` is an (N, 2) table in lag order:
+    row m holds the predictor and the corrector weight of lag m.  A sum that
+    weighs g_0 with the lag-k corrector formula leaves ``c0[k]``, the rest of
+    the weight of g_0 at step k.  Every bracket takes its powers from the two
+    arrays j^a and j^(a+1), j = 0..N+1, each ``**`` taken on a contiguous
+    input: on a strided view it can differ by an ulp, which the brackets'
+    cancellation of about 2 log10(m) digits magnifies.  At a = 1 the weights
+    are h, h, h/2 and h/2 (trapezoid PECE), and c0 is -h/2.
     """
     try:
         inv_gamma = 1.0 / math.gamma(alpha)
     except OverflowError:  # Gamma(a) ~ 1/a is past the float range for a below ~5.6e-309
         raise ValueError(f"order alpha = {alpha} is too small: Gamma(alpha) overflows") from None
-    m = np.arange(num - 1, -1, -1, dtype=float)  # m = N-1-row
-    lagged = np.empty((num, 2))
-    lagged[:, 0] = inv_gamma * ((step ** alpha / alpha) * ((m + 1.0) ** alpha - m ** alpha))
+    k = np.arange(num + 2.0)
+    pa, pb = k ** alpha, k ** (alpha + 1.0)
+    lags = np.empty((num, 2))
+    lags[:, 0] = inv_gamma * ((step ** alpha / alpha) * (pa[1:-1] - pa[:-2]))
     scale = step ** alpha / (alpha * (alpha + 1.0))
-    lagged[:, 1] = inv_gamma * (scale * ((m + 2.0) ** (alpha + 1.0) - 2.0 * (m + 1.0) ** (alpha + 1.0)
-                                         + m ** (alpha + 1.0)))
+    lags[:, 1] = inv_gamma * (scale * (pb[2:] - 2.0 * pb[1:-1] + pb[:-2]))
     new = inv_gamma * scale
-    # k gets its own contiguous array: the bracket below cancels about 2 log10(k)
-    # digits, and ``**`` on a reversed view of m can differ from it by an ulp
-    k = np.arange(num, dtype=float)
-    first = new * (k ** (alpha + 1.0) - (k - alpha) * (k + 1.0) ** alpha)
-    return lagged, first - lagged[::-1, 1], new
-
-
-def _group_weights(num: int, alpha: float, step: float):
-    """The Caputo weights of an N-step run (N = ``num``) laid out for groups of steps.
-
-    Returns ``(table, lags, c0, new)``, G = ``_GROUP``, B = HISTORY_BLOCK.
-    ``table`` is a contiguous (2G, B) array whose column B-1-m holds the
-    predictor and corrector weights of lag m+j in rows 2j and 2j+1
-    (j = 0..G-1), so ``table[:, B-n:]`` pairs with the n history values
-    g_K..g_k (n = k-K+1) and one matrix product gives both sums of each of
-    the steps k..k+G-1 over them.  ``lags`` is a (L, 2) array whose row m
-    holds the predictor and corrector weights of lag m, for every lag of the
-    run's whole blocks.  ``c0`` and ``new`` are those of ``_caputo_tables``,
-    for every step of the run's whole blocks.
-    """
-    lagged, c0, new = _caputo_tables(-(-num // HISTORY_BLOCK) * HISTORY_BLOCK + _GROUP - 1,
-                                     alpha, step)
-    lags = lagged[::-1]
-    table = np.concatenate([lags[j : j + HISTORY_BLOCK][::-1].T for j in range(_GROUP)])
-    return table, lags, c0, new
+    return lags, new * (pb[:-2] - (k[:-2] - alpha) * pa[1:-1]) - lags[:, 1], new
 
 
 def _start(field: VectorField, initial: Sequence[float]) -> tuple[list[float], list[float], Callable]:
@@ -492,12 +473,15 @@ def integrate_caputo(
     in blocks of B = ``HISTORY_BLOCK`` steps.  At the start K = mB of block
     m, x0, the far sums over g_0..g_{K-1} (one irfft of the blocks' stored
     spectra times the weight segments'), and ``c0[k] g_0`` (the rest of the
-    weight of g_0) are added into one base per step.  The steps then go in
-    groups of G = ``_GROUP`` from K: one matrix product of the tail
-    ``table[:, B-n:]`` of ``_group_weights``' table with g_K..g_k (n = k-K+1
-    rows), plus the group's bases, gives both sums of each step of the group
-    but for its in-group lags, which step k+j adds in Python floats.  The G
-    new field values go into the history at the end of the group.
+    weight of g_0) are added into one base per step.  The weights come from
+    ``_caputo_weights`` in lag order, for every lag of the run's whole blocks
+    and the G-1 lags past them, and the near table, the 2B-lag segments and
+    the in-group weights are slices of it.  The steps then go in groups of
+    G = ``_GROUP`` from K: one matrix product of the tail ``table[:, B-n:]``
+    of the (2G, B) near table with g_K..g_k (n = k-K+1 rows), plus the
+    group's bases, gives both sums of each step of the group but for its
+    in-group lags, which step k+j adds in Python floats.  The G new field
+    values go into the history at the end of the group.
     """
     alpha = check_order(order)
     x0, g0, field = _start(field, initial)
@@ -506,9 +490,11 @@ def integrate_caputo(
     num = len(times) - 1
     hist = np.empty((num + 1, d))
     hist[0] = g0
-    table, lags, c0, new = _group_weights(num, alpha, config.step)
-    lagw = lags[: _GROUP - 1].ravel().tolist()  # lags 0..G-2, for the in-group terms
     blocks = -(-num // HISTORY_BLOCK)
+    lags, c0, new = _caputo_weights(blocks * HISTORY_BLOCK + _GROUP - 1, alpha, config.step)
+    # column B-1-m of row 2j (2j+1) holds the predictor (corrector) weight of lag m+j
+    table = np.concatenate([lags[j : j + HISTORY_BLOCK][::-1].T for j in range(_GROUP)])
+    lagw = lags[: _GROUP - 1].ravel().tolist()  # lags 0..G-2, for the in-group terms
     if blocks > 1:  # the spectra, as reals: of the weight segments, last first, and of blocks
         weights = np.zeros((HISTORY_BLOCK + 1, 4, blocks - 1))  # Re pred, Re corr, Im pred, Im corr
         spectra = np.zeros((HISTORY_BLOCK + 1, blocks - 1, 2 * d))  # Re, Im of each component

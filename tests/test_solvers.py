@@ -682,6 +682,15 @@ def test_solver_config_validation():
     assert SolverConfig(step=0.3, horizon=1.0).num_steps == 3
 
 
+@pytest.mark.parametrize("step", [0.01, 0.001, 0.07, 0.3, 1e-4])
+@pytest.mark.parametrize("steps", [1, 3, 5000, 2**24 - 1, 2**24 + 3, 30000004, 123456789,
+                                   10**9 + 7, 2**40 + 1])
+def test_num_steps_keeps_the_last_step_of_long_horizons(step, steps):
+    # horizon / step lands within a few ulp of the step count (300000.04 / 0.01 is
+    # 30000003.999999996); past ~2^24 steps that is more than a fixed 1e-9 of slack
+    assert SolverConfig(step=step, horizon=steps * step).num_steps == steps
+
+
 @pytest.mark.parametrize("step,horizon", [(5e-324, 50.0), (1.0, math.inf),
                                           (math.inf, math.inf)])
 def test_solver_config_rejects_a_non_finite_step_count(step, horizon):
