@@ -114,14 +114,23 @@ def _shared(value: _Hashable) -> _Hashable:
     return _SHARED.setdefault(value, value)
 
 
+#: The right-hand side as source text: one expression per component over the
+#: state {x0}..{x2} and the coefficients {c0}..{c6} (a1, a2, 1 - a3, a4,
+#: 1 - a5, a6, a7), in the order of operations of ``vector_field``'s ``floats``.
+_SOURCE = ("{x0} * ({c0} - {c1} * {x0} - {x1} - {x2})", "{x1} * ({c2} + {c3} * {x0})",
+           "{x2} * ({c4} + {c5} * {x0} + {c6} * {x1})")
+
+
 def vector_field(params: ModelParams) -> Callable[[float, np.ndarray], tuple[float, float, float]]:
     """Autonomous (t, state) -> derivative adapter for the integrators.
 
     ``state`` is a 1-d float array; the derivative comes back as a tuple of
     three Python floats.  Its attribute ``floats`` is the same arithmetic on
-    a sequence of three Python floats, which the integrators call in its
-    place, so a step builds no array (that costs more than the arithmetic).
-    The coefficients are unpacked to Python floats once.
+    a sequence of three Python floats, and ``source``, ``(_SOURCE,
+    coefficients)``, the same as source text: the integrators evaluate it
+    inline in their steps, as a call costs more than the arithmetic, and call
+    ``floats`` once, for the initial value.  The coefficients are unpacked to
+    Python floats once.
     """
     a1, a2, a3, a4, a5, a6, a7 = params.as_tuple()
     b3, b5 = 1.0 - a3, 1.0 - a5
@@ -134,6 +143,7 @@ def vector_field(params: ModelParams) -> Callable[[float, np.ndarray], tuple[flo
         return floats(t, state.tolist())
 
     field.floats = floats
+    field.source = (_SOURCE, (a1, a2, b3, a4, b5, a6, a7))
     return field
 
 

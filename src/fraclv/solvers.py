@@ -51,9 +51,11 @@ taken twice, so a run of N steps costs O(N B) for the near products,
 O(N^2 / B) spectral multiply-adds and O(N log B) for the transforms, and a
 run of at most B steps takes no FFT.  B and G come from a sweep over
 {512, 1024} x {4, 8} at 5k-200k steps (``tools/caputo_sweep.py``; Intel Xeon,
-2 vCPUs): at G = 4, B = 512 was 7-11% faster than B = 1024 at every length;
-G = 8 was 2-6% faster than G = 4, but doubles the cost of generating the
-step loop and its in-group terms grow as G^2 d, so G = 4 is kept.
+2 vCPUs): at G = 4, B = 512 was 7-11% faster than B = 1024 at every length
+with the field called, and with ``vector_field``'s source text inlined it is
+faster up to 50k steps and 0-11% slower at 100k-200k; G = 8 was 2-8% faster
+than G = 4, but doubles the cost of generating the step loop and its
+in-group terms grow as G^2 d, so G = 4 is kept.
 
 Both integrators sum the history in a different order from a direct
 full-history evaluation of the weight formulas (one dot product over all of
@@ -69,29 +71,32 @@ longer one.
 Field contract.  A field is called as ``field(t, state)`` with ``t`` a float
 and ``state`` a fresh 1-d float64 ndarray of the initial state's length d; it
 returns any length-d sequence of floats (a tuple, a list or an ndarray).  A
-float-level form ``field.floats(t, xs)``, as ``vector_field``'s fields carry,
-is called on a list of d Python floats in its place.  A return of another
-length raises ValueError, and so does an initial state with a component
-outside the divergence guard's range.  Each integrator calls the field, or
-its float-level form, 2N + 1 times for N steps.
+float-level form ``field.floats(t, xs)`` is called on a list of d Python
+floats in its place.  A return of another length raises ValueError, and so
+does an initial state with a component outside the divergence guard's
+range.  Each integrator calls the field, or its float-level form, 2N + 1
+times for N steps, unless it carries its right-hand side as source text, as
+``vector_field``'s fields do: the steps evaluate that inline (``_step_loop``)
+and the float-level form is called once, for g_0.
 
 Per-step arithmetic.  For d = 3 a step costs fixed interpreter overhead more
 than arithmetic, so the predictor, the corrector, the corrected-mode term,
-the CF running sum and the divergence guard run on Python floats, in a step
-loop generated once per operator, CF mode and d (``_step_loop``, on the
-first run that needs it): each component is a scalar local and each
-per-component line is written out d times, so a step builds no lists but the
-states it passes to the field.  Generating a loop costs ~0.6 ms (CF) and
-~1.5-1.8 ms (Caputo) at d = 3, and grows with d (~0.07-0.1 s and ~0.3 s per
-1,000 components).  numpy holds the weight tables, the Caputo history with
-its one matrix product per group of steps and its transforms per block, and
-the ``states`` array, which takes the accepted rows in one store per block.
-Python and numpy float ``+ - *`` are the same IEEE operations, so the
-trajectories are bit for bit those of an all-numpy step, and Python float
-``+ - *`` overflows to inf (which the guard catches) rather than raising.
-Untraced time per step on the bundled scenarios, field calls included (Intel
-Xeon, 2 vCPUs, Python 3.11, numpy 2.4.6; minimum of 15 runs): CF ~1.0-1.3 us
-and Caputo ~2.6-3.0 us at 5k-10k steps.
+the CF running sum, the divergence guard and a field's source text run on
+Python floats, in a step loop generated once per operator, CF mode, d and
+source text (``_step_loop``, on the first run that needs it): each component
+is a scalar local and each per-component line is written out d times, so a
+step builds no lists but its row and the states it passes to a called field.
+Generating a loop costs ~0.3-0.4 ms (CF) and ~1 ms (Caputo) at d = 3, and
+grows with d (~0.08 s and ~0.2-0.3 s per 1,000 components).  numpy holds
+the weight tables, the Caputo history with its one matrix product per group
+of steps and its transforms per block, and the ``states`` array, which takes
+the accepted rows in one store per block.  Python and numpy float ``+ - *``
+are the same IEEE operations, so the trajectories are bit for bit those of
+an all-numpy step, and Python float ``+ - *`` overflows to inf (which the
+guard catches) rather than raising.  Untraced time per step on the bundled
+scenarios (Intel Xeon, 2 vCPUs, Python 3.11, numpy 2.4.6; minimum of 15
+runs): CF ~0.7-0.9 us and Caputo ~2.3-2.4 us at 5k-10k steps, against
+~1.0-1.3 us and ~2.7 us with the same field called through ``floats``.
 
 Runs are strictly sequential and deterministic; all returned objects are
 immutable value containers.
@@ -102,6 +107,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import re
 from dataclasses import dataclass
 from typing import Callable, NoReturn, Sequence
 
@@ -256,9 +262,10 @@ def _caputo_weights(num: int, alpha: float, step: float):
     return lags, new * (pb[:-2] - (k[:-2] - alpha) * pa[1:-1]) - lags[:, 1], new
 
 
-def _start(field: VectorField, initial: Sequence[float]) -> tuple[list[float], list[float], Callable]:
-    """Initial state and field value as lists of floats, checked for shape, and the
-    field on a list of floats: ``field.floats``, or else an ndarray adapter.
+def _start(field: VectorField, initial: Sequence[float]):
+    """Initial state and field value as lists of floats, checked for shape, and
+    the field's source text and coefficients, or else None and the field on a
+    list of floats: ``field.floats``, or else an ndarray adapter.
 
     Each initial component must pass the divergence guard's own comparison
     ``-L <= v <= L``, so a state of exactly +-L is accepted.
@@ -275,7 +282,8 @@ def _start(field: VectorField, initial: Sequence[float]) -> tuple[list[float], l
     g0 = np.asarray(step(0.0, x0.tolist()), dtype=float)
     if g0.shape != x0.shape:
         raise ValueError(f"field dimension {g0.shape} does not match initial state {x0.shape}")
-    return x0.tolist(), g0.tolist(), step
+    exprs, step = getattr(field, "source", None) or (None, step)
+    return x0.tolist(), g0.tolist(), exprs, step
 
 
 def _wrong_length(g: Sequence[float], t: float, d: int) -> NoReturn:
@@ -315,30 +323,34 @@ def _grid(x0: list[float], config: SolverConfig) -> tuple[np.ndarray, np.ndarray
 # The step loops, as source text.  A loop runs the steps k = start..end-1 of
 # one block; ``_step_loop`` writes each line that names a component ``{i}``
 # out once per component, so every component is a scalar local.  ``_STEP``
-# is one PECE step at time t_{k+lag}: the field at the predictor, the
-# corrector, the divergence guard on it, and the field at the corrector, in
-# ``g`` and its components ``{b}`` (b0, b1, ... in CF).  It computes t as
-# h (k + lag), which is bit for bit ``times[k + lag]``.
+# is one PECE step at time t_{k+lag}: the field at the predictor, in p0, p1,
+# ..., the corrector, the divergence guard on it, and the field at the
+# corrector, in its components ``{b}`` (b0, b1, ... in CF).  Each of the two
+# field evaluations is a slot: ``_CALL``, which calls the field and checks
+# the length of its value, or a field's source text written out in its
+# place.  A step that calls the field computes t as h (k + lag), which is bit
+# for bit ``times[k + lag]``.
 _STEP = """\
-        t = h * (k + {lag})
-        gp = field(t, {predictor})
-        if len(gp) != {d}:
-            _wrong_length(gp, t, {d})
-        [{p}] = gp
+{at_predictor}\
         {corrector}
         if not ({guard}):
             _diverged({k}, times, states, rows)
         xc = [{v}]
         rows += xc
-        g = field(t, xc)
-        if len(g) != {d}:
-            _wrong_length(g, t, {d})
-        [{b}] = g
+{at_corrector}\
+"""
+
+_CALL = """\
+        {g} = field(t, {state})
+        if len({g}) != {d}:
+            _wrong_length({g}, t, {d})
+        [{out}] = {g}
 """
 
 # CF: x0 in a0, a1, ..., g_0 in c0, c1, ..., and the running sum S_k in s0, s1, ...
 _CF_LOOP = """\
 def cf_steps(field, times, states, rows, start, end, h, lim, x0, g0, s, g, ch, ch2, cf):
+{coefficients}\
     [{a}] = x0
     [{c}] = g0
     [{s}] = s
@@ -346,47 +358,94 @@ def cf_steps(field, times, states, rows, start, end, h, lim, x0, g0, s, g, ch, c
     for k in range(start, end):
 {step}\
         {total}
-    return [{s}], g
+    return [{s}], [{b}]
 """
 
 # Caputo: the G steps k..k+G-1 of a group.  The matrix product gives the sums
-# of step k+j over g_K..g_k: the predictor's in q{j}_0, q{j}_1, ... (for j = 0
-# the list pk) and the corrector's in e{j}_0, e{j}_1, ...  Step k+j then adds
-# the lags of g_{k+1}..g_{k+j}, the field values b0_*..b{j-1}_* of the
-# group's earlier steps, with the lag weights u0, u1, ... (predictor) and w0,
-# w1, ... (corrector), and the group's G field values go into the history,
-# through its flat view, in one slice assignment.
+# of step k+j over g_K..g_k: the predictor's in q{j}_0, q{j}_1, ... and the
+# corrector's in e{j}_0, e{j}_1, ...  Step k+j then adds the lags of
+# g_{k+1}..g_{k+j}, the field values b0_*..b{j-1}_* of the group's earlier
+# steps, with the lag weights u0, u1, ... (predictor) and w0, w1, ...
+# (corrector), and the group's G field values go into the history, through
+# its flat view, in one slice assignment.
 _CAPUTO_LOOP = """\
 def caputo_steps(field, times, states, rows, start, end, h, lim, hist, table, base, new, lagw):
+{coefficients}\
     [{w}] = lagw
     flat = hist.reshape(-1)
     last = start + {B} - 1
     for k in range(start, end, {G}):
-        pk, {sums} = (dot(table[:, last - k :], hist[start : k + 1])
-                      + base[(k - start) // {G}]).tolist()
+        {sums} = (dot(table[:, last - k :], hist[start : k + 1])
+                  + base[(k - start) // {G}]).tolist()
 {steps}\
         flat[{d} * k + {d} : {d} * k + {end}] = {values}
 """
 
+_TEXT = re.compile(r"[ +\-*/()]|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+
+
+def _coefficient_count(exprs: tuple[str, ...], d: int) -> int:
+    """One more than the largest ``{c<j>}`` in a field's source ``exprs``.
+    ValueError unless there is one expression per component and each names
+    nothing but ``{x0}``..``{x<d-1>}`` and ``{c0}``, ``{c1}``, ...: the text
+    between them holds numbers, spaces, ``+ - * /`` and parentheses
+    (``_TEXT``), and no number runs into a placeholder before it."""
+    import string  # here, as only a loop with a field's source text needs it
+
+    if len(exprs) != d:
+        raise ValueError(f"field source has {len(exprs)} expressions for a state of {d} components")
+    states, count = {f"x{i}" for i in range(d)}, 0
+    for expr in exprs:
+        for n, (text, name, spec, conversion) in enumerate(string.Formatter().parse(expr)):
+            coefficient = re.fullmatch(r"c(0|[1-9][0-9]*)", name or "")
+            if (_TEXT.sub("", text) or n and re.match(r"[\d.]", text) or spec or conversion
+                    or name is not None and not (name in states or coefficient)):
+                raise ValueError(f"field source {expr!r} names something other than "
+                                 f"{{x0}}..{{x{d - 1}}} and {{c0}}, {{c1}}, ...")
+            count = max(count, int(coefficient[1]) + 1 if coefficient else 0)
+    return count
+
 
 @functools.cache
-def _step_loop(operator: str, cf_mode: str | None, d: int) -> Callable:
+def _step_loop(operator: str, cf_mode: str | None, d: int, exprs: tuple[str, ...] | None) -> Callable:
     """The step loop of ``operator`` ("cf" in ``cf_mode``, or "caputo") for
     states of d components, generated on first use from the templates above.
 
+    A field's source text ``exprs`` (from ``model.vector_field``; None for a
+    field that is called) is written out in place of its two calls, over the
+    state's components and the coefficients f0, f1, ..., which the loop takes
+    as its ``field`` argument.  The generator owns every local name.
+
     Each component is computed by the same expression, with the same order
     of operations, whatever d is, and the guard checks the components in
-    order.  The loops of a process are kept: there is one per key.
+    order.  The loops of a process are kept: there is one per key, and the
+    coefficients are an argument, so all ``ModelParams`` share one.
     """
 
     def each(expr: str, sep: str = ", ") -> str:
         return sep.join(expr.format(i=i) for i in range(d))
 
+    count = 0 if exprs is None else _coefficient_count(exprs, d)
+    coefficients = {f"c{j}": f"f{j}" for j in range(count)}  # placeholder: local
+    head = f"    [{', '.join(coefficients.values())}] = field\n" if count else ""
+
+    def inline(out: str, state: str) -> str:  # the field's value at the state's components
+        names = {f"x{i}": state.format(i=i) for i in range(d)} | coefficients
+        return "".join(f"        {out.format(i=i)} = {e.format(**names)}\n"
+                       for i, e in enumerate(exprs))
+
     def step(lag: int, predictor: str, corrector: str, b: str = "b{i}") -> str:
+        if exprs is None:
+            at_predictor = f"        t = h * (k + {lag})\n" + _CALL.format(
+                g="gp", state="[" + each(predictor) + "]", d=d, out=each("p{i}"))
+            at_corrector = _CALL.format(g="g", state="xc", d=d, out=each(b))
+        else:
+            at_predictor = each(f"        y{{i}} = {predictor}\n", "") + inline("p{i}", "y{i}")
+            at_corrector = inline(b, "v{i}")
         return _STEP.format(
-            lag=lag, k="k" if lag == 1 else f"k + {lag - 1}", d=d, predictor=predictor,
-            p=each("p{i}"), corrector=each(f"v{{i}} = {corrector}", "\n        "),
-            guard=each("-lim <= v{i} <= lim", " and "), v=each("v{i}"), b=each(b))
+            k="k" if lag == 1 else f"k + {lag - 1}", at_predictor=at_predictor,
+            corrector=each(f"v{{i}} = {corrector}", "\n        "),
+            guard=each("-lim <= v{i} <= lim", " and "), v=each("v{i}"), at_corrector=at_corrector)
 
     if operator == "cf":
         lagged = predicted = ""
@@ -394,9 +453,9 @@ def _step_loop(operator: str, cf_mode: str | None, d: int) -> Callable:
             lagged, predicted = " + cf * (b{i} - c{i})", " + cf * (p{i} - c{i})"
         source = _CF_LOOP.format(
             a=each("a{i}"), c=each("c{i}"), s=each("s{i}"), b=each("b{i}"),
-            step=step(1, "[" + each("a{i} + ch * s{i}" + lagged) + "]",
+            step=step(1, "a{i} + ch * s{i}" + lagged,
                       "a{i} + ch2 * (2.0 * s{i} - c{i} + p{i})" + predicted),
-            total=each("s{i} += b{i}", "\n        "))
+            total=each("s{i} += b{i}", "\n        "), coefficients=head)
     else:
         def in_group(weight: str, j: int) -> str:  # step k+j's terms: g_{k+1+l} at lag j-1-l
             return "".join(f" + {weight}{j - 1 - l} * b{l}_{{i}}" for l in range(j))
@@ -404,19 +463,18 @@ def _step_loop(operator: str, cf_mode: str | None, d: int) -> Callable:
         def row(name: str, j: int) -> str:
             return "[" + each(f"{name}{j}_{{i}}") + "]"
 
-        steps = [step(1, "pk", "e0_{i} + new * p{i}", "b0_{i}")]
-        for j in range(1, _GROUP):
-            steps += [f"        if k + {j} == end:\n            break\n",
-                      step(j + 1, "[" + each(f"q{j}_{{i}}" + in_group("u", j)) + "]",
-                           f"e{j}_{{i}}" + in_group("w", j) + " + new * p{i}", f"b{j}_{{i}}")]
+        steps = [(f"        if k + {j} == end:\n            break\n" if j else "")
+                 + step(j + 1, f"q{j}_{{i}}" + in_group("u", j),
+                        f"e{j}_{{i}}" + in_group("w", j) + " + new * p{i}", f"b{j}_{{i}}")
+                 for j in range(_GROUP)]
         source = _CAPUTO_LOOP.format(
             w=", ".join(f"u{l}, w{l}" for l in range(_GROUP - 1)), B=HISTORY_BLOCK, G=_GROUP,
-            sums=", ".join([row("e", 0)] + [row("q", j) + ", " + row("e", j)
-                                            for j in range(1, _GROUP)]),
-            steps="".join(steps), d=d, end=d * (_GROUP + 1),
+            sums=", ".join(row("q", j) + ", " + row("e", j) for j in range(_GROUP)),
+            steps="".join(steps), d=d, end=d * (_GROUP + 1), coefficients=head,
             values="(" + ", ".join(each(f"b{j}_{{i}}") for j in range(_GROUP)) + ")")
     namespace = {"_wrong_length": _wrong_length, "_diverged": _diverged, "dot": np.dot}
-    exec(compile(source, f"<fraclv.solvers step loop {(operator, cf_mode, d)}>", "exec"), namespace)
+    key = (operator, cf_mode, d, "inlined" if exprs else "called")
+    exec(compile(source, f"<fraclv.solvers step loop {key}>", "exec"), namespace)
     return namespace[f"{operator}_steps"]
 
 
@@ -441,11 +499,11 @@ def integrate_cf(
     is zero and the run is a ``paper`` mode run.
     """
     alpha = check_order(order)
-    x0, g0, field = _start(field, initial)
+    x0, g0, exprs, field = _start(field, initial)
     times, states, rows = _grid(x0, config)
     num = len(times) - 1
     cf_coeff = 1.0 - alpha if config.cf_mode == "corrected" else 0.0
-    steps = _step_loop("cf", "corrected" if cf_coeff else "paper", len(x0))
+    steps = _step_loop("cf", "corrected" if cf_coeff else "paper", len(x0), exprs)
     ch = alpha * config.step
     total = g = g0
     with np.errstate(over="ignore", invalid="ignore"):  # for fields that return ndarrays
@@ -484,7 +542,7 @@ def integrate_caputo(
     values go into the history at the end of the group.
     """
     alpha = check_order(order)
-    x0, g0, field = _start(field, initial)
+    x0, g0, exprs, field = _start(field, initial)
     d = len(x0)
     times, states, rows = _grid(x0, config)
     num = len(times) - 1
@@ -498,7 +556,7 @@ def integrate_caputo(
     if blocks > 1:  # the spectra, as reals: of the weight segments, last first, and of blocks
         weights = np.zeros((HISTORY_BLOCK + 1, 4, blocks - 1))  # Re pred, Re corr, Im pred, Im corr
         spectra = np.zeros((HISTORY_BLOCK + 1, blocks - 1, 2 * d))  # Re, Im of each component
-    steps = _step_loop("caputo", None, d)
+    steps = _step_loop("caputo", None, d, exprs)
     with np.errstate(over="ignore", invalid="ignore"):
         for m, start in enumerate(range(0, num, HISTORY_BLOCK)):
             end = min(start + HISTORY_BLOCK, num)

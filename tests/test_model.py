@@ -1,10 +1,11 @@
 """Vector field, equilibria, Jacobian and existence conditions."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fraclv.model import ModelParams, equilibria, jacobian, vector_field
 from fraclv.presets import PRESETS
@@ -74,6 +75,33 @@ def test_vector_field_is_bit_identical_to_rhs(params, x, y, z):
     ref = rhs(params, state)
     assert np.array_equal(out, ref)
     assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()  # signed zeros too
+
+
+def _source_value(field, state):
+    """``field.source`` at ``state``, its placeholders read as the names of
+    locals that hold the state's components and the coefficients."""
+    exprs, coefficients = field.source
+    names = [f"x{i}" for i in range(len(state))] + [f"c{j}" for j in range(len(coefficients))]
+    scope = dict(zip(names, [*state, *coefficients]))
+    return tuple(eval(e.format(**{n: n for n in names}), {}, scope) for e in exprs)
+
+
+overflowing = (st.floats() | st.floats(min_value=1e150, max_value=1.7e308)
+               | st.floats(min_value=-1.7e308, max_value=-1e150))
+huge_coeff = positive_coeff | st.floats(min_value=1e150, max_value=1e308)
+
+
+@given(params=st.builds(ModelParams, *(huge_coeff for _ in range(7))),
+       state=st.tuples(overflowing, overflowing, overflowing))
+@example(params=EX1, state=(1e200, -1e200, 1e200))  # x * x and its sums overflow to +-inf
+@example(params=EX1, state=(math.inf, 0.0, math.nan))  # inf * 0 and nan
+@settings(max_examples=200)
+def test_source_text_is_bit_identical_to_floats(params, state):
+    # what the step loops evaluate inline against the float-level form, down
+    # to the sign of zeros and the bits of the NaNs where both overflow
+    field = vector_field(params)
+    got, want = _source_value(field, state), field.floats(0.0, list(state))
+    assert struct.pack("3d", *got) == struct.pack("3d", *want)
 
 
 def test_rhs_vanishes_at_interior_equilibrium():

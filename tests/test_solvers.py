@@ -531,10 +531,25 @@ def test_float_level_form_called_2n_plus_1_times_with_python_floats():
 
 
 def _both_paths(params):
-    """``vector_field(params)``, which the steps call through its float-level
-    form, and a plain wrapper of it, which they call through the ndarray adapter."""
+    """``vector_field(params)``, which the steps evaluate inline from its
+    source text; a wrapper that carries only its float-level form, which they
+    call; and a plain wrapper, which they call through the ndarray adapter."""
     field = vector_field(params)
-    return {"floats": field, "adapter": lambda t, x: field(t, x)}
+    floats = lambda t, x: field(t, x)
+    floats.floats = field.floats
+    return {"inline": field, "floats": floats, "adapter": lambda t, x: field(t, x)}
+
+
+def _each_path(integrate, params, initial, alpha, config):
+    """Per path of ``_both_paths``: the run's states and None, or the partial
+    states and the step index of its DivergenceError."""
+    runs = {}
+    for path, field in _both_paths(params).items():
+        try:
+            runs[path] = (integrate(field, initial, alpha, config).states.tobytes(), None)
+        except DivergenceError as err:
+            runs[path] = (err.partial.states.tobytes(), err.step_index)
+    return runs
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -542,18 +557,106 @@ def test_float_and_adapter_paths_agree_bitwise(name):
     sc = SCENARIOS[name]
     integrate = {"caputo": integrate_caputo, "cf": integrate_cf}[sc.operator]
     modes = ("paper", "corrected") if sc.operator == "cf" else ("paper",)
-    for mode in modes:
+    for mode in modes:  # corrected mode diverges on the planar scenario
         config = SolverConfig(step=sc.step, horizon=sc.horizon, cf_mode=mode)
-        runs = {}
-        for path, field in _both_paths(PRESETS[sc.preset].params).items():
-            try:
-                runs[path] = integrate(field, sc.initial, sc.alpha, config).states
-            except DivergenceError as err:  # corrected mode on the planar scenario
-                runs[path] = err.partial.states
-        assert runs["floats"].tobytes() == runs["adapter"].tobytes()
+        runs = _each_path(integrate, PRESETS[sc.preset].params, sc.initial, sc.alpha, config)
+        assert runs["inline"] == runs["floats"] == runs["adapter"]
 
 
-@pytest.mark.parametrize("path", ["floats", "adapter"])
+LOOPS = {"caputo": (integrate_caputo, "paper"), "cf-paper": (integrate_cf, "paper"),
+         "cf-corrected": (integrate_cf, "corrected")}
+
+
+@pytest.mark.parametrize("loop", sorted(LOOPS))
+def test_inlined_and_called_paths_agree_bitwise_on_jittered_runs(loop):
+    # seeded jitter of example1's coefficients and start; 2B + 1 + last steps
+    # cross two block boundaries and end the run at each offset ``last``
+    # within a Caputo group; a run that diverges compares its partial
+    integrate, mode = LOOPS[loop]
+    rng = np.random.default_rng(2024)
+    for _ in range(2):
+        params = type(EX1)(*(EX1.as_tuple() * rng.uniform(0.8, 1.2, 7)))
+        initial = (np.array([0.5, 0.9, 0.1]) * rng.uniform(0.8, 1.2, 3)).tolist()
+        for last in range(_GROUP):
+            config = SolverConfig(step=0.01, horizon=0.01 * (2 * HISTORY_BLOCK + 1 + last),
+                                  cf_mode=mode)
+            runs = _each_path(integrate, params, initial, 0.85, config)
+            assert runs["inline"] == runs["floats"] == runs["adapter"], last
+
+
+@pytest.mark.parametrize("start,loop", [("example3-E1", loop) for loop in sorted(LOOPS)]
+                         + [("negative-x", "caputo")])
+def test_inlined_and_called_divergence_partials_agree_bitwise(start, loop):
+    # from 1e-3 off example3's E1 at alpha = 0.4, CF diverges at step 10
+    # (paper mode) or 3 (corrected); from x < 0, Caputo runs x off to -inf
+    integrate, mode = LOOPS[loop]
+    if start == "example3-E1":
+        params, alpha = PRESETS["example3"].params, 0.4
+        starts = [[160.0 + sign * 1e-3, 1e-3, 1e-3] for sign in (1.0, -1.0)]
+    else:
+        params, alpha, starts = EX1, 0.9, [[-0.01, 0.9, 0.1], [-0.013, 0.9, 0.1]]
+    config = SolverConfig(step=0.01, horizon=20.0, cf_mode=mode)
+    for initial in starts:
+        runs = _each_path(integrate, params, initial, alpha, config)
+        assert runs["inline"][1] is not None, initial
+        assert runs["inline"] == runs["floats"] == runs["adapter"], initial
+
+
+def test_one_step_loop_per_operator_and_mode():
+    # coefficients are an argument of the loop, not literals in its source,
+    # so three coefficient sets share the loop of each operator and mode
+    fraclv.solvers._step_loop.cache_clear()
+    config = {mode: SolverConfig(step=0.01, horizon=0.05, cf_mode=mode)
+              for mode in ("paper", "corrected")}
+    for i, params in enumerate((EX1, PRESETS["example2"].params, PRESETS["example3"].params)):
+        for integrate, mode in LOOPS.values():
+            integrate(vector_field(params), [0.5, 0.9, 0.1], 0.9, config[mode])
+        assert fraclv.solvers._step_loop.cache_info().currsize == len(LOOPS), i
+
+
+@pytest.mark.parametrize("source", [
+    ("{x0} * a1", "{x1}", "{x2}"),  # a name in the text, not a placeholder
+    ("{x0} * {a1}", "{x1}", "{x2}"),  # an unknown placeholder
+    ("{x3}", "{x1}", "{x2}"),  # a state component past d
+    ("{x0.real}", "{x1}", "{x2}"),
+    ("{x0}.real", "{x1}", "{x2}"),
+    ("{x0!r}", "{x1}", "{x2}"),
+    ("{x0:.3}", "{x1}", "{x2}"),
+    ("{x0}", "{x1}", "{}"),
+    ("{x0}", "{x1}", "{0}"),
+    ("{c01}", "{x1}", "{x2}"),
+    ("{x0}2", "{x1}", "{x2}"),  # would read a local x02, not x0
+    ("{x0} + __import__('os')", "{x1}", "{x2}"),
+    ("{x0}\nrows.clear()", "{x1}", "{x2}"),
+    ("{x0}", "{x1}"),  # two expressions for three components
+])
+def test_source_naming_anything_but_its_placeholders_is_refused(source):
+    # the generator owns every local name: the first draft of the inlined
+    # loops named coefficients a1, a2, ..., which are CF's x0 locals
+    field = lambda t, x: x
+    field.source = (source, (1.0,))
+    for integrate in (integrate_caputo, integrate_cf):
+        with pytest.raises(ValueError, match="field source"):
+            integrate(field, [0.5, 0.9, 0.1], 0.9, SolverConfig(step=0.01, horizon=0.05))
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_source_text_of_any_dimension_matches_its_call(d):
+    # numbers, unary minus and parentheses; a coefficient left unused
+    source = tuple(f"-{{c0}} * {{x{i}}} + 2.5e-1 * ({{x{(i + 1) % d}}} - {{c2}})"
+                   for i in range(d))
+    coefficients = (1.5, 7.0, 0.125)
+    call = lambda t, x: [-1.5 * v + 2.5e-1 * (w - 0.125) for v, w in zip(x, np.roll(x, -1))]
+    field = lambda t, x: call(t, x)
+    field.source = (source, coefficients)
+    initial = [1.0, -0.5, 0.25, 2.0][:d]
+    for integrate, mode in LOOPS.values():
+        config = SolverConfig(step=0.01, horizon=0.01 * (HISTORY_BLOCK + 3), cf_mode=mode)
+        runs = [integrate(f, initial, 0.8, config).states for f in (field, call)]
+        assert runs[0].tobytes() == runs[1].tobytes()
+
+
+@pytest.mark.parametrize("path", ["inline", "floats", "adapter"])
 @pytest.mark.parametrize("integrate", [integrate_caputo, integrate_cf])
 @pytest.mark.parametrize("h,starts,later",
                          [(0.01, (-0.01, -0.013, -0.011, -0.012), False),
