@@ -114,35 +114,32 @@ def _shared(value: _Hashable) -> _Hashable:
     return _SHARED.setdefault(value, value)
 
 
-#: The right-hand side as source text: one expression per component over the
-#: state {x0}..{x2} and the coefficients {c0}..{c6} (a1, a2, 1 - a3, a4,
-#: 1 - a5, a6, a7), in the order of operations of ``vector_field``'s ``floats``.
+#: The right-hand side, the model's one statement of it: one expression per
+#: component over the state {x0}..{x2} and the coefficients {c0}..{c6} (a1, a2,
+#: 1 - a3, a4, 1 - a5, a6, a7).  ``vector_field`` compiles it; the step loops inline it.
 _SOURCE = ("{x0} * ({c0} - {c1} * {x0} - {x1} - {x2})", "{x1} * ({c2} + {c3} * {x0})",
            "{x2} * ({c4} + {c5} * {x0} + {c6} * {x1})")
+
+_NAMES = {name: name for name in ("x0", "x1", "x2", "c0", "c1", "c2", "c3", "c4", "c5", "c6")}
+_rhs = eval(f"lambda {', '.join(_NAMES)}: ({', '.join(e.format(**_NAMES) for e in _SOURCE)})")
 
 
 def vector_field(params: ModelParams) -> Callable[[float, np.ndarray], tuple[float, float, float]]:
     """Autonomous (t, state) -> derivative adapter for the integrators.
 
-    ``state`` is a 1-d float array; the derivative comes back as a tuple of
-    three Python floats.  Its attribute ``floats`` is the same arithmetic on
-    a sequence of three Python floats, and ``source``, ``(_SOURCE,
-    coefficients)``, the same as source text: the integrators evaluate it
-    inline in their steps, as a call costs more than the arithmetic, and call
-    ``floats`` once, for the initial value.  The coefficients are unpacked to
-    Python floats once.
+    ``state`` is a 1-d float array; the derivative, ``_SOURCE`` compiled at
+    import, comes back as a tuple of three Python floats.  ``source``,
+    ``(_SOURCE, coefficients)``, is the same as text: the integrators evaluate
+    it inline in their steps, as a call costs more than the arithmetic, and
+    call the field once, for the initial value.
     """
     a1, a2, a3, a4, a5, a6, a7 = params.as_tuple()
     b3, b5 = 1.0 - a3, 1.0 - a5
 
-    def floats(_t: float, state: Sequence[float]) -> tuple[float, float, float]:
-        x, y, z = state
-        return (x * (a1 - a2 * x - y - z), y * (b3 + a4 * x), z * (b5 + a6 * x + a7 * y))
+    def field(_t: float, state: np.ndarray) -> tuple[float, float, float]:
+        x0, x1, x2 = state.tolist()
+        return _rhs(x0, x1, x2, a1, a2, b3, a4, b5, a6, a7)
 
-    def field(t: float, state: np.ndarray) -> tuple[float, float, float]:
-        return floats(t, state.tolist())
-
-    field.floats = floats
     field.source = (_SOURCE, (a1, a2, b3, a4, b5, a6, a7))
     return field
 

@@ -71,13 +71,12 @@ longer one.
 Field contract.  A field is called as ``field(t, state)`` with ``t`` a float
 and ``state`` a fresh 1-d float64 ndarray of the initial state's length d; it
 returns any length-d sequence of floats (a tuple, a list or an ndarray).  A
-float-level form ``field.floats(t, xs)`` is called on a list of d Python
-floats in its place.  A return of another length raises ValueError, and so
-does an initial state with a component outside the divergence guard's
-range.  Each integrator calls the field, or its float-level form, 2N + 1
-times for N steps, unless it carries its right-hand side as source text, as
-``vector_field``'s fields do: the steps evaluate that inline (``_step_loop``)
-and the float-level form is called once, for g_0.
+return of another length raises ValueError, and so does an initial state with
+a component that is not a real number, or a bool, or outside the divergence
+guard's range.  Each integrator calls the field 2N + 1 times for N steps,
+unless it carries its right-hand side as source text, as ``vector_field``'s
+fields do: the steps evaluate that inline (``_step_loop``), and the field is
+called once, for g_0.
 
 Per-step arithmetic.  For d = 3 a step costs fixed interpreter overhead more
 than arithmetic, so the predictor, the corrector, the corrected-mode term,
@@ -95,8 +94,8 @@ are the same IEEE operations, so the trajectories are bit for bit those of
 an all-numpy step, and Python float ``+ - *`` overflows to inf (which the
 guard catches) rather than raising.  Untraced time per step on the bundled
 scenarios (Intel Xeon, 2 vCPUs, Python 3.11, numpy 2.4.6; minimum of 15
-runs): CF ~0.7-0.9 us and Caputo ~2.3-2.4 us at 5k-10k steps, against
-~1.0-1.3 us and ~2.7 us with the same field called through ``floats``.
+runs): CF ~0.7-0.9 us and Caputo ~2.3 us at 5k-10k steps, against ~2.1-2.3
+us and ~3.7-3.8 us with the same field called, through a lambda around it.
 
 Runs are strictly sequential and deterministic; all returned objects are
 immutable value containers.
@@ -263,27 +262,23 @@ def _caputo_weights(num: int, alpha: float, step: float):
 
 
 def _start(field: VectorField, initial: Sequence[float]):
-    """Initial state and field value as lists of floats, checked for shape, and
-    the field's source text and coefficients, or else None and the field on a
-    list of floats: ``field.floats``, or else an ndarray adapter.
-
-    Each initial component must pass the divergence guard's own comparison
-    ``-L <= v <= L``, so a state of exactly +-L is accepted.
-    """
-    x0 = np.asarray(initial, dtype=float)
-    if x0.ndim != 1 or x0.size == 0:
+    """Initial state and g_0 as lists of floats, checked for shape, and the
+    field's source text and coefficients, or else None and the field.  Each
+    initial component must pass ``_as_float`` and the divergence guard's own
+    comparison ``-L <= v <= L``, so a state of exactly +-L is accepted."""
+    values = np.asarray(initial, dtype=object)
+    if values.ndim != 1 or values.size == 0:
         raise ValueError("initial state must be a non-empty 1-d vector")
-    for i, v in enumerate(x0.tolist()):
+    x0 = [_as_float(v, f"initial state component {i}") for i, v in enumerate(values.tolist())]
+    for i, v in enumerate(x0):
         if not -DIVERGENCE_LIMIT <= v <= DIVERGENCE_LIMIT:
-            raise ValueError(
-                f"initial state component {i} is {v}; it must lie within +/-{DIVERGENCE_LIMIT:g}"
-            )
-    step = getattr(field, "floats", None) or (lambda t, xs: field(t, np.array(xs)))
-    g0 = np.asarray(step(0.0, x0.tolist()), dtype=float)
-    if g0.shape != x0.shape:
-        raise ValueError(f"field dimension {g0.shape} does not match initial state {x0.shape}")
-    exprs, step = getattr(field, "source", None) or (None, step)
-    return x0.tolist(), g0.tolist(), exprs, step
+            raise ValueError(f"initial state component {i} is {v}; "
+                             f"it must lie within +/-{DIVERGENCE_LIMIT:g}")
+    g0 = np.asarray(field(0.0, np.array(x0)), dtype=float)
+    if g0.shape != (len(x0),):
+        raise ValueError(f"field dimension {g0.shape} does not match initial state {(len(x0),)}")
+    exprs, field = getattr(field, "source", None) or (None, field)
+    return x0, g0.tolist(), exprs, field
 
 
 def _wrong_length(g: Sequence[float], t: float, d: int) -> NoReturn:
@@ -341,7 +336,7 @@ _STEP = """\
 """
 
 _CALL = """\
-        {g} = field(t, {state})
+        {g} = field(t, array({state}))
         if len({g}) != {d}:
             _wrong_length({g}, t, {d})
         [{out}] = {g}
@@ -472,7 +467,8 @@ def _step_loop(operator: str, cf_mode: str | None, d: int, exprs: tuple[str, ...
             sums=", ".join(row("q", j) + ", " + row("e", j) for j in range(_GROUP)),
             steps="".join(steps), d=d, end=d * (_GROUP + 1), coefficients=head,
             values="(" + ", ".join(each(f"b{j}_{{i}}") for j in range(_GROUP)) + ")")
-    namespace = {"_wrong_length": _wrong_length, "_diverged": _diverged, "dot": np.dot}
+    namespace = {"_wrong_length": _wrong_length, "_diverged": _diverged, "dot": np.dot,
+                 "array": np.array}
     key = (operator, cf_mode, d, "inlined" if exprs else "called")
     exec(compile(source, f"<fraclv.solvers step loop {key}>", "exec"), namespace)
     return namespace[f"{operator}_steps"]

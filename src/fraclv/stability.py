@@ -5,7 +5,7 @@ eigenvalue w of the Jacobian satisfies |arg(w)| > alpha*pi/2.  The unstable
 set is a cone around the positive real axis that widens with alpha; at
 alpha = 1 the test coincides with the classical Re(w) < 0 criterion.
 
-Caputo-Fabrizio (exponential kernel), two equivalent-in-practice views:
+Caputo-Fabrizio (exponential kernel), two views:
 
 * theorem form: an eigenvalue passes if any of
     (1) |w| >= 1/(1-alpha) and w != 1/(1-alpha)
@@ -15,8 +15,14 @@ Caputo-Fabrizio (exponential kernel), two equivalent-in-practice views:
   tested as (1), (3), (4) in that order; the tags are "1", "3" and "4".
 * disk form (``cf_disk_verdict``): the unstable region is the closed disk of
   radius c = 1/(2(1-alpha)) centered at c on the real axis; an eigenvalue
-  passes iff it lies strictly outside.  Every theorem pass implies a disk
-  pass.
+  passes iff it lies strictly outside.  That is the Hurwitz stability of the
+  linearization's CF ODE form (I - (1-alpha) J) x' = alpha J x, whose rates
+  are mu = alpha w / (1 - (1-alpha) w) for the eigenvalues w of J:
+      Re mu < 0  <=>  Re w - (1-alpha) |w|^2 < 0    (times |1 - (1-alpha) w|^2 / alpha)
+                 <=>  |w - c|^2 > c^2                (times -2c, as 2c (1-alpha) = 1),
+  and its singular point w = 1/(1-alpha) = 2c lies on the circle.  A theorem
+  pass implies a disk pass, not conversely (w = c (0.1 + 0.9i) passes the disk
+  and no condition), so the theorem is sufficient only.
 
 Boundary policy: cone boundary and circle membership count as unstable
 (asymptotic stability is an open condition), and a zero eigenvalue is always

@@ -26,8 +26,10 @@ like ``pece_direct`` it is a self-contained numpy loop with its own
 divergence guard and field-length check, sharing no step code with the
 integrators it checks.  ``rhs`` is the model's right-hand side written out
 as a numpy array, and ``routh_hurwitz_cubic`` the Routh-Hurwitz test on the
-characteristic cubic.  ``cf_theorem_tag`` is the CF stability theorem's
-per-eigenvalue test with all four printed conditions, in the paper's order.
+characteristic cubic; ``cf_ode_hurwitz`` applies it to the CF ODE form of a
+linearization, an eigenvalue-free check of the CF disk verdict.
+``cf_theorem_tag`` is the CF stability theorem's per-eigenvalue test with all
+four printed conditions, in the paper's order.
 
 ``mp_cubic_roots`` solves a cubic in mpmath at any exponent range, for
 cubics too small or too large for the companion matrix in doubles.
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -74,6 +77,30 @@ def routh_hurwitz_cubic(coeffs) -> bool:
     """True iff every root of the monic cubic w^3 + a w^2 + b w + c has negative real part."""
     a, b, c = coeffs.a, coeffs.b, coeffs.c
     return a > 0.0 and c > 0.0 and a * b > c
+
+
+def cf_ode_hurwitz(J, alpha: float) -> bool:
+    """True iff the CF ODE form of the linearization, (I - (1-alpha) J) x' =
+    alpha J x, is Hurwitz stable: ``routh_hurwitz_cubic`` on
+    det(s (I - (1-alpha) J) - alpha J), with no eigenvalue computed.
+
+    With beta = 1-alpha and u = alpha + beta s, that determinant is
+    det(s I - u J) = s^3 - u s^2 tr + u^2 s E2 - u^3 det, where tr, E2 and det
+    are J's trace, sum of principal 2x2 minors and determinant.  Its leading
+    coefficient is det(I - beta J); dividing by it (and so by its sign) makes
+    the cubic monic.
+    """
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = J
+    beta = 1.0 - alpha
+    tr = m00 + m11 + m22
+    e2 = (m11 * m22 - m12 * m21) + (m00 * m22 - m02 * m20) + (m00 * m11 - m01 * m10)
+    det = (m00 * (m11 * m22 - m12 * m21) - m01 * (m10 * m22 - m12 * m20)
+           + m02 * (m10 * m21 - m11 * m20))
+    lead = 1.0 - beta * tr + beta ** 2 * e2 - beta ** 3 * det
+    a = (-alpha * tr + 2.0 * alpha * beta * e2 - 3.0 * alpha * beta ** 2 * det) / lead
+    b = (alpha ** 2 * e2 - 3.0 * alpha ** 2 * beta * det) / lead
+    c = -alpha ** 3 * det / lead
+    return routh_hurwitz_cubic(SimpleNamespace(a=a, b=b, c=c))
 
 
 def cf_theorem_tag(w: complex, alpha: float):

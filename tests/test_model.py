@@ -96,12 +96,14 @@ huge_coeff = positive_coeff | st.floats(min_value=1e150, max_value=1e308)
 @example(params=EX1, state=(1e200, -1e200, 1e200))  # x * x and its sums overflow to +-inf
 @example(params=EX1, state=(math.inf, 0.0, math.nan))  # inf * 0 and nan
 @settings(max_examples=200)
-def test_source_text_is_bit_identical_to_floats(params, state):
-    # what the step loops evaluate inline against the float-level form, down
-    # to the sign of zeros and the bits of the NaNs where both overflow
+def test_source_text_is_bit_identical_to_the_rhs_oracle(params, state):
+    # what the step loops evaluate inline, and the call compiled from the same
+    # text, against the hand-written oracle on Python floats, down to the sign
+    # of zeros and the bits of the NaNs where they overflow
     field = vector_field(params)
-    got, want = _source_value(field, state), field.floats(0.0, list(state))
-    assert struct.pack("3d", *got) == struct.pack("3d", *want)
+    want = struct.pack("3d", *rhs(params, list(state)))
+    assert struct.pack("3d", *_source_value(field, state)) == want
+    assert struct.pack("3d", *field(0.0, np.array(state))) == want
 
 
 def test_rhs_vanishes_at_interior_equilibrium():

@@ -96,3 +96,25 @@ def test_solver_config_stores_floats():
     config = SolverConfig(step=np.float64(0.5), horizon=2)
     assert type(config.step) is float and type(config.horizon) is float
     assert config.num_steps == 4
+
+
+# the same rule for each component of an initial state, named in the error
+@pytest.mark.parametrize("integrate", [integrate_caputo, integrate_cf])
+@pytest.mark.parametrize("value", [True, "0.5", None, 1 + 0j, 10 ** 400],
+                         ids=["True", "str", "None", "complex", "huge-int"])
+def test_initial_state_components_follow_the_same_rule(integrate, value):
+    with pytest.raises(ValueError, match="^initial state component 1 must be "):
+        integrate(FIELD, [0.5, value, 0.1], 0.9, CONFIG)
+
+
+@pytest.mark.parametrize("integrate", [integrate_caputo, integrate_cf])
+@pytest.mark.parametrize("initial", [
+    [Fraction(1, 2), 1, np.float64(0.1)],
+    np.array([0.5, 0.9, 0.1], dtype=np.float32),
+    np.array([0.5, 0.9, 0.1]),
+], ids=["int-Fraction", "float32", "float64"])
+def test_real_initial_states_run_as_their_floats(integrate, initial):
+    as_floats = [float(v) for v in initial]
+    run = integrate(FIELD, initial, 0.9, CONFIG).states
+    assert run.tobytes() == integrate(FIELD, as_floats, 0.9, CONFIG).states.tobytes()
+    assert run[0].tolist() == as_floats

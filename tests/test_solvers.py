@@ -185,15 +185,11 @@ def test_fft_history_matches_direct_engine(alpha, h, field, initial):
 
 
 def coupled(d):
-    """D^a x = A x with A = -I plus a ring coupling, d components: a plain
-    field (taken through the ndarray adapter) and one with a float-level form
-    that returns the same values as Python floats."""
+    """D^a x = A x with A = -I plus a ring coupling, d components: a field
+    that returns an ndarray and one that returns the same values as a list."""
     eye = np.eye(d)
     matrix = -eye + 0.3 * np.roll(eye, 1, axis=1) - 0.2 * np.roll(eye, -1, axis=1)
-    field = lambda t, x: matrix @ x
-    floats = lambda t, x: None
-    floats.floats = lambda t, xs: (matrix @ np.array(xs)).tolist()
-    return {"adapter": field, "floats": floats}
+    return {"ndarray": lambda t, x: matrix @ x, "list": lambda t, x: (matrix @ x).tolist()}
 
 
 @pytest.mark.parametrize("run", ["caputo", "cf-paper", "cf-corrected"])
@@ -212,9 +208,9 @@ def test_each_dimension_matches_direct_engine(d, run):
         assert config.num_steps == steps
         runs = {path: integrate(field, initial, 0.8, config).states
                 for path, field in coupled(d).items()}
-        assert runs["floats"].tobytes() == runs["adapter"].tobytes()
-        ref = direct(coupled(d)["adapter"], initial, 0.8, config)
-        assert np.max(np.abs(runs["floats"] - ref.states)) <= 1e-12, last
+        assert runs["list"].tobytes() == runs["ndarray"].tobytes()
+        ref = direct(coupled(d)["ndarray"], initial, 0.8, config)
+        assert np.max(np.abs(runs["list"] - ref.states)) <= 1e-12, last
 
 
 @pytest.mark.parametrize("d", [1, 3])
@@ -509,35 +505,33 @@ def test_field_called_2n_plus_1_times_with_a_float_vector(name):
     assert set(seen) == {(np.ndarray, np.dtype(np.float64), (3,))}
 
 
-def test_float_level_form_called_2n_plus_1_times_with_python_floats():
-    # vector_field's own form takes the steps' lists; the ndarray path stays unused
-    floats = vector_field(EX1).floats
-    seen = []
+@pytest.mark.parametrize("run", ["caputo", "cf-paper", "cf-corrected"])
+@pytest.mark.parametrize("d", [1, 3])
+def test_a_field_that_overwrites_its_state_moves_no_row(d, run):
+    # every call gets a fresh ndarray, the first (g_0) too: a field that writes
+    # into its argument gives the rows of one that does not, and the caller's
+    # initial array is left as it was; B + 3 steps cross a block boundary
+    operator, _, mode = run.partition("-")
+    integrate = {"caputo": integrate_caputo, "cf": integrate_cf}[operator]
+    field = coupled(d)["ndarray"]
 
-    def counting(t, xs):
-        seen.append((type(xs) in (list, tuple), len(xs), all(type(v) is float for v in xs)))
-        return floats(t, xs)
+    def overwriting(t, x):
+        g = field(t, x)
+        x[:] = np.nan
+        return g
 
-    def ndarray_path(t, x):
-        raise AssertionError("the ndarray path was called")
-
-    ndarray_path.floats = counting
-    config = SolverConfig(step=0.01, horizon=2.0)
-    for integrate in (integrate_caputo, integrate_cf):
-        seen.clear()
-        integrate(ndarray_path, [0.5, 0.9, 0.1], 0.8, config)
-        assert len(seen) == 2 * config.num_steps + 1
-        assert set(seen) == {(True, 3, True)}
+    initial = np.array([1.0, -0.5, 0.25][:d])
+    config = SolverConfig(step=0.01, horizon=0.01 * (HISTORY_BLOCK + 3), cf_mode=mode or "paper")
+    runs = [integrate(f, initial, 0.8, config).states.tobytes() for f in (overwriting, field)]
+    assert runs[0] == runs[1]
+    assert initial.tolist() == [1.0, -0.5, 0.25][:d]
 
 
 def _both_paths(params):
     """``vector_field(params)``, which the steps evaluate inline from its
-    source text; a wrapper that carries only its float-level form, which they
-    call; and a plain wrapper, which they call through the ndarray adapter."""
+    source text, and a lambda around it, which they call."""
     field = vector_field(params)
-    floats = lambda t, x: field(t, x)
-    floats.floats = field.floats
-    return {"inline": field, "floats": floats, "adapter": lambda t, x: field(t, x)}
+    return {"inline": field, "adapter": lambda t, x: field(t, x)}
 
 
 def _each_path(integrate, params, initial, alpha, config):
@@ -560,7 +554,7 @@ def test_float_and_adapter_paths_agree_bitwise(name):
     for mode in modes:  # corrected mode diverges on the planar scenario
         config = SolverConfig(step=sc.step, horizon=sc.horizon, cf_mode=mode)
         runs = _each_path(integrate, PRESETS[sc.preset].params, sc.initial, sc.alpha, config)
-        assert runs["inline"] == runs["floats"] == runs["adapter"]
+        assert runs["inline"] == runs["adapter"]
 
 
 LOOPS = {"caputo": (integrate_caputo, "paper"), "cf-paper": (integrate_cf, "paper"),
@@ -581,7 +575,7 @@ def test_inlined_and_called_paths_agree_bitwise_on_jittered_runs(loop):
             config = SolverConfig(step=0.01, horizon=0.01 * (2 * HISTORY_BLOCK + 1 + last),
                                   cf_mode=mode)
             runs = _each_path(integrate, params, initial, 0.85, config)
-            assert runs["inline"] == runs["floats"] == runs["adapter"], last
+            assert runs["inline"] == runs["adapter"], last
 
 
 @pytest.mark.parametrize("start,loop", [("example3-E1", loop) for loop in sorted(LOOPS)]
@@ -599,7 +593,7 @@ def test_inlined_and_called_divergence_partials_agree_bitwise(start, loop):
     for initial in starts:
         runs = _each_path(integrate, params, initial, alpha, config)
         assert runs["inline"][1] is not None, initial
-        assert runs["inline"] == runs["floats"] == runs["adapter"], initial
+        assert runs["inline"] == runs["adapter"], initial
 
 
 def test_one_step_loop_per_operator_and_mode():
@@ -656,7 +650,7 @@ def test_source_text_of_any_dimension_matches_its_call(d):
         assert runs[0].tobytes() == runs[1].tobytes()
 
 
-@pytest.mark.parametrize("path", ["inline", "floats", "adapter"])
+@pytest.mark.parametrize("path", ["inline", "adapter"])
 @pytest.mark.parametrize("integrate", [integrate_caputo, integrate_cf])
 @pytest.mark.parametrize("h,starts,later",
                          [(0.01, (-0.01, -0.013, -0.011, -0.012), False),

@@ -5,8 +5,9 @@ import dataclasses
 import math
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import fraclv.stability
 from fraclv.model import equilibria, jacobian
@@ -21,7 +22,7 @@ from fraclv.stability import (
     table1_conditions,
 )
 
-from oracles import cf_theorem_tag
+from oracles import cf_ode_hurwitz, cf_theorem_tag
 
 EX1 = PRESETS["example1"].params
 EX2 = PRESETS["example2"].params
@@ -180,6 +181,44 @@ def test_disk_verdict_wraps_spectrum():
 def test_disk_rejects_order_one():
     with pytest.raises(ValueError):
         cf_disk_verdict([1.0], 1.0)
+
+
+#: A placed eigenvalue's relative distance from the circle |w - c| = c, inside or outside.
+GAP = st.floats(1e-5, 1.0) | st.floats(-1.0, -1e-5)
+
+
+@st.composite
+def _jacobians(draw):
+    """(J, alpha): J with any entries in [-10, 10], or J = S B S^-1, S unit
+    upper triangular, with B's real eigenvalue and complex pair placed 1e-5
+    to 1 (relative) off the circle |w - c| = c, on either side."""
+    alpha = draw(st.floats(0.02, 0.98))
+    entry = st.floats(-10.0, 10.0)
+    if draw(st.booleans()):
+        return tuple(tuple(draw(entry) for _ in range(3)) for _ in range(3)), alpha
+    c = 1.0 / (2.0 * (1.0 - alpha))
+    pair = c + c * (1.0 + draw(GAP)) * cmath.exp(1j * draw(st.floats(0.01, math.pi - 0.01)))
+    real = c + draw(st.sampled_from((1.0, -1.0))) * c * (1.0 + draw(GAP))
+    b = np.array([[pair.real, pair.imag, 0.0], [-pair.imag, pair.real, 0.0], [0.0, 0.0, real]])
+    s = np.eye(3)
+    s[np.triu_indices(3, 1)] = [draw(st.floats(-2.0, 2.0)) for _ in range(3)]
+    return tuple(map(tuple, (s @ b @ np.linalg.inv(s)).tolist())), alpha
+
+
+@given(cell=_jacobians())
+@settings(max_examples=300)
+@example(cell=(jacobian(EX2, equilibria(EX2)[4].point), 0.6))
+@example(cell=(jacobian(EX1, (0.0, 0.0, 0.0)), 0.4))
+def test_disk_verdict_is_hurwitz_stability_of_the_cf_ode_form(cell):
+    # the disk verdict on J's eigenvalues against the Routh-Hurwitz test on
+    # det(s (I - (1-alpha) J) - alpha J), which computes no eigenvalue; the
+    # band: an eigenvalue within 1e-6 (relative) of the circle, where either
+    # side may round the other way; it holds the singular set w = 2c too
+    J, alpha = cell
+    spectrum = cubic_roots(characteristic_cubic(J))
+    c = 1.0 / (2.0 * (1.0 - alpha))
+    assume(all(abs(abs(w - c) - c) > 1e-6 * max(1.0, abs(w), c) for w in spectrum.eigenvalues))
+    assert cf_ode_hurwitz(J, alpha) == cf_disk_verdict(spectrum, alpha).stable
 
 
 # ---------------------------------------------------------------------------
