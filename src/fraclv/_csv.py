@@ -1,19 +1,21 @@
-"""Exact ``%.16e`` text of a float64 table block, computed in numpy.
+"""The text of trajectory.csv's rows: exact ``%.16e``, block by block.
 
-``format_block(block)`` returns the ASCII bytes of
+``trajectory_blocks(times, states)`` yields the ASCII bytes of the table
+``[times | states]``, ``_BLOCK_ROWS`` rows at a time; each is the bytes of
 
     (("%.16e," * (cols - 1) + "%.16e\\n") * rows) % tuple(block.ravel().tolist())
 
-for a (rows, cols) float64 block, or None if a value lies outside the fast
-range: every value must be +-0.0, or finite with 1e-11 < |x| < 2^51.
-``rows_in_range(block)`` tells which rows lie wholly in it, so that the
-caller formats only the other rows with ``%``.  (The double nearest 1e-11
-lies just below 10^-11, where the exponent k below would be 28, so it is
-left out.  The divergence guard keeps states within 1e12, and only times of
-absurd horizons reach 2^51 ~ 2.25e15.)
+for its (rows, cols) block.  A block's columns are copied into one reused
+buffer (no copy of the whole table is made), and its magnitudes and range
+mask are computed once.  Each run of rows whose values all lie in the fast
+range (+-0.0, or finite with 1e-11 < |x| < 2^51) goes through the numpy
+kernel below, each run of the other rows through ``%`` on Python floats.
+(The double nearest 1e-11 lies just below 10^-11, where k below would be
+28, so it is left out.  The divergence guard keeps states within 1e12; only
+times of absurd horizons reach 2^51 ~ 2.25e15.)
 
-Method (fixed-precision digits from an exact wide-integer product, as in
-Ryu printf, rounded half to even as correctly rounded dtoa rounds):
+Kernel method (fixed-precision digits from an exact wide-integer product, as
+in Ryu printf, rounded half to even as correctly rounded dtoa rounds):
 
 * ``frexp`` gives |x| = M 2^b exactly, with M a 53-bit integer.
 * ``floor(log10 |x|)`` estimates the decimal exponent D, so that
@@ -34,9 +36,14 @@ Ryu printf, rounded half to even as correctly rounded dtoa rounds):
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
-__all__ = ["format_block", "rows_in_range"]
+__all__ = ["trajectory_blocks"]
+
+#: Rows per block: the unit of the kernel's numpy calls and of each write.
+_BLOCK_ROWS = 1024
 
 _PAD = 0  # a sign slot of a value that is not negative; deleted at the end
 _TEN3, _TEN7, _TEN11, _TEN15, _TEN16, _TEN17 = (np.uint64(10**i) for i in (3, 7, 11, 15, 16, 17))
@@ -81,23 +88,35 @@ def _scaled(mant: np.ndarray, b: np.ndarray, d: np.ndarray):
     return (hi << (np.uint64(64) - s)) | (low >> s), low & ((unit << _ONE) - _ONE), unit
 
 
-def _fast(a: np.ndarray) -> np.ndarray:
-    """Which magnitudes ``a`` lie in the fast range; NaN fails both compares."""
-    return (a == 0.0) | ((a > 1e-11) & (a < _HIGH))
+def trajectory_blocks(times: np.ndarray, states: np.ndarray) -> Iterator[bytes]:
+    """The rows' text of the table ``[times | states]``, one bytes object per block."""
+    rows = len(times)
+    columns = (times, *states.T)
+    buffer = np.empty((min(rows, _BLOCK_ROWS), len(columns)))
+    for start in range(0, rows, _BLOCK_ROWS):
+        block = buffer[: min(rows - start, _BLOCK_ROWS)]
+        for j, column in enumerate(columns):  # half the cost of one 2-d copy
+            block[:, j] = column[start : start + _BLOCK_ROWS]
+        a = np.abs(block)
+        fast = (a == 0.0) | ((a > 1e-11) & (a < _HIGH))  # NaN fails both compares
+        if fast.all():
+            yield _kernel(block, a)
+            continue
+        fast = fast.all(axis=1)  # per row, then by runs of rows
+        edges = [0, *(np.flatnonzero(fast[1:] != fast[:-1]) + 1).tolist(), len(block)]
+        yield b"".join(_kernel(block[i:j], a[i:j]) if fast[i] else _percent(block[i:j])
+                       for i, j in zip(edges, edges[1:]))
 
 
-def rows_in_range(block: np.ndarray) -> np.ndarray:
-    """Per row of a 2-d float64 block: do all its values lie in the fast range?"""
-    return _fast(np.abs(block)).all(axis=1)
+def _percent(block: np.ndarray) -> bytes:
+    """The ``%.16e`` text of a 2-d float64 block, by ``%`` on Python floats."""
+    line = ",".join(["%.16e"] * block.shape[1]) + "\n"
+    return ((line * len(block)) % tuple(block.ravel().tolist())).encode("ascii")
 
 
-def format_block(block: np.ndarray) -> bytes | None:
-    """The ``%.16e`` text of a 2-d float64 block, comma-separated rows, or None."""
-    rows, cols = block.shape
-    v = block.ravel()
-    a = np.abs(v)
-    if not _fast(a).all():
-        return None
+def _kernel(block: np.ndarray, a: np.ndarray) -> bytes:
+    """The ``%.16e`` text of a 2-d block whose magnitudes ``a`` lie in the fast range."""
+    v, a = block.ravel(), a.ravel()
     zero = a == 0.0
     a = np.where(zero, 1.0, a)
     frac, e = np.frexp(a)
@@ -126,7 +145,7 @@ def format_block(block: np.ndarray) -> bytes | None:
         rest -= group * scale
         words[:, j] = _DIGITS4[group.view(np.int64)]
     words[:, 4] = _TAIL[rest.view(np.int64)]
-    exponent = (2 * (d - _MIN_EXP)).reshape(rows, cols)
+    exponent = (2 * (d - _MIN_EXP)).reshape(block.shape)
     exponent[:, -1] += 1  # the row's last value ends in a newline
     words[:, 5] = _EXPONENTS[exponent.ravel()]
     return words.tobytes().replace(b"\0", b"")

@@ -2,6 +2,7 @@
 
 Subcommands
     simulate          integrate one run config, write trajectory.csv + manifest.json
+                      (the rows' text made by fraclv._csv, block by block, from the arrays)
     equilibria        print the five fixed points with admissibility audit
     stability         print the full per-equilibrium verdict report
     classify          region class A-D for one complex number and order
@@ -45,8 +46,6 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-import numpy as np
-
 from . import __version__
 from .model import ModelParams, equilibria, jacobian, vector_field
 from .presets import KNOWN_DISCREPANCIES, PRESETS, TABLE2
@@ -76,9 +75,6 @@ _PARAM_KEYS = {f"a{i}" for i in range(1, 8)}
 #: Comparison tolerance for the reference-matrix value cells (printed data
 #: carries 2-3 decimals).
 TABLE_VALUE_TOL = 1e-2
-
-#: Rows formatted per block when writing trajectory.csv.
-_CSV_BLOCK_ROWS = 1024
 
 
 class ConfigError(ValueError):
@@ -231,34 +227,11 @@ def _write_atomic(path: str, chunks: Iterable[bytes]) -> None:
 
 
 def _trajectory_csv(traj: Trajectory) -> Iterator[bytes]:
-    """trajectory.csv as ASCII chunks: the header, then one per block of rows.
+    """trajectory.csv as ASCII chunks: the header, then ``fraclv._csv``'s blocks."""
+    from ._csv import trajectory_blocks  # loaded by the first CSV written, not by import
 
-    17 significant digits parse back to the exact same double.  A block is
-    formatted in numpy by ``fraclv._csv``, which gives the exact bytes of
-    ``%.16e``.  In a block with a value outside its range (nonzero below
-    1e-11 or from 2^51 in magnitude, or not finite), each run of rows
-    holding such values goes through ``%`` on Python floats, and each run of
-    the other rows through ``fraclv._csv``.
-    """
-    from ._csv import format_block, rows_in_range  # loaded by the first CSV written, not by import
-
-    table = np.column_stack((traj.times, traj.states))
     yield b"t,x,y,z\n"
-    for start in range(0, len(table), _CSV_BLOCK_ROWS):
-        block = table[start : start + _CSV_BLOCK_ROWS]
-        text = format_block(block)
-        if text is None:
-            fast = rows_in_range(block)
-            edges = [0, *(np.flatnonzero(fast[1:] != fast[:-1]) + 1).tolist(), len(block)]
-            text = b"".join(format_block(block[i:j]) if fast[i] else _percent(block[i:j])
-                            for i, j in zip(edges, edges[1:]))
-        yield text
-
-
-def _percent(rows: np.ndarray) -> bytes:
-    """trajectory.csv rows formatted by ``%`` on Python floats."""
-    line = "%.16e,%.16e,%.16e,%.16e\n"
-    return ((line * len(rows)) % tuple(rows.ravel().tolist())).encode("ascii")
+    yield from trajectory_blocks(traj.times, traj.states)
 
 
 def _complex_pair(w: complex) -> list[float]:

@@ -73,10 +73,12 @@ and ``state`` a fresh 1-d float64 ndarray of the initial state's length d; it
 returns any length-d sequence of floats (a tuple, a list or an ndarray).  A
 return of another length raises ValueError, and so does an initial state with
 a component that is not a real number, or a bool, or outside the divergence
-guard's range.  Each integrator calls the field 2N + 1 times for N steps,
-unless it carries its right-hand side as source text, as ``vector_field``'s
-fields do: the steps evaluate that inline (``_step_loop``), and the field is
-called once, for g_0.
+guard's range, or a value at t = 0 (g_0) with a component that is not a real
+number, or a bool.  Later values are checked for length only, since a check
+per component would cost every called evaluation.  Each integrator calls the
+field 2N + 1 times for N steps, unless it carries its right-hand side as
+source text, as ``vector_field``'s fields do: the steps evaluate that inline
+(``_step_loop``), and the field is called once, for g_0.
 
 Per-step arithmetic.  For d = 3 a step costs fixed interpreter overhead more
 than arithmetic, so the predictor, the corrector, the corrected-mode term,
@@ -264,8 +266,8 @@ def _caputo_weights(num: int, alpha: float, step: float):
 def _start(field: VectorField, initial: Sequence[float]):
     """Initial state and g_0 as lists of floats, checked for shape, and the
     field's source text and coefficients, or else None and the field.  Each
-    initial component must pass ``_as_float`` and the divergence guard's own
-    comparison ``-L <= v <= L``, so a state of exactly +-L is accepted."""
+    component of both must pass ``_as_float``, and each initial one the
+    divergence guard's own comparison ``-L <= v <= L`` (so +-L is accepted)."""
     values = np.asarray(initial, dtype=object)
     if values.ndim != 1 or values.size == 0:
         raise ValueError("initial state must be a non-empty 1-d vector")
@@ -274,11 +276,12 @@ def _start(field: VectorField, initial: Sequence[float]):
         if not -DIVERGENCE_LIMIT <= v <= DIVERGENCE_LIMIT:
             raise ValueError(f"initial state component {i} is {v}; "
                              f"it must lie within +/-{DIVERGENCE_LIMIT:g}")
-    g0 = np.asarray(field(0.0, np.array(x0)), dtype=float)
+    g0 = np.asarray(field(0.0, np.array(x0)), dtype=object)
     if g0.shape != (len(x0),):
         raise ValueError(f"field dimension {g0.shape} does not match initial state {(len(x0),)}")
+    g0 = [_as_float(v, f"field value component {i} at t = 0") for i, v in enumerate(g0.tolist())]
     exprs, field = getattr(field, "source", None) or (None, field)
-    return x0, g0.tolist(), exprs, field
+    return x0, g0, exprs, field
 
 
 def _wrong_length(g: Sequence[float], t: float, d: int) -> NoReturn:

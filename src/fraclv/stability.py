@@ -324,7 +324,8 @@ def equilibrium_report(params: ModelParams, order: float) -> list[EquilibriumRep
     conditions empty (the CF criteria are undefined there); the Caputo
     verdict degrades to the classical test.  The order is checked and its
     constants computed once per call, and the cone, theorem and disk tests
-    run in one pass over each spectrum.
+    run in one pass over each spectrum.  A ValueError from a Jacobian's
+    cubic ends with its equilibrium: ``(equilibrium E3 at (inf, -inf, 0.0))``.
     """
     alpha = check_order(order)
     half_angle = alpha * math.pi / 2.0
@@ -333,7 +334,10 @@ def equilibrium_report(params: ModelParams, order: float) -> list[EquilibriumRep
         ratio, coefficients = alpha / (1.0 - alpha), params.as_tuple()
     reports = []
     for eq in equilibria(params):
-        spectrum = _jacobian_spectrum(jacobian(params, eq.point))
+        try:
+            spectrum = _jacobian_spectrum(jacobian(params, eq.point))
+        except ValueError as exc:  # the cubic is not finite or overflows
+            raise ValueError(f"{exc} (equilibrium {eq.kind} at {eq.point})") from None
         eigs = w1, w2, w3 = _eigs(spectrum)  # a Spectrum holds exactly three
         cones = (_cone(w1, half_angle), _cone(w2, half_angle), _cone(w3, half_angle))
         if alpha == 1.0:

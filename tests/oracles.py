@@ -34,6 +34,11 @@ four printed conditions, in the paper's order.
 ``mp_cubic_roots`` solves a cubic in mpmath at any exponent range, for
 cubics too small or too large for the companion matrix in doubles.
 
+``cf_ode_reference`` integrates the CF problem in its ODE form,
+``(I - (1-alpha) J(x)) x' = alpha g(x)`` (Losada & Nieto 2015), by RK4 with
+``numpy.linalg.solve`` at each stage: the limit that a convergent CF scheme
+must reach, computed without the integrators' code.
+
 ``linear_cf_exact`` is the exact solution of the scalar linear CF problem,
 the reference for ``integrate_cf`` in corrected mode.  ``mittag_leffler``
 gives the exact solution of the scalar linear Caputo problem,
@@ -50,6 +55,7 @@ from typing import Sequence
 
 import numpy as np
 
+from fraclv.model import jacobian
 from fraclv.solvers import (
     DIVERGENCE_LIMIT,
     DivergenceError,
@@ -360,6 +366,29 @@ def reference_rk4(field: VectorField, initial, config: SolverConfig) -> Trajecto
                 raise DivergenceError(k + 1, times[k + 1], partial)
             states[k + 1] = x
     return Trajectory(times, states)
+
+
+def cf_ode_reference(params, initial, alpha: float, horizon: float, steps: int) -> np.ndarray:
+    """The state at ``horizon`` of the three-species CF problem (M = 1) from
+    ``initial``, by ``steps`` RK4 steps on its ODE form: differentiating
+    ``x = x0 + (1-alpha)(g(x) - g(x0)) + alpha * int g`` gives
+    ``(I - (1-alpha) J(x)) x' = alpha g(x)``, with g the field (``rhs``) and
+    J its Jacobian (``fraclv.model.jacobian``)."""
+    identity = np.eye(3)
+
+    def slope(x):
+        return np.linalg.solve(identity - (1.0 - alpha) * np.array(jacobian(params, x)),
+                               alpha * rhs(params, x))
+
+    h = horizon / steps
+    x = np.array(initial, dtype=float)
+    for _ in range(steps):
+        k1 = slope(x)
+        k2 = slope(x + h / 2.0 * k1)
+        k3 = slope(x + h / 2.0 * k2)
+        k4 = slope(x + h * k3)
+        x = x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x
 
 
 def linear_cf_exact(

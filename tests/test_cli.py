@@ -12,7 +12,6 @@ import pytest
 import fraclv._csv
 import fraclv.cli
 import fraclv.stability
-from fraclv._csv import format_block
 from fraclv.cli import ConfigError, _trajectory_csv, load_config, main, parse_config
 from fraclv.presets import PRESETS, SCENARIOS
 from fraclv.solvers import Trajectory
@@ -346,24 +345,29 @@ def test_trajectory_csv_matches_row_by_row_formatting(monkeypatch):
     lines = ["t,x,y,z"]
     for t, row in zip(traj.times, traj.states):
         lines.append(f"{t:.16e},{row[0]:.16e},{row[1]:.16e},{row[2]:.16e}")
-    calls = []  # per kernel call: did it refuse the rows, and which rows
+    calls = []  # per call: its path and its rows
 
-    def spy(block):
-        text = format_block(block)
-        calls.append((text is None, block.copy()))
-        return text
+    def spy(function, path):
+        def recorded(block, *rest):
+            calls.append((path, block.copy()))
+            return function(block, *rest)
+        return recorded
 
-    monkeypatch.setattr(fraclv._csv, "format_block", spy)
+    monkeypatch.setattr(fraclv._csv, "_kernel", spy(fraclv._csv._kernel, "kernel"))
+    monkeypatch.setattr(fraclv._csv, "_percent", spy(fraclv._csv._percent, "%"))
     chunks = list(_trajectory_csv(traj))
     assert b"".join(chunks).decode("ascii") == "\n".join(lines) + "\n"
     assert len(chunks) == 5
-    assert [len(rows) for refused, rows in calls if refused] == [1024, 1024, 1024]
     table = np.column_stack((traj.times, traj.states))
     a = np.abs(table)
     fast = ((a == 0.0) | ((a > 1e-11) & (a < 2.0 ** 51))).all(axis=1)
     assert np.flatnonzero(~fast).tolist() == [1, 701, 1023, 1024, 1025, 1401, 2101]
-    kernel_rows = np.concatenate([rows for refused, rows in calls if not refused])
+    percent_rows = np.concatenate([rows for path, rows in calls if path == "%"])
+    assert percent_rows.tobytes() == table[~fast].tobytes()
+    kernel_rows = np.concatenate([rows for path, rows in calls if path == "kernel"])
     assert kernel_rows.tobytes() == table[fast].tobytes()
+    # rows 1023 | 1024, 1025 straddle a block edge: the % runs are cut there
+    assert [len(rows) for path, rows in calls if path == "%"] == [1, 1, 1, 2, 1, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +431,16 @@ def test_underflowed_e4_denominator_is_one_error_line(tmp_path, capsys, command,
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     if message:
         assert captured.err == message
+
+
+def test_report_error_names_the_equilibrium(tmp_path, capsys):
+    # the underflowed a7 * a4 above: E3's Jacobian has no finite cubic
+    params = dict(PRESETS["example1"].params.as_dict(), a4=1e-320, a7=5e-324)
+    path = _write_config(tmp_path, _base_config(params=params))
+    assert main(["stability", "--config", path]) == 1
+    assert capsys.readouterr().err == (
+        "error: cubic coefficients must be finite, got CubicCoefficients(a=nan, b=nan, c=nan)"
+        " (equilibrium E3 at (inf, -inf, 0.0))\n")
 
 
 def test_overflowing_cubic_is_one_error_line(tmp_path, capsys):

@@ -107,6 +107,33 @@ def test_initial_state_components_follow_the_same_rule(integrate, value):
         integrate(FIELD, [0.5, value, 0.1], 0.9, CONFIG)
 
 
+# and for each component of the field's value at t = 0, g_0
+@pytest.mark.parametrize("integrate", [integrate_caputo, integrate_cf])
+@pytest.mark.parametrize("value", [True, "1.0", None, 1j, 10 ** 400],
+                         ids=["True", "str", "None", "complex", "huge-int"])
+def test_field_value_components_at_zero_follow_the_same_rule(integrate, value):
+    field = lambda t, x: [x[0], value, x[2]]
+    with pytest.raises(ValueError, match=r"^field value component 1 at t = 0 must be "):
+        integrate(field, [0.5, 0.9, 0.1], 0.9, CONFIG)
+
+
+@pytest.mark.parametrize("integrate", [integrate_caputo, integrate_cf])
+@pytest.mark.parametrize("wrap", [
+    lambda g: [int(v) for v in g],
+    lambda g: np.array(g, dtype=np.float32),
+], ids=["int", "float32"])
+def test_real_field_values_run_as_their_floats(integrate, wrap):
+    # g_0 is taken as the floats of the field's value; later values are used
+    # as returned (a float32 value keeps float32 arithmetic in the step).
+    # Tuples, lists and float64 arrays: test_tuple_list_and_ndarray_returns_agree_bitwise
+    def as_floats(t, x):
+        g = wrap(FIELD(t, x))
+        return [float(v) for v in g] if t == 0.0 else g
+
+    run = integrate(lambda t, x: wrap(FIELD(t, x)), [0.5, 0.9, 0.1], 0.9, CONFIG).states
+    assert run.tobytes() == integrate(as_floats, [0.5, 0.9, 0.1], 0.9, CONFIG).states.tobytes()
+
+
 @pytest.mark.parametrize("integrate", [integrate_caputo, integrate_cf])
 @pytest.mark.parametrize("initial", [
     [Fraction(1, 2), 1, np.float64(0.1)],

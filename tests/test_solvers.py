@@ -22,7 +22,14 @@ from fraclv.solvers import (
     integrate_cf,
 )
 
-from oracles import caputo_direct, cf_direct, linear_cf_exact, mittag_leffler, reference_rk4
+from oracles import (
+    caputo_direct,
+    cf_direct,
+    cf_ode_reference,
+    linear_cf_exact,
+    mittag_leffler,
+    reference_rk4,
+)
 
 EX1 = PRESETS["example1"].params
 
@@ -354,6 +361,25 @@ def test_cf_paper_mode_tracks_rescaled_classical_limit():
     config = SolverConfig(step=0.01, horizon=horizon, cf_mode="paper")
     traj = integrate_cf(lambda t, x: lam * x, [1.0], alpha, config)
     assert abs(traj.final_state[0] - math.exp(alpha * lam * horizon)) < 1e-4
+
+
+def test_cf_modes_against_the_ode_form_on_example1():
+    # The CF problem is the ODE (I - (1-a) J(x)) x' = a g(x).  Corrected mode
+    # converges to it at first order only (measured 1.12, 1.06, 1.03 per
+    # halving from h = 1/64), and paper mode to x' = a g(x), ~1.9 away at
+    # T = 1 (max abs).  Both figures document the schemes, not a target.
+    alpha, initial = 0.98, [0.5, 0.9, 0.1]
+    reference = cf_ode_reference(EX1, initial, alpha, 1.0, 2000)
+    assert np.max(np.abs(reference - cf_ode_reference(EX1, initial, alpha, 1.0, 1000))) < 1e-9
+    field = vector_field(EX1)
+    errors = {}
+    for mode in ("corrected", "paper"):
+        errors[mode] = [np.max(np.abs(integrate_cf(field, initial, alpha,
+                                                   SolverConfig(1.0 / n, 1.0, mode)).final_state
+                                      - reference)) for n in (64, 128, 256, 512)]
+    orders = [math.log2(a / b) for a, b in zip(errors["corrected"], errors["corrected"][1:])]
+    assert all(0.9 <= order <= 1.3 for order in orders), orders
+    assert min(errors["paper"]) >= 1.0, errors["paper"]
 
 
 # ---------------------------------------------------------------------------
@@ -757,8 +783,10 @@ def test_cf_corrected_explicit_instability_is_caught():
 
 def test_dimension_mismatch_rejected():
     bad = lambda t, x: np.array([1.0, 2.0])
-    with pytest.raises(ValueError):
-        integrate_cf(bad, [1.0, 2.0, 3.0], 0.5, SolverConfig(step=0.1, horizon=1.0))
+    message = r"^field dimension \(2,\) does not match initial state \(3,\)$"
+    for integrate in (integrate_caputo, integrate_cf):
+        with pytest.raises(ValueError, match=message):
+            integrate(bad, [1.0, 2.0, 3.0], 0.5, SolverConfig(step=0.1, horizon=1.0))
 
 
 def test_fractional_order_validation():

@@ -7,12 +7,13 @@ Runs example1 at alpha = 0.98, h = 0.01, for each step count and each
 (B, G) in {512, 1024} x {4, 8}, by setting ``fraclv.solvers.HISTORY_BLOCK``
 and ``fraclv.solvers._GROUP`` and regenerating the step loop.  The (B, G)
 pairs alternate within each round, and each figure is the best of
-``--repeat`` rounds.  Prints one JSON object: seconds per run, by step count
-and by "B,G".
+``--repeat`` rounds.  Prints one JSON object on stdout: seconds per run, by
+step count and by "B,G"; a progress line per step count goes to stderr.
 """
 
 import argparse
 import json
+import sys
 import time
 
 import fraclv.solvers as solvers
@@ -44,7 +45,8 @@ def main() -> None:
         for _ in range(args.repeat):
             for b, g in SIZES:
                 row[f"{b},{g}"] = min(row[f"{b},{g}"], run_time(field, steps, b, g))
-        print(steps, {key: round(value, 4) for key, value in row.items()}, flush=True)
+        progress = {key: round(value, 4) for key, value in row.items()}
+        print(steps, progress, file=sys.stderr, flush=True)
     print(json.dumps({"seconds": best}))
 
 
