@@ -78,7 +78,8 @@ number, or a bool.  Later values are checked for length only, since a check
 per component would cost every called evaluation.  Each integrator calls the
 field 2N + 1 times for N steps, unless it carries its right-hand side as
 source text, as ``vector_field``'s fields do: the steps evaluate that inline
-(``_step_loop``), and the field is called once, for g_0.
+(``_step_loop``), and the field is called once, for g_0.  The text's
+coefficients follow g_0's rule, and must be as many as the text names.
 
 Per-step arithmetic.  For d = 3 a step costs fixed interpreter overhead more
 than arithmetic, so the predictor, the corrector, the corrected-mode term,
@@ -86,15 +87,15 @@ the CF running sum, the divergence guard and a field's source text run on
 Python floats, in a step loop generated once per operator, CF mode, d and
 source text (``_step_loop``, on the first run that needs it): each component
 is a scalar local and each per-component line is written out d times, so a
-step builds no lists but its row and the states it passes to a called field.
-Generating a loop costs ~0.3-0.4 ms (CF) and ~1 ms (Caputo) at d = 3, and
-grows with d (~0.08 s and ~0.2-0.3 s per 1,000 components).  numpy holds
-the weight tables, the Caputo history with its one matrix product per group
-of steps and its transforms per block, and the ``states`` array, which takes
-the accepted rows in one store per block.  Python and numpy float ``+ - *``
-are the same IEEE operations, so the trajectories are bit for bit those of
-an all-numpy step, and Python float ``+ - *`` overflows to inf (which the
-guard catches) rather than raising.  Untraced time per step on the bundled
+step builds no list but the states it passes to a called field, and stores
+its accepted state straight into its row of ``states``.  Generating a loop
+costs ~0.3-0.4 ms (CF) and ~1 ms (Caputo) at d = 3, and grows with d (~0.08
+s and ~0.2-0.3 s per 1,000 components).  numpy holds the weight tables, the
+Caputo history with its one matrix product per group of steps and its
+transforms per block, and ``states``.  Python and numpy float ``+ - *`` are
+the same IEEE operations, so the trajectories are bit for bit those of an
+all-numpy step, and Python float ``+ - *`` overflows to inf (which the guard
+catches) rather than raising.  Untraced time per step on the bundled
 scenarios (Intel Xeon, 2 vCPUs, Python 3.11, numpy 2.4.6; minimum of 15
 runs): CF ~0.7-0.9 us and Caputo ~2.3 us at 5k-10k steps, against ~2.1-2.3
 us and ~3.7-3.8 us with the same field called, through a lambda around it.
@@ -129,8 +130,7 @@ DIVERGENCE_LIMIT = 1e12
 
 #: Steps per block of the Caputo history: within a block the history since
 #: its start is summed directly, and the history before it at the block start,
-#: from the stored spectra of the blocks before.  Both integrators store their
-#: accepted rows once a block.
+#: from the stored spectra of the blocks before.
 HISTORY_BLOCK = 512
 
 #: Steps per group of the Caputo near history: one matrix product gives the
@@ -265,8 +265,9 @@ def _caputo_weights(num: int, alpha: float, step: float):
 
 def _start(field: VectorField, initial: Sequence[float]):
     """Initial state and g_0 as lists of floats, checked for shape, and the
-    field's source text and coefficients, or else None and the field.  Each
-    component of both must pass ``_as_float``, and each initial one the
+    field's source text and coefficients (as many as it names), or else None
+    and the field.  Each of their values must pass ``_as_float`` (NaN and inf
+    in g_0 or a coefficient are left to the guard), and each initial one the
     divergence guard's own comparison ``-L <= v <= L`` (so +-L is accepted)."""
     values = np.asarray(initial, dtype=object)
     if values.ndim != 1 or values.size == 0:
@@ -281,6 +282,11 @@ def _start(field: VectorField, initial: Sequence[float]):
         raise ValueError(f"field dimension {g0.shape} does not match initial state {(len(x0),)}")
     g0 = [_as_float(v, f"field value component {i} at t = 0") for i, v in enumerate(g0.tolist())]
     exprs, field = getattr(field, "source", None) or (None, field)
+    if exprs is not None:
+        count = _coefficient_count(exprs, len(x0))
+        if len(field) != count:
+            raise ValueError(f"field source names {count} coefficients, got {len(field)}")
+        field = [_as_float(v, f"field source coefficient {j}") for j, v in enumerate(field)]
     return x0, g0, exprs, field
 
 
@@ -289,24 +295,17 @@ def _wrong_length(g: Sequence[float], t: float, d: int) -> NoReturn:
     raise ValueError(f"field returned {len(g)} components at t = {t:g}, expected {d}")
 
 
-def _diverged(k: int, times: np.ndarray, states: np.ndarray, rows: list[float]) -> NoReturn:
-    """The state of step k+1 failed the divergence guard: store the accepted
-    ``rows`` and raise DivergenceError with the trajectory up to step k.
+def _diverged(k: int, times: np.ndarray, states: np.ndarray) -> NoReturn:
+    """The state of step k+1 failed the divergence guard: raise DivergenceError
+    with the trajectory up to step k, whose rows are stored already.
 
     The guard is ``-L <= v <= L`` on each component, L = DIVERGENCE_LIMIT;
     NaN fails both comparisons, so it trips the guard, and so does inf.
     """
-    _store(states, rows, k + 1)
     raise DivergenceError(k + 1, times[k + 1], Trajectory(times[: k + 1], states[: k + 1].copy()))
 
 
-def _store(states: np.ndarray, rows: list[float], end: int) -> None:
-    """Write the flat ``rows`` into ``states`` as the rows just before row ``end``; empty them."""
-    states.reshape(-1)[end * states.shape[1] - len(rows) : end * states.shape[1]] = rows
-    rows.clear()
-
-
-def _grid(x0: list[float], config: SolverConfig) -> tuple[np.ndarray, np.ndarray, list[float]]:
+def _grid(x0: list[float], config: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
     num = config.num_steps
     try:
         states = np.empty((num + 1, len(x0)))
@@ -315,26 +314,30 @@ def _grid(x0: list[float], config: SolverConfig) -> tuple[np.ndarray, np.ndarray
             f"step count {num:.6g} (horizon {config.horizon} / step {config.step}) "
             f"is too large to allocate: {exc}"
         ) from None
-    return config.step * np.arange(num + 1), states, x0[:]  # rows yet to store: x0, flat
+    states[0] = x0
+    return config.step * np.arange(num + 1), states
 
 
-# The step loops, as source text.  A loop runs the steps k = start..end-1 of
-# one block; ``_step_loop`` writes each line that names a component ``{i}``
-# out once per component, so every component is a scalar local.  ``_STEP``
-# is one PECE step at time t_{k+lag}: the field at the predictor, in p0, p1,
-# ..., the corrector, the divergence guard on it, and the field at the
-# corrector, in its components ``{b}`` (b0, b1, ... in CF).  Each of the two
-# field evaluations is a slot: ``_CALL``, which calls the field and checks
-# the length of its value, or a field's source text written out in its
-# place.  A step that calls the field computes t as h (k + lag), which is bit
-# for bit ``times[k + lag]``.
+# The step loops, as source text.  A loop runs the steps k = 0..N-1 (CF) or
+# the steps k = start..end-1 of one block (Caputo); ``_step_loop`` writes
+# each line that names a component ``{i}`` out once per component, so every
+# component is a scalar local.  ``_STEP`` is one PECE step at time t_{k+lag}:
+# the field at the predictor, in p0, p1, ..., the corrector, the divergence
+# guard on it, the store of the corrector into row k+lag of ``states``, and
+# the field at the corrector, in its components ``{b}`` (b0, b1, ... in CF).
+# The store is item k+lag-1 of o0, o1, ..., memoryviews of the columns of
+# ``states[1:]``: ~90 ns at d = 3, against ~130 ns for a list of the row or
+# for flat-index stores (isolated loop; Intel Xeon, Python 3.11).  Each of
+# the two field evaluations is a slot: ``_CALL``, which calls the field and
+# checks the length of its value, or a field's source text written out in
+# its place.  A step that calls the field computes t as h (k + lag), which
+# is bit for bit ``times[k + lag]``.
 _STEP = """\
 {at_predictor}\
         {corrector}
         if not ({guard}):
-            _diverged({k}, times, states, rows)
-        xc = [{v}]
-        rows += xc
+            _diverged({k}, times, states)
+        {store}
 {at_corrector}\
 """
 
@@ -347,16 +350,15 @@ _CALL = """\
 
 # CF: x0 in a0, a1, ..., g_0 in c0, c1, ..., and the running sum S_k in s0, s1, ...
 _CF_LOOP = """\
-def cf_steps(field, times, states, rows, start, end, h, lim, x0, g0, s, g, ch, ch2, cf):
+def cf_steps(field, times, states, num, h, lim, x0, g0, ch, ch2, cf):
 {coefficients}\
     [{a}] = x0
     [{c}] = g0
-    [{s}] = s
-    [{b}] = g
-    for k in range(start, end):
+    [{s}] = [{b}] = g0
+    [{o}] = map(memoryview, states[1:].T)
+    for k in range(num):
 {step}\
         {total}
-    return [{s}], [{b}]
 """
 
 # Caputo: the G steps k..k+G-1 of a group.  The matrix product gives the sums
@@ -367,9 +369,10 @@ def cf_steps(field, times, states, rows, start, end, h, lim, x0, g0, s, g, ch, c
 # (corrector), and the group's G field values go into the history, through
 # its flat view, in one slice assignment.
 _CAPUTO_LOOP = """\
-def caputo_steps(field, times, states, rows, start, end, h, lim, hist, table, base, new, lagw):
+def caputo_steps(field, times, states, start, end, h, lim, hist, table, base, new, lagw):
 {coefficients}\
     [{w}] = lagw
+    [{o}] = map(memoryview, states[1:].T)
     flat = hist.reshape(-1)
     last = start + {B} - 1
     for k in range(start, end, {G}):
@@ -382,6 +385,7 @@ def caputo_steps(field, times, states, rows, start, end, h, lim, hist, table, ba
 _TEXT = re.compile(r"[ +\-*/()]|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 
 
+@functools.cache  # every run with source text checks its coefficients against it
 def _coefficient_count(exprs: tuple[str, ...], d: int) -> int:
     """One more than the largest ``{c<j>}`` in a field's source ``exprs``.
     ValueError unless there is one expression per component and each names
@@ -436,21 +440,22 @@ def _step_loop(operator: str, cf_mode: str | None, d: int, exprs: tuple[str, ...
         if exprs is None:
             at_predictor = f"        t = h * (k + {lag})\n" + _CALL.format(
                 g="gp", state="[" + each(predictor) + "]", d=d, out=each("p{i}"))
-            at_corrector = _CALL.format(g="g", state="xc", d=d, out=each(b))
+            at_corrector = _CALL.format(g="g", state="[" + each("v{i}") + "]", d=d, out=each(b))
         else:
             at_predictor = each(f"        y{{i}} = {predictor}\n", "") + inline("p{i}", "y{i}")
             at_corrector = inline(b, "v{i}")
-        return _STEP.format(
-            k="k" if lag == 1 else f"k + {lag - 1}", at_predictor=at_predictor,
-            corrector=each(f"v{{i}} = {corrector}", "\n        "),
-            guard=each("-lim <= v{i} <= lim", " and "), v=each("v{i}"), at_corrector=at_corrector)
+        k = "k" if lag == 1 else f"k + {lag - 1}"  # row k+lag of ``states``: item k+lag-1 of o*
+        return _STEP.format(k=k, at_predictor=at_predictor, at_corrector=at_corrector,
+                            corrector=each(f"v{{i}} = {corrector}", "\n        "),
+                            guard=each("-lim <= v{i} <= lim", " and "),
+                            store=each(f"o{{i}}[{k}] = v{{i}}", "\n        "))
 
     if operator == "cf":
         lagged = predicted = ""
         if cf_mode == "corrected":  # the term (1-a)(g - g0) at the lagged and predicted g
             lagged, predicted = " + cf * (b{i} - c{i})", " + cf * (p{i} - c{i})"
         source = _CF_LOOP.format(
-            a=each("a{i}"), c=each("c{i}"), s=each("s{i}"), b=each("b{i}"),
+            a=each("a{i}"), c=each("c{i}"), s=each("s{i}"), b=each("b{i}"), o=each("o{i}"),
             step=step(1, "a{i} + ch * s{i}" + lagged,
                       "a{i} + ch2 * (2.0 * s{i} - c{i} + p{i})" + predicted),
             total=each("s{i} += b{i}", "\n        "), coefficients=head)
@@ -468,7 +473,7 @@ def _step_loop(operator: str, cf_mode: str | None, d: int, exprs: tuple[str, ...
         source = _CAPUTO_LOOP.format(
             w=", ".join(f"u{l}, w{l}" for l in range(_GROUP - 1)), B=HISTORY_BLOCK, G=_GROUP,
             sums=", ".join(row("q", j) + ", " + row("e", j) for j in range(_GROUP)),
-            steps="".join(steps), d=d, end=d * (_GROUP + 1), coefficients=head,
+            steps="".join(steps), d=d, end=d * (_GROUP + 1), coefficients=head, o=each("o{i}"),
             values="(" + ", ".join(each(f"b{j}_{{i}}") for j in range(_GROUP)) + ")")
     namespace = {"_wrong_length": _wrong_length, "_diverged": _diverged, "dot": np.dot,
                  "array": np.array}
@@ -486,7 +491,7 @@ def integrate_cf(
     """Integrate ``D^alpha x = g(t, x)`` under the exponential-kernel operator.
 
     Order-1 PECE on the CF integral with the running field sum
-    S_k = g_0 + ... + g_k, so one step costs O(1):
+    S_k = g_0 + ... + g_k, so a step costs O(1) and one loop call runs all N:
 
         predictor  x0 + a h S_k
         corrector  x0 + a (h/2) (2 S_k - g_0 + g_p)
@@ -499,18 +504,13 @@ def integrate_cf(
     """
     alpha = check_order(order)
     x0, g0, exprs, field = _start(field, initial)
-    times, states, rows = _grid(x0, config)
-    num = len(times) - 1
+    times, states = _grid(x0, config)
     cf_coeff = 1.0 - alpha if config.cf_mode == "corrected" else 0.0
     steps = _step_loop("cf", "corrected" if cf_coeff else "paper", len(x0), exprs)
     ch = alpha * config.step
-    total = g = g0
     with np.errstate(over="ignore", invalid="ignore"):  # for fields that return ndarrays
-        for start in range(0, num, HISTORY_BLOCK):  # rows are stored per block
-            end = min(start + HISTORY_BLOCK, num)
-            total, g = steps(field, times, states, rows, start, end, config.step, DIVERGENCE_LIMIT,
-                             x0, g0, total, g, ch, ch / 2.0, cf_coeff)
-            _store(states, rows, end + 1)
+        steps(field, times, states, len(times) - 1, config.step, DIVERGENCE_LIMIT, x0, g0,
+              ch, ch / 2.0, cf_coeff)
     return Trajectory(times, states)
 
 
@@ -543,7 +543,7 @@ def integrate_caputo(
     alpha = check_order(order)
     x0, g0, exprs, field = _start(field, initial)
     d = len(x0)
-    times, states, rows = _grid(x0, config)
+    times, states = _grid(x0, config)
     num = len(times) - 1
     hist = np.empty((num + 1, d))
     hist[0] = g0
@@ -575,7 +575,6 @@ def integrate_caputo(
                 base = np.zeros((HISTORY_BLOCK, 2, d))
             base[:, 1] += np.multiply.outer(c0[start : start + HISTORY_BLOCK], g0)
             base += x0
-            steps(field, times, states, rows, start, end, config.step, DIVERGENCE_LIMIT, hist,
+            steps(field, times, states, start, end, config.step, DIVERGENCE_LIMIT, hist,
                   table, base.reshape(HISTORY_BLOCK // _GROUP, 2 * _GROUP, d), new, lagw)
-            _store(states, rows, end + 1)
     return Trajectory(times, states)

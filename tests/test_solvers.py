@@ -706,6 +706,33 @@ def test_divergence_partial_equals_the_run_cut_before_it(monkeypatch, integrate,
         assert offsets == set(range(_GROUP))
 
 
+_decay_inline = lambda t, x: decay(t, x)
+_decay_inline.source = (("-{x0}",), ())
+
+
+@pytest.mark.parametrize("path", ["inline", "adapter"])
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("loop", sorted(LOOPS))
+def test_every_row_of_a_completed_run_is_written(monkeypatch, loop, d, path):
+    # np.empty filled with NaN, as above, on runs that end at a step of either
+    # side of a Caputo group and block edge; each step stores its own row
+    integrate, mode = LOOPS[loop]
+    if d == 3:
+        field, initial = _both_paths(EX1)[path], [0.5, 0.9, 0.1]
+    else:
+        field, initial = {"inline": _decay_inline, "adapter": decay}[path], [1.0]
+    for steps in (1, _GROUP - 1, HISTORY_BLOCK - 1, HISTORY_BLOCK, HISTORY_BLOCK + 1,
+                  2 * HISTORY_BLOCK + 3):
+        config = SolverConfig(step=0.01, horizon=0.01 * steps, cf_mode=mode)
+        plain = integrate(field, initial, 0.85, config).states
+        with monkeypatch.context() as patch:
+            patch.setattr(fraclv.solvers.np, "empty", lambda shape: np.full(shape, np.nan))
+            states = integrate(field, initial, 0.85, config).states
+        assert states.shape == (steps + 1, d)
+        assert np.all(np.isfinite(states)), steps
+        assert states.tobytes() == plain.tobytes(), steps
+
+
 @pytest.mark.parametrize("name", ["example1-caputo", "example2-caputo"])
 def test_caputo_run_is_the_prefix_of_a_longer_run(name):
     # a run's last block reads the same lag weights, full blocks' worth, as a
