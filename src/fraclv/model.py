@@ -39,7 +39,7 @@ from typing import Callable, Hashable, Sequence, TypeVar
 
 import numpy as np
 
-from .solvers import _as_float
+from .solvers import _Source, _as_float
 from .spectral import _value_type
 
 __all__ = [
@@ -116,7 +116,7 @@ def _shared(value: _Hashable) -> _Hashable:
 
 #: The right-hand side, the model's one statement of it: one expression per
 #: component over the state {x0}..{x2} and the coefficients {c0}..{c6} (a1, a2,
-#: 1 - a3, a4, 1 - a5, a6, a7).  ``vector_field`` compiles it; the step loops inline it.
+#: 1 - a3, a4, 1 - a5, a6, a7).  ``vector_field`` compiles it; the loops inline its ``_Source``.
 _SOURCE = ("{x0} * ({c0} - {c1} * {x0} - {x1} - {x2})", "{x1} * ({c2} + {c3} * {x0})",
            "{x2} * ({c4} + {c5} * {x0} + {c6} * {x1})")
 
@@ -129,9 +129,9 @@ def vector_field(params: ModelParams) -> Callable[[float, np.ndarray], tuple[flo
 
     ``state`` is a 1-d float array; the derivative, ``_SOURCE`` compiled at
     import, comes back as a tuple of three Python floats.  ``source``,
-    ``(_SOURCE, coefficients)``, is the same as text: the integrators evaluate
-    it inline in their steps, as a call costs more than the arithmetic, and
-    call the field once, for the initial value.
+    ``solvers._Source(_SOURCE, coefficients)``, is the same as text: the
+    integrators evaluate it inline in their steps, as a call costs more than
+    the arithmetic, and call the field once, for the initial value.
     """
     a1, a2, a3, a4, a5, a6, a7 = params.as_tuple()
     b3, b5 = 1.0 - a3, 1.0 - a5
@@ -140,7 +140,7 @@ def vector_field(params: ModelParams) -> Callable[[float, np.ndarray], tuple[flo
         x0, x1, x2 = state.tolist()
         return _rhs(x0, x1, x2, a1, a2, b3, a4, b5, a6, a7)
 
-    field.source = (_SOURCE, (a1, a2, b3, a4, b5, a6, a7))
+    field.source = _Source(_SOURCE, (a1, a2, b3, a4, b5, a6, a7))
     return field
 
 

@@ -76,10 +76,10 @@ a component that is not a real number, or a bool, or outside the divergence
 guard's range, or a value at t = 0 (g_0) with a component that is not a real
 number, or a bool.  Later values are checked for length only, since a check
 per component would cost every called evaluation.  Each integrator calls the
-field 2N + 1 times for N steps, unless it carries its right-hand side as
-source text, as ``vector_field``'s fields do: the steps evaluate that inline
-(``_step_loop``), and the field is called once, for g_0.  The text's
-coefficients follow g_0's rule, and must be as many as the text names.
+field 2N + 1 times for N steps, unless it is one of ``vector_field``'s, whose
+``source``, a ``_Source``, holds its right-hand side as text: the steps
+evaluate that inline (``_step_loop``), and the field is called once, for g_0.
+A ``source`` of any other type is ignored, so no text comes from outside.
 
 Per-step arithmetic.  For d = 3 a step costs fixed interpreter overhead more
 than arithmetic, so the predictor, the corrector, the corrected-mode term,
@@ -109,9 +109,8 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import re
 from dataclasses import dataclass
-from typing import Callable, NoReturn, Sequence
+from typing import Callable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -138,6 +137,15 @@ HISTORY_BLOCK = 512
 _GROUP = 4
 
 VectorField = Callable[[float, np.ndarray], Sequence[float]]
+
+
+class _Source(NamedTuple):
+    """``model.vector_field``'s right-hand side as text: one expression per
+    component over ``{x0}``, ``{x1}``, ... and ``{c0}``, ``{c1}``, ..., whose
+    float values ``coefficients`` holds."""
+
+    exprs: tuple[str, ...]
+    coefficients: tuple[float, ...]
 
 
 def _as_float(value, what: str) -> float:
@@ -265,10 +273,10 @@ def _caputo_weights(num: int, alpha: float, step: float):
 
 def _start(field: VectorField, initial: Sequence[float]):
     """Initial state and g_0 as lists of floats, checked for shape, and the
-    field's source text and coefficients (as many as it names), or else None
-    and the field.  Each of their values must pass ``_as_float`` (NaN and inf
-    in g_0 or a coefficient are left to the guard), and each initial one the
-    divergence guard's own comparison ``-L <= v <= L`` (so +-L is accepted)."""
+    text and coefficient count of the field's ``_Source`` and its
+    coefficients, or else None and the field.  Each of their values must pass
+    ``_as_float`` (NaN and inf in g_0 are left to the guard), and each initial
+    one the divergence guard's own comparison ``-L <= v <= L`` (so +-L is accepted)."""
     values = np.asarray(initial, dtype=object)
     if values.ndim != 1 or values.size == 0:
         raise ValueError("initial state must be a non-empty 1-d vector")
@@ -281,13 +289,10 @@ def _start(field: VectorField, initial: Sequence[float]):
     if g0.shape != (len(x0),):
         raise ValueError(f"field dimension {g0.shape} does not match initial state {(len(x0),)}")
     g0 = [_as_float(v, f"field value component {i} at t = 0") for i, v in enumerate(g0.tolist())]
-    exprs, field = getattr(field, "source", None) or (None, field)
-    if exprs is not None:
-        count = _coefficient_count(exprs, len(x0))
-        if len(field) != count:
-            raise ValueError(f"field source names {count} coefficients, got {len(field)}")
-        field = [_as_float(v, f"field source coefficient {j}") for j, v in enumerate(field)]
-    return x0, g0, exprs, field
+    source = getattr(field, "source", None)
+    if type(source) is _Source:
+        return x0, g0, (source.exprs, len(source.coefficients)), source.coefficients
+    return x0, g0, None, field
 
 
 def _wrong_length(g: Sequence[float], t: float, d: int) -> NoReturn:
@@ -382,41 +387,16 @@ def caputo_steps(field, times, states, start, end, h, lim, hist, table, base, ne
         flat[{d} * k + {d} : {d} * k + {end}] = {values}
 """
 
-_TEXT = re.compile(r"[ +\-*/()]|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-
-
-@functools.cache  # every run with source text checks its coefficients against it
-def _coefficient_count(exprs: tuple[str, ...], d: int) -> int:
-    """One more than the largest ``{c<j>}`` in a field's source ``exprs``.
-    ValueError unless there is one expression per component and each names
-    nothing but ``{x0}``..``{x<d-1>}`` and ``{c0}``, ``{c1}``, ...: the text
-    between them holds numbers, spaces, ``+ - * /`` and parentheses
-    (``_TEXT``), and no number runs into a placeholder before it."""
-    import string  # here, as only a loop with a field's source text needs it
-
-    if len(exprs) != d:
-        raise ValueError(f"field source has {len(exprs)} expressions for a state of {d} components")
-    states, count = {f"x{i}" for i in range(d)}, 0
-    for expr in exprs:
-        for n, (text, name, spec, conversion) in enumerate(string.Formatter().parse(expr)):
-            coefficient = re.fullmatch(r"c(0|[1-9][0-9]*)", name or "")
-            if (_TEXT.sub("", text) or n and re.match(r"[\d.]", text) or spec or conversion
-                    or name is not None and not (name in states or coefficient)):
-                raise ValueError(f"field source {expr!r} names something other than "
-                                 f"{{x0}}..{{x{d - 1}}} and {{c0}}, {{c1}}, ...")
-            count = max(count, int(coefficient[1]) + 1 if coefficient else 0)
-    return count
-
 
 @functools.cache
-def _step_loop(operator: str, cf_mode: str | None, d: int, exprs: tuple[str, ...] | None) -> Callable:
+def _step_loop(operator: str, cf_mode: str | None, d: int, source: tuple | None) -> Callable:
     """The step loop of ``operator`` ("cf" in ``cf_mode``, or "caputo") for
     states of d components, generated on first use from the templates above.
 
-    A field's source text ``exprs`` (from ``model.vector_field``; None for a
-    field that is called) is written out in place of its two calls, over the
-    state's components and the coefficients f0, f1, ..., which the loop takes
-    as its ``field`` argument.  The generator owns every local name.
+    ``source``, a ``_Source``'s text and coefficient count (None for a field
+    that is called), is written out in place of the field's two calls, over
+    the state's components and the coefficients f0, f1, ..., which the loop
+    takes as its ``field`` argument.  The generator owns every local name.
 
     Each component is computed by the same expression, with the same order
     of operations, whatever d is, and the guard checks the components in
@@ -427,7 +407,7 @@ def _step_loop(operator: str, cf_mode: str | None, d: int, exprs: tuple[str, ...
     def each(expr: str, sep: str = ", ") -> str:
         return sep.join(expr.format(i=i) for i in range(d))
 
-    count = 0 if exprs is None else _coefficient_count(exprs, d)
+    exprs, count = source or (None, 0)
     coefficients = {f"c{j}": f"f{j}" for j in range(count)}  # placeholder: local
     head = f"    [{', '.join(coefficients.values())}] = field\n" if count else ""
 
@@ -503,10 +483,10 @@ def integrate_cf(
     is zero and the run is a ``paper`` mode run.
     """
     alpha = check_order(order)
-    x0, g0, exprs, field = _start(field, initial)
+    x0, g0, source, field = _start(field, initial)
     times, states = _grid(x0, config)
     cf_coeff = 1.0 - alpha if config.cf_mode == "corrected" else 0.0
-    steps = _step_loop("cf", "corrected" if cf_coeff else "paper", len(x0), exprs)
+    steps = _step_loop("cf", "corrected" if cf_coeff else "paper", len(x0), source)
     ch = alpha * config.step
     with np.errstate(over="ignore", invalid="ignore"):  # for fields that return ndarrays
         steps(field, times, states, len(times) - 1, config.step, DIVERGENCE_LIMIT, x0, g0,
@@ -541,7 +521,7 @@ def integrate_caputo(
     values go into the history at the end of the group.
     """
     alpha = check_order(order)
-    x0, g0, exprs, field = _start(field, initial)
+    x0, g0, source, field = _start(field, initial)
     d = len(x0)
     times, states = _grid(x0, config)
     num = len(times) - 1
@@ -555,7 +535,7 @@ def integrate_caputo(
     if blocks > 1:  # the spectra, as reals: of the weight segments, last first, and of blocks
         weights = np.zeros((HISTORY_BLOCK + 1, 4, blocks - 1))  # Re pred, Re corr, Im pred, Im corr
         spectra = np.zeros((HISTORY_BLOCK + 1, blocks - 1, 2 * d))  # Re, Im of each component
-    steps = _step_loop("caputo", None, d, exprs)
+    steps = _step_loop("caputo", None, d, source)
     with np.errstate(over="ignore", invalid="ignore"):
         for m, start in enumerate(range(0, num, HISTORY_BLOCK)):
             end = min(start + HISTORY_BLOCK, num)

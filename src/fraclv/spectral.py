@@ -23,8 +23,9 @@ whose coefficients a/2**k, b/4**k, c/8**k are exact, and its roots are scaled
 back.  Above S ~ 2**170 the terms overflow and ValueError is raised.
 
 ``characteristic_cubic`` checks and converts its matrix before the one
-coefficient formula, and ``cubic_roots`` reads a ``CubicCoefficients`` before
-the one root solver.  ``equilibrium_report`` calls the private float-level
+coefficient formula, and ``cubic_roots`` reads a ``CubicCoefficients``, whose
+coefficients are floats by the real-number rule of ``solvers._as_float``,
+before the one root solver.  ``equilibrium_report`` calls the private float-level
 path ``_jacobian_spectrum``, which hands the nine floats of a
 ``model.jacobian`` straight to the same arithmetic (no check, no conversion,
 no ``CubicCoefficients``): the same Spectrum bit for bit, and ValueErrors
@@ -46,6 +47,8 @@ import math
 import sys
 from dataclasses import MISSING, dataclass, fields
 from typing import Sequence
+
+from .solvers import _as_float
 
 __all__ = [
     "BRANCH_ONE_REAL_PAIR",
@@ -117,11 +120,21 @@ def _value_type(cls: type) -> type:
 
 @dataclass(frozen=True, slots=True)
 class CubicCoefficients:
-    """Monic cubic L(w) = w^3 + a w^2 + b w + c."""
+    """Monic cubic L(w) = w^3 + a w^2 + b w + c, its coefficients stored as
+    Python floats: any real number but a bool is converted with ``float``, as
+    ``ModelParams`` does, and anything else, or an integer past the float
+    range, raises ValueError naming the coefficient.  NaN and inf are stored;
+    ``cubic_roots`` refuses them."""
 
     a: float
     b: float
     c: float
+
+    def __post_init__(self):
+        for name in ("a", "b", "c"):
+            value = getattr(self, name)
+            if type(value) is not float:  # a float is stored as given
+                object.__setattr__(self, name, _as_float(value, f"cubic coefficient {name}"))
 
 
 @_value_type

@@ -31,7 +31,10 @@ float range (|w| or |w - c| for a finite w near 1.7e308) counts as inf.
 
 Orders are plain floats, checked by ``solvers.check_order``: the Caputo
 functions accept alpha in (0, 1], the CF criteria, ``classify_region`` and
-``table1_conditions`` only alpha in (0, 1).
+``table1_conditions`` only alpha in (0, 1).  An eigenvalue may be any number
+(``numbers.Complex``: ints, floats, Fractions, numpy scalars) but a bool, and
+is taken as a complex; anything else, a spectrum that is not iterable, or an
+integer past the float range raises ValueError naming its position.
 
 Each criterion is one per-eigenvalue test, evaluated once per eigenvalue.
 Each function checks the order and the spectrum's finiteness once, and
@@ -69,6 +72,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -131,9 +135,26 @@ class EquilibriumReport:
         return tuple(map(_REGIONS.__getitem__, zip(self.caputo.tags, self.cf_disk.tags)))
 
 
+def _as_complex(value, what: str) -> complex:
+    """``value`` as a complex if it is a number but not a bool, else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Complex):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    try:
+        return complex(value)
+    except OverflowError:
+        raise ValueError(f"{what} must be finite, got a value past the float range") from None
+
+
 def _eigs(spectrum: SpectrumLike) -> tuple[complex, ...]:
     """The eigenvalues as complex numbers; ValueError, naming them all, if any is not finite."""
-    eigs = spectrum.eigenvalues if isinstance(spectrum, Spectrum) else tuple(map(complex, spectrum))
+    if isinstance(spectrum, Spectrum):
+        eigs = spectrum.eigenvalues
+    else:
+        try:
+            values = list(spectrum)
+        except TypeError:
+            raise ValueError(f"spectrum must be a sequence of eigenvalues, got {spectrum!r}") from None
+        eigs = tuple([_as_complex(v, f"eigenvalue {i}") for i, v in enumerate(values)])
     if not all(map(cmath.isfinite, eigs)):
         raise ValueError(f"eigenvalues must be finite, got {eigs}")
     return eigs
@@ -222,7 +243,7 @@ def classify_region(lam: complex, order: float) -> str:
     Raises ValueError on a non-finite eigenvalue, which has no region.
     """
     alpha = check_order(order, allow_one=False)
-    w = complex(lam)
+    w = lam if type(lam) is complex else _as_complex(lam, "eigenvalue")  # a map passes complexes
     if not cmath.isfinite(w):
         raise ValueError(f"eigenvalues must be finite, got {(w,)}")
     # c inline, not through _cf_constants: a region map calls this per point

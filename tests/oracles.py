@@ -34,6 +34,10 @@ four printed conditions, in the paper's order.
 ``mp_cubic_roots`` solves a cubic in mpmath at any exponent range, for
 cubics too small or too large for the companion matrix in doubles.
 
+``mp_caputo_weights`` evaluates the Caputo ABM weight formulas at 40 digits
+in mpmath, the reference for ``solvers._caputo_weights``, whose brackets
+cancel digits in floats; ``pece_direct`` shares those float formulas.
+
 ``cf_ode_reference`` integrates the CF problem in its ODE form,
 ``(I - (1-alpha) J(x)) x' = alpha g(x)`` (Losada & Nieto 2015), by RK4 with
 ``numpy.linalg.solve`` at each stage: the limit that a convergent CF scheme
@@ -217,6 +221,29 @@ def mp_cubic_roots(a: float, b: float, c: float) -> list[complex]:
         s = max(abs(am), mp.sqrt(abs(bm)), mp.cbrt(abs(cm)))
         roots = mp.polyroots([1, am / s, bm / s ** 2, cm / s ** 3], maxsteps=200, extraprec=200)
         return sorted((complex(s * r) for r in roots), key=lambda w: (w.real, w.imag))
+
+
+def mp_caputo_weights(lags: Sequence[int], alpha: float, step: float) -> np.ndarray:
+    """The Caputo ABM weights of each lag m in ``lags``, 1/Gamma(alpha)
+    folded in, at 40 digits and then rounded to floats: one row per lag of
+    the predictor weight, the corrector weight and the whole weight of g_0
+    at step m, with P = h^a / (a Gamma(a)) and C = h^a / (a (a+1) Gamma(a)):
+
+        P [(m+1)^a - m^a],   C [(m+2)^p - 2 (m+1)^p + m^p],   C [m^p - (m-a) (m+1)^a]
+
+    with p = a + 1."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        a, h = mp.mpf(alpha), mp.mpf(step)
+        pred = h ** a / (a * mp.gamma(a))
+        corr = pred / (a + 1)
+        rows = []
+        for m in map(mp.mpf, lags):
+            rows.append([float(pred * ((m + 1) ** a - m ** a)),
+                         float(corr * ((m + 2) ** (a + 1) - 2 * (m + 1) ** (a + 1) + m ** (a + 1))),
+                         float(corr * (m ** (a + 1) - (m - a) * (m + 1) ** a))])
+    return np.array(rows)
 
 
 def multiset_distance(xs, ys) -> float:

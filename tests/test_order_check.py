@@ -7,7 +7,7 @@ import pytest
 
 from fraclv.model import vector_field
 from fraclv.presets import PRESETS
-from fraclv.solvers import DivergenceError, SolverConfig, check_order, integrate_caputo, integrate_cf
+from fraclv.solvers import SolverConfig, check_order, integrate_caputo, integrate_cf
 from fraclv.stability import (
     caputo_stable,
     cf_disk_verdict,
@@ -115,40 +115,6 @@ def test_field_value_components_at_zero_follow_the_same_rule(integrate, value):
     field = lambda t, x: [x[0], value, x[2]]
     with pytest.raises(ValueError, match=r"^field value component 1 at t = 0 must be "):
         integrate(field, [0.5, 0.9, 0.1], 0.9, CONFIG)
-
-
-def _with_coefficients(coefficients):
-    """A field that calls ``FIELD``, with its source text and ``coefficients``."""
-    field = lambda t, x: FIELD(t, x)
-    field.source = (FIELD.source[0], coefficients)
-    return field
-
-
-def _with_coefficient_1(value):
-    return FIELD.source[1][:1] + (value,) + FIELD.source[1][2:]
-
-
-# and for each coefficient of a field's source text, which must also be as
-# many as the text names
-@pytest.mark.parametrize("integrate", [integrate_caputo, integrate_cf])
-@pytest.mark.parametrize("coefficients,message", [
-    *((_with_coefficient_1(value), "field source coefficient 1 must be ")
-      for value in (True, "3", None, 1j, 10 ** 400)),
-    (FIELD.source[1][:-1], "field source names 7 coefficients, got 6$"),
-    (FIELD.source[1] + (1.0,), "field source names 7 coefficients, got 8$"),
-], ids=["True", "str", "None", "complex", "huge-int", "one-short", "one-long"])
-def test_field_source_coefficients_follow_the_same_rule(integrate, coefficients, message):
-    with pytest.raises(ValueError, match=f"^{message}"):
-        integrate(_with_coefficients(coefficients), [0.5, 0.9, 0.1], 0.9, CONFIG)
-
-
-# a NaN or inf coefficient, like a NaN or inf in g_0, is left to the divergence guard
-@pytest.mark.parametrize("integrate", [integrate_caputo, integrate_cf])
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
-def test_non_finite_field_source_coefficient_trips_the_guard(integrate, value):
-    with pytest.raises(DivergenceError) as excinfo:
-        integrate(_with_coefficients(_with_coefficient_1(value)), [0.5, 0.9, 0.1], 0.9, CONFIG)
-    assert excinfo.value.step_index == 1
 
 
 @pytest.mark.parametrize("integrate", [integrate_caputo, integrate_cf])

@@ -1,5 +1,6 @@
 """Integrator behavior: oracles, reductions, invariants and failure modes."""
 
+import collections
 import math
 import os
 import re
@@ -9,8 +10,9 @@ import sys
 import numpy as np
 import pytest
 
+import fraclv.model
 import fraclv.solvers
-from fraclv.model import vector_field
+from fraclv.model import _SOURCE, vector_field
 from fraclv.presets import PRESETS, SCENARIOS
 from fraclv.solvers import (
     _GROUP,
@@ -18,6 +20,7 @@ from fraclv.solvers import (
     HISTORY_BLOCK,
     DivergenceError,
     SolverConfig,
+    _Source,
     integrate_caputo,
     integrate_cf,
 )
@@ -36,6 +39,18 @@ EX1 = PRESETS["example1"].params
 
 def decay(_t, x):
     return -x
+
+
+def _counted(call, source=None):
+    """A field that calls ``call`` and counts its calls in ``.calls``; with
+    ``source`` as its ``source`` attribute, if one is given."""
+    def field(t, x):
+        field.calls += 1
+        return call(t, x)
+    field.calls = 0
+    if source is not None:
+        field.source = source
+    return field
 
 
 # ---------------------------------------------------------------------------
@@ -634,46 +649,64 @@ def test_one_step_loop_per_operator_and_mode():
         assert fraclv.solvers._step_loop.cache_info().currsize == len(LOOPS), i
 
 
+@pytest.mark.parametrize("loop", sorted(LOOPS))
+def test_a_vector_field_run_calls_its_field_once(monkeypatch, loop):
+    # vector_field's field evaluates model._rhs once per call: a run inlines
+    # its _Source and calls it for g_0 only, and a lambda around it is called
+    integrate, mode = LOOPS[loop]
+    calls, rhs = [], fraclv.model._rhs
+    monkeypatch.setattr(fraclv.model, "_rhs", lambda *args: calls.append(args) or rhs(*args))
+    config = SolverConfig(step=0.01, horizon=0.01 * (HISTORY_BLOCK + 3), cf_mode=mode)
+    for path, expected in (("inline", 1), ("adapter", 2 * config.num_steps + 1)):
+        calls.clear()
+        integrate(_both_paths(EX1)[path], [0.5, 0.9, 0.1], 0.8, config)
+        assert len(calls) == expected, path
+
+
+_COEFFICIENTS = vector_field(EX1).source.coefficients
+
+
 @pytest.mark.parametrize("source", [
-    ("{x0} * a1", "{x1}", "{x2}"),  # a name in the text, not a placeholder
-    ("{x0} * {a1}", "{x1}", "{x2}"),  # an unknown placeholder
-    ("{x3}", "{x1}", "{x2}"),  # a state component past d
-    ("{x0.real}", "{x1}", "{x2}"),
-    ("{x0}.real", "{x1}", "{x2}"),
-    ("{x0!r}", "{x1}", "{x2}"),
-    ("{x0:.3}", "{x1}", "{x2}"),
-    ("{x0}", "{x1}", "{}"),
-    ("{x0}", "{x1}", "{0}"),
-    ("{c01}", "{x1}", "{x2}"),
-    ("{x0}2", "{x1}", "{x2}"),  # would read a local x02, not x0
-    ("{x0} + __import__('os')", "{x1}", "{x2}"),
-    ("{x0}\nrows.clear()", "{x1}", "{x2}"),
-    ("{x0}", "{x1}"),  # two expressions for three components
-])
-def test_source_naming_anything_but_its_placeholders_is_refused(source):
-    # the generator owns every local name: the first draft of the inlined
-    # loops named coefficients a1, a2, ..., which are CF's x0 locals
-    field = lambda t, x: x
-    field.source = (source, (1.0,))
-    for integrate in (integrate_caputo, integrate_cf):
-        with pytest.raises(ValueError, match="field source"):
-            integrate(field, [0.5, 0.9, 0.1], 0.9, SolverConfig(step=0.01, horizon=0.05))
+    (_SOURCE, None),
+    (_SOURCE, 3.0),
+    (_SOURCE, iter(range(7))),
+    "abc",
+    (_SOURCE,),
+    (None, (1.0,)),
+    (list(_SOURCE), _COEFFICIENTS),
+    (_SOURCE, _COEFFICIENTS),
+    (("0.0", "0.0", "0.0"), ()),
+    collections.namedtuple("_Source", "exprs coefficients")(_SOURCE, _COEFFICIENTS),
+], ids=["None", "float", "iterator", "str", "one-item", "no-text", "list-text", "plain-tuple",
+        "other-text", "look-alike"])
+@pytest.mark.parametrize("loop", sorted(LOOPS))
+def test_a_source_other_than_a_source_type_is_ignored(loop, source):
+    # only vector_field's fields carry a _Source; a field whose ``source`` is
+    # anything else, well formed or not, is called at every evaluation
+    integrate, mode = LOOPS[loop]
+    bare = vector_field(EX1)
+    field = _counted(lambda t, x: bare(t, x), source)
+    config = SolverConfig(step=0.01, horizon=0.2, cf_mode=mode)
+    states = integrate(field, [0.5, 0.9, 0.1], 0.8, config).states
+    assert field.calls == 2 * config.num_steps + 1
+    plain = integrate(lambda t, x: bare(t, x), [0.5, 0.9, 0.1], 0.8, config).states
+    assert states.tobytes() == plain.tobytes()
 
 
 @pytest.mark.parametrize("d", [1, 2, 4])
 def test_source_text_of_any_dimension_matches_its_call(d):
-    # numbers, unary minus and parentheses; a coefficient left unused
-    source = tuple(f"-{{c0}} * {{x{i}}} + 2.5e-1 * ({{x{(i + 1) % d}}} - {{c2}})"
-                   for i in range(d))
-    coefficients = (1.5, 7.0, 0.125)
+    # numbers, unary minus and parentheses; a coefficient left unused.  The
+    # run with the _Source calls its field once, for g_0; the other 2N + 1 times
+    source = _Source(tuple(f"-{{c0}} * {{x{i}}} + 2.5e-1 * ({{x{(i + 1) % d}}} - {{c2}})"
+                           for i in range(d)), (1.5, 7.0, 0.125))
     call = lambda t, x: [-1.5 * v + 2.5e-1 * (w - 0.125) for v, w in zip(x, np.roll(x, -1))]
-    field = lambda t, x: call(t, x)
-    field.source = (source, coefficients)
     initial = [1.0, -0.5, 0.25, 2.0][:d]
     for integrate, mode in LOOPS.values():
         config = SolverConfig(step=0.01, horizon=0.01 * (HISTORY_BLOCK + 3), cf_mode=mode)
-        runs = [integrate(f, initial, 0.8, config).states for f in (field, call)]
+        fields = (_counted(call, source), _counted(call))
+        runs = [integrate(f, initial, 0.8, config).states for f in fields]
         assert runs[0].tobytes() == runs[1].tobytes()
+        assert [f.calls for f in fields] == [1, 2 * config.num_steps + 1]
 
 
 @pytest.mark.parametrize("path", ["inline", "adapter"])
@@ -706,25 +739,27 @@ def test_divergence_partial_equals_the_run_cut_before_it(monkeypatch, integrate,
         assert offsets == set(range(_GROUP))
 
 
-_decay_inline = lambda t, x: decay(t, x)
-_decay_inline.source = (("-{x0}",), ())
-
-
 @pytest.mark.parametrize("path", ["inline", "adapter"])
 @pytest.mark.parametrize("d", [1, 3])
 @pytest.mark.parametrize("loop", sorted(LOOPS))
 def test_every_row_of_a_completed_run_is_written(monkeypatch, loop, d, path):
     # np.empty filled with NaN, as above, on runs that end at a step of either
-    # side of a Caputo group and block edge; each step stores its own row
+    # side of a Caputo group and block edge; each step stores its own row.  At
+    # d = 1 the inlined decay field is called once, for g_0, and the other 2N + 1 times
     integrate, mode = LOOPS[loop]
     if d == 3:
         field, initial = _both_paths(EX1)[path], [0.5, 0.9, 0.1]
     else:
-        field, initial = {"inline": _decay_inline, "adapter": decay}[path], [1.0]
+        field = _counted(decay, _Source(("-{x0}",), ()) if path == "inline" else None)
+        initial = [1.0]
     for steps in (1, _GROUP - 1, HISTORY_BLOCK - 1, HISTORY_BLOCK, HISTORY_BLOCK + 1,
                   2 * HISTORY_BLOCK + 3):
         config = SolverConfig(step=0.01, horizon=0.01 * steps, cf_mode=mode)
+        if d == 1:
+            field.calls = 0
         plain = integrate(field, initial, 0.85, config).states
+        if d == 1:
+            assert field.calls == (1 if path == "inline" else 2 * steps + 1), steps
         with monkeypatch.context() as patch:
             patch.setattr(fraclv.solvers.np, "empty", lambda shape: np.full(shape, np.nan))
             states = integrate(field, initial, 0.85, config).states

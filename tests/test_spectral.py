@@ -5,6 +5,7 @@ closed-form branches are checked against it and against frozen values.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -271,6 +272,27 @@ def test_500_random_cubics_against_oracle():
 def test_non_finite_coefficient_is_rejected(coeffs):
     with pytest.raises(ValueError, match="finite"):
         cubic_roots(CubicCoefficients(*coeffs))
+
+
+@pytest.mark.parametrize("value,message", [
+    (10 ** 400, "must be finite, got an integer past the float range"),
+    ("1", "must be a real number, got '1'"),
+    (None, "must be a real number, got None"),
+    (1j, "must be a real number, got 1j"),
+    (True, "must be a real number, got True"),
+], ids=["huge-int", "str", "None", "complex", "True"])
+def test_cubic_coefficients_follow_the_real_number_rule(value, message):
+    with pytest.raises(ValueError, match=f"^cubic coefficient b {message}$"):
+        CubicCoefficients(1.0, value, 3.0)
+
+
+def test_cubic_coefficients_are_stored_as_floats():
+    # numpy scalars, ints and Fractions become the Python floats they equal,
+    # and a float is stored as given
+    coeffs = CubicCoefficients(np.float64(-6.0), 11, Fraction(-6))
+    assert [type(v) for v in (coeffs.a, coeffs.b, coeffs.c)] == [float] * 3
+    assert coeffs == CubicCoefficients(-6.0, 11.0, -6.0)  # (w-1)(w-2)(w-3)
+    assert repr(cubic_roots(coeffs)) == repr(cubic_roots(CubicCoefficients(-6.0, 11.0, -6.0)))
 
 
 def test_diagonal_spectrum():

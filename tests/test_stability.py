@@ -3,6 +3,8 @@
 import cmath
 import dataclasses
 import math
+from decimal import Decimal
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -245,6 +247,43 @@ def test_non_finite_eigenvalue_rejected(lam):
         cf_stable_theorem([-1.0, lam], 0.5)
     with pytest.raises(ValueError):
         cf_disk_verdict([lam], 0.5)
+
+
+@pytest.mark.parametrize("value,message", [
+    (10 ** 400, "must be finite, got a value past the float range"),
+    ("1", "must be a number, got '1'"),
+    (" 1+2j ", "must be a number, got ' 1\\+2j '"),
+    (True, "must be a number, got True"),
+    (None, "must be a number, got None"),
+    (b"1", "must be a number, got b'1'"),
+    (Decimal("1"), "must be a number, got Decimal\\('1'\\)"),
+], ids=["huge-int", "str", "complex-str", "True", "None", "bytes", "Decimal"])
+def test_an_eigenvalue_that_is_not_a_number_is_refused(value, message):
+    # one rule for every entry point that takes eigenvalues, naming the position
+    with pytest.raises(ValueError, match=f"^eigenvalue {message}$"):
+        classify_region(value, 0.5)
+    for criterion in (caputo_stable, cf_stable_theorem, cf_disk_verdict):
+        with pytest.raises(ValueError, match=f"^eigenvalue 1 {message}$"):
+            criterion([-1.0, value, -2.0], 0.5)
+    with pytest.raises(ValueError, match=f"^eigenvalue 1 {message}$"):
+        table1_conditions(EX1, 0.5, "E4", [-1.0, value, -2.0])
+
+
+@pytest.mark.parametrize("spectrum", [None, 3.0], ids=["None", "float"])
+def test_a_spectrum_that_is_not_iterable_is_refused(spectrum):
+    for criterion in (caputo_stable, cf_stable_theorem, cf_disk_verdict):
+        with pytest.raises(ValueError, match="^spectrum must be a sequence of eigenvalues, got "):
+            criterion(spectrum, 0.5)
+    with pytest.raises(ValueError, match="^spectrum must be a sequence of eigenvalues, got "):
+        table1_conditions(EX1, 0.5, "E4", spectrum)
+
+
+def test_eigenvalues_of_any_number_type_are_their_complex():
+    values = [Fraction(-1, 2), np.complex64(complex(0.5, 0.8)), np.int64(6), np.float32(1.5)]
+    as_complex = [complex(v) for v in values]
+    assert [classify_region(v, 0.6) for v in values] == ["A", "B", "D", "C"]
+    for criterion in (caputo_stable, cf_stable_theorem, cf_disk_verdict):
+        assert criterion(values, 0.6) == criterion(as_complex, 0.6)
 
 
 @pytest.mark.parametrize("lam,region", [(complex(1.7e308, 1.7e308), "D"),
