@@ -19,7 +19,11 @@ Every error is reported on stderr as one ``error: <message>`` line.  The
 flags, e.g. ``error: command-line --alpha 1.5 over cfg.json: ...``.
 
 The run config is a single JSON object; unknown keys are rejected so a typo
-cannot silently change a run.  Schema (cf_mode optional):
+cannot silently change a run.  The CLI checks its shape and keys; every
+value is then checked once, by the library's own rule for it, and an error
+reads ``<file>: <message naming the field>``.  JSON output is checked for
+non-finite numbers by one walk before it is written.  Schema (cf_mode
+optional):
 
     {
       "operator": "caputo" | "cf",
@@ -37,6 +41,7 @@ The CF operator is taken with M(alpha) = 1, as in the stability criteria.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -101,23 +106,16 @@ class RunConfig:
         }
 
 
-def _finite_number(raw, where: str) -> float:
-    try:  # the library's rule for real numbers: no bool, no integer past the float range
-        value = _as_float(raw, f"{where}: value")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{where}: value must be finite, got {value}")
-    return value
-
-
 def parse_config(data: dict, where: str = "config") -> RunConfig:
     """Validate a decoded config object; rejects unknown or missing fields.
 
-    Checks here cover what only raw JSON can get wrong (shape, keys, number
-    types, finiteness); the value ranges are checked once, by ``ModelParams``,
-    ``SolverConfig`` and ``check_order``, whose errors come back as
-    ConfigError.
+    The checks here cover the shape only: the top level, its keys, the
+    operator, the ``params`` keys and the length of ``initial``.  Every
+    value is then checked once, by the library's own rules: ``check_order``
+    for alpha, ``ModelParams`` for the coefficients, ``SolverConfig`` for the
+    step, horizon and cf_mode, and ``solvers._as_float`` plus a finiteness
+    test for the initial state.  Their errors come back as ConfigError
+    ``<where>: <message>``, the message naming the field.
     """
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: expected a JSON object at top level")
@@ -132,29 +130,25 @@ def parse_config(data: dict, where: str = "config") -> RunConfig:
     if operator not in ("caputo", "cf"):
         raise ConfigError(f"{where}.operator: must be 'caputo' or 'cf', got {operator!r}")
 
-    alpha = _finite_number(data["alpha"], f"{where}.alpha")
-
     raw_params = data["params"]
     if not isinstance(raw_params, dict):
         raise ConfigError(f"{where}.params: expected an object with keys a1..a7")
     bad = set(raw_params) ^ _PARAM_KEYS
     if bad:
         raise ConfigError(f"{where}.params: keys must be exactly a1..a7 (mismatch: {sorted(bad)})")
-    values = {k: _finite_number(v, f"{where}.params.{k}") for k, v in raw_params.items()}
 
-    initial = data["initial"]
-    if not isinstance(initial, (list, tuple)) or len(initial) != 3:
+    raw_initial = data["initial"]
+    if not isinstance(raw_initial, (list, tuple)) or len(raw_initial) != 3:
         raise ConfigError(f"{where}.initial: expected a list of 3 numbers")
-    initial = tuple(_finite_number(v, f"{where}.initial[{i}]") for i, v in enumerate(initial))
-
-    horizon = _finite_number(data["horizon"], f"{where}.horizon")
-    step = _finite_number(data["step"], f"{where}.step")
-    cf_mode = data.get("cf_mode", "paper")
 
     try:
-        check_order(alpha)
-        params = ModelParams(**values)
-        solver = SolverConfig(step, horizon, cf_mode)
+        alpha = check_order(data["alpha"])
+        params = ModelParams(**raw_params)
+        solver = SolverConfig(data["step"], data["horizon"], data.get("cf_mode", "paper"))
+        initial = tuple(_as_float(v, f"initial[{i}]") for i, v in enumerate(raw_initial))
+        for i, value in enumerate(initial):
+            if not math.isfinite(value):
+                raise ValueError(f"initial[{i}] must be finite, got {value}")
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     return RunConfig(operator=operator, alpha=alpha, params=params, initial=initial, solver=solver)
@@ -188,42 +182,42 @@ def load_config(path: str, alpha=None, cf_mode=None) -> RunConfig:
 # output helpers
 
 
-def _non_finite(value, path: str):
-    """(path, value) of the first non-finite float in a payload, or None."""
+def _check_finite(value, path: str) -> None:
+    """ValueError naming the first non-finite float in a payload, if any."""
     if isinstance(value, float):
-        return None if math.isfinite(value) else (path, value)
-    if isinstance(value, dict):
-        items = ((f"{path}.{k}" if path else str(k), v) for k, v in value.items())
-    elif isinstance(value, list):
-        items = ((f"{path}[{i}]", v) for i, v in enumerate(value))
-    else:
-        return None
-    for where, item in items:
-        found = _non_finite(item, where)
-        if found:
-            return found
-    return None
+        if not math.isfinite(value):
+            raise ValueError(f"{path} is {value}; JSON cannot carry a non-finite number")
+    elif isinstance(value, dict):
+        for k, v in value.items():
+            _check_finite(v, f"{path}.{k}" if path else str(k))
+    elif isinstance(value, (list, tuple)):
+        for i, v in enumerate(value):
+            _check_finite(v, f"{path}[{i}]")
 
 
 def _json(payload) -> str:
-    # allow_nan=False: a non-finite value raises ValueError (exit 1) naming
-    # where it is, instead of printing bare NaN/Infinity, which is not JSON
-    try:
-        return json.dumps(payload, indent=2, allow_nan=False)
-    except ValueError:
-        found = _non_finite(payload, "")
-        if found is None:
-            raise
-        path, value = found
-        raise ValueError(f"{path} is {value}; JSON cannot carry a non-finite number") from None
+    # a non-finite value is an error (exit 1) naming where it is, instead of
+    # bare NaN/Infinity, which is not JSON; allow_nan=False backs the walk up
+    _check_finite(payload, "")
+    return json.dumps(payload, indent=2, allow_nan=False)
 
 
 def _write_atomic(path: str, chunks: Iterable[bytes]) -> None:
-    """Write the byte ``chunks`` to a temporary file, then move it onto ``path``."""
+    """Write the byte ``chunks`` to a temporary file, then move it onto ``path``.
+
+    If the write or the move fails, the temporary file is removed and the
+    error re-raised; a failed ``open`` created nothing, so nothing is removed.
+    """
     tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.writelines(chunks)
-    os.replace(tmp, path)
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _trajectory_csv(traj: Trajectory) -> Iterator[bytes]:

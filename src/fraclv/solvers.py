@@ -455,8 +455,9 @@ def _step_loop(operator: str, cf_mode: str | None, d: int, source: tuple | None)
             sums=", ".join(row("q", j) + ", " + row("e", j) for j in range(_GROUP)),
             steps="".join(steps), d=d, end=d * (_GROUP + 1), coefficients=head, o=each("o{i}"),
             values="(" + ", ".join(each(f"b{j}_{{i}}") for j in range(_GROUP)) + ")")
-    namespace = {"_wrong_length": _wrong_length, "_diverged": _diverged, "dot": np.dot,
-                 "array": np.array}
+    # __name__ puts a warning raised in the loop under this module for warning filters
+    namespace = {"__name__": __name__, "_wrong_length": _wrong_length, "_diverged": _diverged,
+                 "dot": np.dot, "array": np.array}
     key = (operator, cf_mode, d, "inlined" if exprs else "called")
     exec(compile(source, f"<fraclv.solvers step loop {key}>", "exec"), namespace)
     return namespace[f"{operator}_steps"]

@@ -22,11 +22,12 @@ underflow them, so it is solved as the cubic in u = w / 2**k with 2**k ~ S,
 whose coefficients a/2**k, b/4**k, c/8**k are exact, and its roots are scaled
 back.  Above S ~ 2**170 the terms overflow and ValueError is raised.
 
-``characteristic_cubic`` checks and converts its matrix before the one
-coefficient formula, and ``cubic_roots`` reads a ``CubicCoefficients``, whose
-coefficients are floats by the real-number rule of ``solvers._as_float``,
-before the one root solver.  ``equilibrium_report`` calls the private float-level
-path ``_jacobian_spectrum``, which hands the nine floats of a
+``characteristic_cubic`` checks its matrix's shape and converts each entry
+by the real-number rule of ``solvers._as_float`` before the one coefficient
+formula, and ``cubic_roots`` reads a ``CubicCoefficients``, whose
+coefficients are floats by the same rule, before the one root solver.
+``equilibrium_report`` calls the private float-level path
+``_jacobian_spectrum``, which hands the nine floats of a
 ``model.jacobian`` straight to the same arithmetic (no check, no conversion,
 no ``CubicCoefficients``): the same Spectrum bit for bit, and ValueErrors
 that name ``CubicCoefficients(a=..., b=..., c=...)`` as the public path's do.
@@ -108,11 +109,11 @@ def _value_type(cls: type) -> type:
               f" def __init__(self, {', '.join(names)}):\n"
               + "".join(f"  {setter}(self, {name})\n" for setter, name in zip(setters, names))
               + " return __init__\n")
-    namespace: dict = {}
+    # __name__ makes cls's module that of __init__, for warning filters too
+    namespace = {"__name__": cls.__module__}
     exec(source, namespace)
     init = namespace["_make"](*[cls.__dict__[name].__set__ for name in names])
     init.__qualname__ = f"{cls.__qualname__}.__init__"
-    init.__module__ = cls.__module__
     init.__annotations__ = {f.name: f.type for f in fields(cls)} | {"return": None}
     cls.__init__ = init
     return cls
@@ -167,16 +168,19 @@ def _coefficients(m00: float, m01: float, m02: float, m10: float, m11: float, m1
 def characteristic_cubic(matrix: Sequence[Sequence[float]]) -> CubicCoefficients:
     """a = -trace, b = sum of principal 2x2 minors, c = -det.
 
-    ``matrix`` is any 3x3 sequence of numbers (tuples, lists or an ndarray);
-    anything else, ragged rows included, raises ValueError.
+    ``matrix`` is any 3x3 sequence (tuples, lists or an ndarray) of real
+    numbers, each converted by the real-number rule of ``solvers._as_float``;
+    another shape, ragged rows included, raises ValueError, and so does an
+    entry that is not a real number (a str or a bool, say) or an integer past
+    the float range, naming the entry.
     """
     try:
         (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = matrix
-        a, b, c = _coefficients(
-            float(m00), float(m01), float(m02), float(m10), float(m11), float(m12),
-            float(m20), float(m21), float(m22))
     except (TypeError, ValueError):
         raise ValueError(f"expected a 3x3 matrix, got {matrix!r}") from None
+    entries = (m00, m01, m02, m10, m11, m12, m20, m21, m22)
+    a, b, c = _coefficients(*(_as_float(v, f"matrix entry ({k // 3}, {k % 3})")
+                              for k, v in enumerate(entries)))
     return CubicCoefficients(a, b, c)
 
 

@@ -4,7 +4,10 @@ import copy
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -173,12 +176,13 @@ def test_parser_built_once_keeps_no_state_between_calls(tmp_path, capsys):
     ("params.a1", {"params": dict(PRESETS["example1"].params.as_dict(), a1=10 ** 400)}),
 ])
 def test_integer_past_the_float_range_is_a_config_error(tmp_path, capsys, command, field, overrides):
-    # float(10**400) raises OverflowError; the config error names the field
+    # float(10**400) raises OverflowError; the config error names the file, then the field
     path = _write_config(tmp_path, _base_config(**overrides))
     assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (f"error: {path}.{field}: value must be finite, "
+    named = {"horizon": "horizon", "params.a1": "coefficient a1"}[field]  # as the library names it
+    assert captured.err == (f"error: {path}: {named} must be finite, "
                             "got an integer past the float range\n")
 
 
@@ -196,6 +200,45 @@ def test_bad_override_names_the_command_line(tmp_path, capsys, command):
     assert main([command, "--config", path, "--out", str(tmp_path / "out"), "--alpha", "1.5"]) == 1
     assert capsys.readouterr().err == (f"error: command-line --alpha 1.5 over {path}: "
                                        "order alpha must be in (0, 1], got 1.5\n")
+
+
+@pytest.mark.parametrize("command", ["simulate", "stability"])
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_non_finite_override_is_checked_by_the_order_rule(tmp_path, capsys, command, alpha):
+    # no field is glued onto the path: the order's one check names alpha
+    path = _write_config(tmp_path, _base_config())
+    assert main([command, "--config", path, "--out", str(tmp_path / "out"), "--alpha", alpha]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: command-line --alpha {alpha} over {path}: "
+                            f"order alpha must be in (0, 1], got {alpha}\n")
+
+
+@pytest.mark.parametrize("overrides,message", [
+    ({"alpha": "0.5"}, "order alpha must be a real number, got '0.5'"),
+    ({"alpha": True}, "order alpha must be a real number, got True"),
+    ({"alpha": float("nan")}, "order alpha must be in (0, 1], got nan"),
+    ({"params": dict(PRESETS["example1"].params.as_dict(), a3=None)},
+     "coefficient a3 must be a real number, got None"),
+    ({"params": dict(PRESETS["example1"].params.as_dict(), a7=float("inf"))},
+     "coefficient a7 must be positive and finite, got inf"),
+    ({"step": False}, "step must be a real number, got False"),
+    ({"step": float("nan")}, "step must be positive, got nan"),
+    ({"horizon": [1.0]}, "horizon must be a real number, got [1.0]"),
+    ({"cf_mode": 1}, "cf_mode must be 'paper' or 'corrected', got 1"),
+    ({"initial": [0.5, "0.9", 0.1]}, "initial[1] must be a real number, got '0.9'"),
+    ({"initial": [0.5, 0.9, float("-inf")]}, "initial[2] must be finite, got -inf"),
+], ids=["alpha-str", "alpha-bool", "alpha-nan", "a3-null", "a7-inf", "step-bool", "step-nan",
+        "horizon-list", "cf_mode-int", "initial-str", "initial-inf"])
+def test_each_bad_value_names_the_file_then_the_field(tmp_path, capsys, overrides, message):
+    # every value is checked once, by the library's rule for it, and the
+    # error is the config's path, then the library's message naming the field
+    path = _write_config(tmp_path, _base_config(**overrides))
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv", [[], ["--alpha", "0.9"], ["--alpha", "0.9", "--mode", "corrected"]])
@@ -482,6 +525,47 @@ def test_unusable_output_path_is_one_error_line(tmp_path, capsys, command, out, 
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command,name", [("simulate", "trajectory.csv"),
+                                          ("stability", "stability_report.json")])
+def test_failed_move_leaves_no_temporary_file(tmp_path, capsys, command, name):
+    # the output's name is taken by a directory: the temporary file is
+    # written, the move onto the name fails, and the temporary file goes
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    path = _write_config(tmp_path, _base_config())
+    assert main([command, "--config", path, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert [p.name for p in out.iterdir()] == [name]
+
+
+def test_failed_write_leaves_no_temporary_file(tmp_path):
+    def chunks():
+        yield b"t,x,y,z\n"
+        raise OSError("no space left")
+
+    target = tmp_path / "trajectory.csv"
+    with pytest.raises(OSError, match="no space left"):
+        fraclv.cli._write_atomic(str(target), chunks())
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_open_removes_nothing(tmp_path, monkeypatch):
+    # a temporary file this call could not open is not this call's to remove
+    stale = tmp_path / "manifest.json.tmp"
+    stale.write_text("left by another writer")
+
+    def refuse(*args, **kwargs):
+        raise PermissionError("refused")
+
+    monkeypatch.setattr(fraclv.cli, "open", refuse, raising=False)
+    with pytest.raises(PermissionError):
+        fraclv.cli._write_atomic(str(tmp_path / "manifest.json"), [b"{}\n"])
+    assert [p.name for p in tmp_path.iterdir()] == [stale.name]
+    assert stale.read_text() == "left by another writer"
+
+
 # ---------------------------------------------------------------------------
 # stability
 
@@ -668,3 +752,34 @@ def test_analysis_stdout_is_pinned(tmp_path, capsys, name, alpha):
         assert main([command, "--config", path]) == 0
         digests.append(hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest())
     assert digests == [EQUILIBRIA_DIGESTS[name], STABILITY_DIGESTS[name, alpha]]
+
+
+# ---------------------------------------------------------------------------
+# console entry point
+
+
+def _console(*argv, cwd):
+    """``python -m fraclv.cli`` in a fresh interpreter, on the package under test."""
+    src = os.path.dirname(os.path.dirname(fraclv.cli.__file__))
+    return subprocess.run([sys.executable, "-m", "fraclv.cli", *argv], cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_console_entry_point_exit_codes(tmp_path, capsys):
+    done = _console("classify", "1", "1", "0.5", cwd=tmp_path)
+    assert main(["classify", "1", "1", "0.5"]) == 0
+    assert (done.returncode, done.stdout, done.stderr) == (0, capsys.readouterr().out, "")
+
+    done = _console("simulate", "--config", "missing.json", "--out", "out", cwd=tmp_path)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("error: missing.json: cannot read config")
+    assert done.stderr.count("\n") == 1
+
+    data = scenario_config(SCENARIOS["example1-cf-planar"])
+    data["cf_mode"] = "corrected"  # diverges, as in the in-process test above
+    path = _write_config(tmp_path, data)
+    done = _console("simulate", "--config", path, "--out", "out", cwd=tmp_path)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("warning: ")
+    assert json.loads((tmp_path / "out" / "manifest.json").read_text())["diverged"] is True

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -647,6 +648,26 @@ def test_one_step_loop_per_operator_and_mode():
         for integrate, mode in LOOPS.values():
             integrate(vector_field(params), [0.5, 0.9, 0.1], 0.9, config[mode])
         assert fraclv.solvers._step_loop.cache_info().currsize == len(LOOPS), i
+
+
+def test_warning_filters_reach_the_generated_step_loops(monkeypatch):
+    # a step loop is generated source run by exec, in a namespace that names
+    # fraclv.solvers: a filter on the module "fraclv", as tier-1's, catches a
+    # warning raised in the loop, here from the history sum's dot
+    dot = np.dot
+
+    def warning_dot(*args):
+        warnings.warn("dot called", RuntimeWarning, stacklevel=2)
+        return dot(*args)
+
+    monkeypatch.setattr(np, "dot", warning_dot)
+    fraclv.solvers._step_loop.cache_clear()  # the next loop is generated around warning_dot
+    try:
+        with warnings.catch_warnings(), pytest.raises(RuntimeWarning, match="dot called"):
+            warnings.filterwarnings("error", module="fraclv")
+            integrate_caputo(lambda t, x: -x, [1.0], 0.5, SolverConfig(step=0.01, horizon=0.05))
+    finally:
+        fraclv.solvers._step_loop.cache_clear()  # no later run gets that loop
 
 
 @pytest.mark.parametrize("loop", sorted(LOOPS))

@@ -118,6 +118,11 @@ def test_characteristic_cubic_reads_any_3x3_sequence():
     coeffs = [characteristic_cubic(m) for m in forms]
     assert len({(c.a.hex(), c.b.hex(), c.c.hex()) for c in coeffs}) == 1
     assert all(type(v) is float for c in coeffs for v in (c.a, c.b, c.c))
+    # ints, numpy integer scalars and Fractions give the bits of their floats
+    ints = np.random.default_rng(5).integers(-9, 10, size=(3, 3))
+    for m in (ints, ints.tolist(), [[Fraction(int(v), 3) for v in row] for row in ints]):
+        floats = [[float(v) for v in row] for row in m]
+        assert repr(characteristic_cubic(m)) == repr(characteristic_cubic(floats))
 
 
 @pytest.mark.parametrize("matrix", [
@@ -130,6 +135,23 @@ def test_characteristic_cubic_reads_any_3x3_sequence():
 def test_characteristic_cubic_rejects_non_3x3(matrix):
     with pytest.raises(ValueError, match="3x3"):
         characteristic_cubic(matrix)
+
+
+@pytest.mark.parametrize("matrix,message", [
+    ([["1", "0", "0"], ["0", " 2 ", "0"], [True, "0", "3e0"]],
+     "matrix entry (0, 0) must be a real number, got '1'"),
+    ([[1, 0, 0], [0, 2, 0], [True, 0, 3]], "matrix entry (2, 0) must be a real number, got True"),
+    ([[1.0, 0.0, None], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]],
+     "matrix entry (0, 2) must be a real number, got None"),
+    ([[1.0, 0.0, 0.0], [0.0, 2.0, 1j], [0.0, 0.0, 3.0]],
+     "matrix entry (1, 2) must be a real number, got 1j"),
+    ([[1.0, 0.0, 0.0], [0.0, 10 ** 400, 0.0], [0.0, 0.0, 3.0]],
+     "matrix entry (1, 1) must be finite, got an integer past the float range"),
+], ids=["str", "True", "None", "complex", "huge-int"])
+def test_characteristic_cubic_follows_the_real_number_rule(matrix, message):
+    with pytest.raises(ValueError) as info:
+        characteristic_cubic(matrix)
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,15 @@ def test_construction_matches_the_dataclass_twin():
             assert str(error) == str(twin_error)
 
 
+def test_generated_init_runs_in_its_class_s_module():
+    # the __init__ is exec'd source; its globals name the class's module, so a
+    # warning filter on that module (tier-1's "fraclv") reaches a warning raised in it
+    for obj, _ in CASES:
+        cls = type(obj)
+        assert cls.__init__.__globals__.get("__name__") == cls.__module__
+        assert cls.__init__.__module__ == _twin(cls).__init__.__module__
+
+
 def test_values_are_frozen_and_slotted_as_the_twin():
     for obj, _ in CASES:
         cls, twin = type(obj), _twin(type(obj))
